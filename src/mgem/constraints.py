@@ -5,12 +5,14 @@ into the per-module inequality systems each method variant needs:
 
 * ``gem``     -- one instance, one row per past task (full-memory gradient).
 * ``p_mgem``  -- one instance per parameter module; rows are block slices of
-                 the same per-task gradients (one backward pass per task,
-                 then slicing).
+                 the same per-task gradients.
 * ``d_mgem``  -- one instance, ``d_data`` rows per past task, each from a
-                 disjoint split of that task's memory (``d_data`` backward
-                 passes per task).
+                 disjoint split of that task's memory.
 * ``md_mgem`` -- both: one instance per module, split rows sliced per block.
+
+Every variant gets all of its rows from one stacked forward/backward pass
+per step (``mlp.group_grads`` over every stored memory, or every split),
+then slices them per module.
 
 Per-module problems are independent (the joint QP is block-diagonal), so
 solving them separately and concatenating the directions equals the joint
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layout import BlockLayout, ParamVector
-from .mlp import MlpSpec, loss_and_grad
+from .mlp import Dataset, MlpSpec, group_grads
 from .qp import BOX_FORM, MIN_ROW_SQNORM, QpInstance, drop_degenerate_rows
 from .seeds import rng_from
 
@@ -75,13 +77,15 @@ class PartitionSpec:
     ``groups`` holds one tuple of block names per module, indexing into
     ``layout`` (the model layout for ``by_layer``; a synthetic re-blocking
     of the same flat range for ``equal_flat``). Groups are disjoint, cover
-    every block, and are contiguous in the flat index space.
+    every block, and are contiguous in the flat index space; ``spans`` holds
+    each module's flat slice.
     """
 
     mode: str
     d: int
     layout: BlockLayout
     groups: tuple
+    spans: tuple
 
     @property
     def n_modules(self) -> int:
@@ -116,20 +120,19 @@ def resolve_partition(layout: BlockLayout, mode: str, d: int) -> PartitionSpec:
         raise ValueError("module count must be >= 1")
     if mode == "by_layer":
         chunks = _near_equal_chunks(list(layout.blocks), d)
-        groups = tuple(tuple(b.name for b in chunk) for chunk in chunks)
-        return PartitionSpec(mode, d, layout, groups)
-    sizes = _near_equal_chunks(list(range(layout.total_len)), d)
-    flat = BlockLayout.from_sizes((f"F{i}", len(span)) for i, span in enumerate(sizes))
-    groups = tuple((f"F{i}",) for i in range(len(sizes)))
-    return PartitionSpec(mode, d, flat, groups)
+    else:
+        sizes = _near_equal_chunks(list(range(layout.total_len)), d)
+        layout = BlockLayout.from_sizes((f"F{i}", len(span)) for i, span in enumerate(sizes))
+        chunks = [[b] for b in layout.blocks]
+    groups = tuple(tuple(b.name for b in chunk) for chunk in chunks)
+    spans = tuple(slice(chunk[0].offset, chunk[-1].offset + chunk[-1].length)
+                  for chunk in chunks)
+    return PartitionSpec(mode, d, layout, groups, spans)
 
 
 def module_span(partition: PartitionSpec, i: int) -> slice:
     """Flat slice of module ``i`` (groups are contiguous by construction)."""
-    blocks = [partition.layout.block(name) for name in partition.groups[i]]
-    start = blocks[0].offset
-    stop = blocks[-1].offset + blocks[-1].length
-    return slice(start, stop)
+    return partition.spans[i]
 
 
 def split_memory(n_samples: int, d_data: int, seed: int):
@@ -179,9 +182,8 @@ def build_instances(method: MethodSpec, memories, g_t: ParamVector,
             raise ValueError("episodic memory is empty")
 
     split_rows = method.kind in ("d_mgem", "md_mgem")
-    row_vecs = []
+    parts = []
     row_tags = []
-    memory_grads = []
     for mem in memories:
         if split_rows:
             if len(mem.splits) != method.d_data:
@@ -189,27 +191,26 @@ def build_instances(method: MethodSpec, memories, g_t: ParamVector,
                     f"memory for task {mem.task} has {len(mem.splits)} splits, "
                     f"method wants {method.d_data}"
                 )
-            split_grads = []
-            weights = []
-            for d, idx in enumerate(mem.splits):
-                _, grad = loss_and_grad(params, spec, mem.data.take(idx))
-                split_grads.append(grad.data)
-                weights.append(len(idx))
-                row_vecs.append(grad.data)
-                row_tags.append((mem.task, d))
-            w = np.asarray(weights, dtype=np.float64)
-            memory_grads.append((w / w.sum()) @ np.vstack(split_grads))
+            parts.extend(mem.data.take(idx) for idx in mem.splits)
+            row_tags.extend((mem.task, d) for d in range(method.d_data))
         else:
-            _, grad = loss_and_grad(params, spec, mem.data)
-            row_vecs.append(grad.data)
+            parts.append(mem.data)
             row_tags.append((mem.task, 0))
-            memory_grads.append(grad.data)
+    sizes = [p.n_samples for p in parts]
+    all_rows = group_grads(params, spec, Dataset.concat(parts), sizes)
 
-    all_rows = np.vstack(row_vecs)
+    if split_rows:
+        memory_grads = []
+        for k in range(len(memories)):
+            lo, hi = k * method.d_data, (k + 1) * method.d_data
+            w = np.asarray(sizes[lo:hi], dtype=np.float64)
+            memory_grads.append((w / w.sum()) @ all_rows[lo:hi])
+    else:
+        memory_grads = list(all_rows)
+
     instances = []
     dropped_total = 0
-    for i in range(partition.n_modules):
-        span = module_span(partition, i)
+    for i, span in enumerate(partition.spans):
         rows = all_rows[:, span]
         strength = np.full(rows.shape[0], method.strength)
         kept_rows, kept_strength, dropped = drop_degenerate_rows(rows, strength)
@@ -237,8 +238,7 @@ def assemble_direction(solutions, partition: PartitionSpec) -> np.ndarray:
             f"got {len(solutions)} solutions for {partition.n_modules} modules"
         )
     z = np.empty(partition.layout.total_len)
-    for i, sol in enumerate(solutions):
-        span = module_span(partition, i)
+    for i, (sol, span) in enumerate(zip(solutions, partition.spans)):
         if sol.direction.shape[0] != span.stop - span.start:
             raise ValueError(f"module {i} direction has the wrong length")
         z[span] = sol.direction

@@ -26,7 +26,7 @@ from .constraints import (
     resolve_partition,
     split_memory,
 )
-from .mlp import Dataset, MlpSpec, accuracy, init_params, loss_and_grad
+from .mlp import Dataset, MlpSpec, accuracy, group_grads, init_params, loss_and_grad
 from .seeds import derive_seed, rng_from
 from .taskgen import TaskStream
 
@@ -119,6 +119,14 @@ def run(stream: TaskStream, mlp: MlpSpec, cfg: TrainConfig, trace: bool = False)
     for t_pos, task in enumerate(stream.tasks, start=1):
         batch_rng = rng_from(cfg.seed, "batch", t_pos)
         n_train = task.train.n_samples
+        if trace and t_pos >= 2:
+            # one group_grads pass per step: the current and every past
+            # training set, then (unconstrained steps only) every memory
+            trace_sets = [task.train] + [stream.tasks[s].train for s in range(t_pos - 1)]
+            if method.kind == "single":
+                trace_sets += [mem.data for mem in memories]
+            trace_data = Dataset.concat(trace_sets)
+            trace_sizes = [d.n_samples for d in trace_sets]
         for it in range(cfg.iters_per_task):
             idx = batch_rng.integers(0, n_train, size=cfg.batch_size)
             _, g_t = loss_and_grad(params, mlp, task.train.take(idx))
@@ -139,21 +147,14 @@ def run(stream: TaskStream, mlp: MlpSpec, cfg: TrainConfig, trace: bool = False)
                 rows_dropped += batch.rows_dropped
 
             if trace and t_pos >= 2:
-                _, g_cur = loss_and_grad(params, mlp, task.train)
-                bwd = tuple(
-                    float(loss_and_grad(params, mlp, stream.tasks[s].train)[1].data @ z)
-                    for s in range(t_pos - 1)
-                )
-                if batch is not None:
-                    mem_grads = batch.memory_grads
-                else:  # unconstrained step: diagnostic still well defined
-                    mem_grads = [loss_and_grad(params, mlp, mem.data)[1].data
-                                 for mem in memories]
+                rows = group_grads(params, mlp, trace_data, trace_sizes)
+                bwd = tuple(float(rows[s] @ z) for s in range(1, t_pos))
+                mem_grads = rows[t_pos:] if batch is None else batch.memory_grads
                 mem_inner = min(float(g @ z) for g in mem_grads)
                 traces.append(StepTrace(
                     task=t_pos,
                     iteration=it,
-                    fwd_inner=float(g_cur.data @ z),
+                    fwd_inner=float(rows[0] @ z),
                     bwd_inners=bwd,
                     min_memory_inner=mem_inner,
                     solver_converged=step_conv,
@@ -162,11 +163,11 @@ def run(stream: TaskStream, mlp: MlpSpec, cfg: TrainConfig, trace: bool = False)
                 ))
 
             params.data -= cfg.lr * z
-
-        if not np.all(np.isfinite(params.data)):
-            raise FloatingPointError(
-                f"parameters became non-finite during task {task.descriptor}; lower lr"
-            )
+            if not np.all(np.isfinite(params.data)):
+                raise FloatingPointError(
+                    f"parameters became non-finite at task {task.descriptor}, "
+                    f"iteration {it}; lower lr"
+                )
 
         mem_rng = rng_from(cfg.seed, "memory", t_pos)
         sel = np.sort(mem_rng.choice(n_train, size=cfg.memory_per_task, replace=False))

@@ -83,7 +83,8 @@ class BlockLayout:
 
 @dataclass(eq=False)
 class ParamVector:
-    """A float64 vector tied to a BlockLayout; entries are always finite."""
+    """A float64 vector tied to a BlockLayout; entries are checked finite on
+    construction (``unchecked`` skips the check)."""
 
     data: np.ndarray
     layout: BlockLayout
@@ -98,6 +99,16 @@ class ParamVector:
             )
         if not np.all(np.isfinite(self.data)):
             raise ValueError("parameter data contains NaN or Inf")
+
+    @classmethod
+    def unchecked(cls, data: np.ndarray, layout: BlockLayout) -> "ParamVector":
+        """Wrap a 1-D float64 array of ``layout.total_len`` entries without
+        the finiteness scan, for vectors computed from checked parameters
+        and data (gradients); the training loop checks the parameters
+        once per step instead."""
+        out = object.__new__(cls)
+        out.data, out.layout = data, layout
+        return out
 
     def copy(self) -> "ParamVector":
         return ParamVector(self.data.copy(), self.layout)

@@ -1,10 +1,13 @@
 """Small dense MLP with manual backpropagation on flat parameter vectors.
 
 Loss is mean softmax cross-entropy over the dataset, so gradients are
-invariant to batch size. Weights for layer ``i`` live in block ``L{i}.w``
+invariant to batch size. ``group_grads`` returns the gradients of several
+contiguous row groups from one forward/backward pass; ``loss_and_grad`` is
+its one-group case. Weights for layer ``i`` live in block ``L{i}.w``
 (row-major ``(fan_in, fan_out)``), biases in ``L{i}.b``.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +78,23 @@ class Dataset:
     def n_features(self) -> int:
         return self.features.shape[1]
 
+    @classmethod
+    def _from_checked(cls, features: np.ndarray, labels: np.ndarray) -> "Dataset":
+        """Wrap arrays cut from checked datasets without re-checking values."""
+        if features.shape[0] < 1:
+            raise ValueError("dataset needs at least one sample")
+        out = object.__new__(cls)
+        out.features, out.labels = features, labels
+        return out
+
     def take(self, idx) -> "Dataset":
-        return Dataset(self.features[idx], self.labels[idx])
+        return Dataset._from_checked(self.features[idx], self.labels[idx])
+
+    @classmethod
+    def concat(cls, parts) -> "Dataset":
+        """Rows of ``parts`` stacked in order, e.g. for one ``group_grads`` pass."""
+        return cls._from_checked(np.concatenate([p.features for p in parts]),
+                                 np.concatenate([p.labels for p in parts]))
 
 
 def build_layout(spec: MlpSpec) -> BlockLayout:
@@ -88,29 +106,39 @@ def build_layout(spec: MlpSpec) -> BlockLayout:
     return BlockLayout.from_sizes(sizes)
 
 
+@functools.cache
+def _layer_slices(spec: MlpSpec) -> tuple:
+    """Per-layer ``(weight slice, bias slice, fan_in, fan_out)`` in the flat
+    vector, in ``build_layout`` order; computed once per spec."""
+    out = []
+    offset = 0
+    for fan_in, fan_out in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]):
+        w = slice(offset, offset + fan_in * fan_out)
+        b = slice(w.stop, w.stop + fan_out)
+        out.append((w, b, fan_in, fan_out))
+        offset = b.stop
+    return tuple(out)
+
+
 def init_params(spec: MlpSpec, seed: int) -> ParamVector:
     """Xavier-uniform weights, zero biases; deterministic per seed."""
     rng = rng_from(seed, "init")
     layout = build_layout(spec)
     data = np.zeros(layout.total_len)
-    v = ParamVector(data, layout)
-    for i in range(spec.n_layers):
-        fan_in, fan_out = spec.layer_sizes[i], spec.layer_sizes[i + 1]
+    for w, _, fan_in, fan_out in _layer_slices(spec):
         s = np.sqrt(6.0 / (fan_in + fan_out))
-        v.block(f"L{i}.w")[:] = rng.uniform(-s, s, size=fan_in * fan_out)
+        data[w] = rng.uniform(-s, s, size=fan_in * fan_out)
         # biases stay zero
-    return v
+    return ParamVector(data, layout)
 
 
 def _weights(params: ParamVector, spec: MlpSpec):
     """Per-layer ``(W, b)`` views into the flat vector."""
-    out = []
-    for i in range(spec.n_layers):
-        fan_in, fan_out = spec.layer_sizes[i], spec.layer_sizes[i + 1]
-        W = params.block(f"L{i}.w").reshape(fan_in, fan_out)
-        b = params.block(f"L{i}.b")
-        out.append((W, b))
-    return out
+    layers = _layer_slices(spec)
+    data = params.data
+    if data.shape[0] != layers[-1][1].stop:
+        raise ValueError(f"parameter vector of length {data.shape[0]} does not fit {spec}")
+    return [(data[w].reshape(fan_in, fan_out), data[b]) for w, b, fan_in, fan_out in layers]
 
 
 def _check_features(spec: MlpSpec, features: np.ndarray):
@@ -120,30 +148,97 @@ def _check_features(spec: MlpSpec, features: np.ndarray):
         )
 
 
-def _forward(params: ParamVector, spec: MlpSpec, X: np.ndarray):
-    """Logits plus the per-layer caches needed for backprop."""
-    hs = [X]           # layer inputs
-    zs = []            # pre-activations
-    h = X
-    for i, (W, b) in enumerate(_weights(params, spec)):
-        z = h @ W + b
-        zs.append(z)
-        if i < spec.n_layers - 1:
-            h = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
-            hs.append(h)
-    return zs[-1], hs, zs
+def _forward(weights, spec: MlpSpec, X: np.ndarray):
+    """Logits plus each layer's input, which is all backprop needs: the
+    activation derivative is read off the activation's output."""
+    hs = [X]
+    for W, b in weights[:-1]:
+        z = hs[-1] @ W
+        z += b
+        hs.append(np.maximum(z, 0.0, out=z) if spec.activation == "relu" else np.tanh(z, out=z))
+    W, b = weights[-1]
+    logits = hs[-1] @ W
+    logits += b
+    return logits, hs
 
 
 def predict(params: ParamVector, spec: MlpSpec, features) -> np.ndarray:
     """Argmax class per sample; ties break to the lowest class index."""
     X = np.asarray(features, dtype=np.float64)
     _check_features(spec, X)
-    logits, _, _ = _forward(params, spec, X)
+    logits, _ = _forward(_weights(params, spec), spec, X)
     return np.argmax(logits, axis=1).astype(np.int64)
 
 
 def accuracy(params: ParamVector, spec: MlpSpec, data: Dataset) -> float:
     return float(np.mean(predict(params, spec, data.features) == data.labels))
+
+
+def _backprop(params: ParamVector, spec: MlpSpec, data: Dataset, sizes):
+    """Per-sample losses and the mean-loss gradient of each row group.
+
+    The rows of ``data`` form contiguous groups of ``sizes`` rows. One
+    forward and one backward pass serve every group: ``delta`` is scaled
+    by each row's own group size, so a group's weight gradient is the
+    segment sum ``h_g^T delta_g`` and its bias gradient the column sum of
+    ``delta_g`` (the per-example-gradient trick, without materialising a
+    gradient per sample). Returns ``(nll, grads)`` with ``grads`` of shape
+    ``(len(sizes), n_params)``.
+    """
+    X, y = data.features, data.labels
+    _check_features(spec, X)
+    if np.any(y >= spec.n_out):
+        raise ValueError(f"label out of range for {spec.n_out} classes")
+    n = X.shape[0]
+    sizes = [int(k) for k in sizes]
+    if not sizes or min(sizes) < 1 or sum(sizes) != n:
+        raise ValueError(f"group sizes {sizes} do not split {n} samples")
+
+    ws = _weights(params, spec)
+    logits, hs = _forward(ws, spec, X)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_p = shifted - log_z
+    target = (np.arange(n), y)
+    nll = -log_p[target]
+
+    n_groups = len(sizes)
+    k = sizes[0] if sizes.count(sizes[0]) == n_groups else None  # common group size
+    grads = np.empty((n_groups, params.data.shape[0]))
+    delta = np.exp(log_p)
+    delta[target] -= 1.0
+    delta /= k if k else np.repeat(sizes, sizes)[:, None]
+    bounds = np.cumsum([0] + sizes)
+    for i, (w, b, fan_in, fan_out) in reversed(list(enumerate(_layer_slices(spec)))):
+        h = hs[i]
+        if k:
+            d3 = delta.reshape(n_groups, k, fan_out)
+            # grads[:, w] is one contiguous run per row, so this is a view
+            np.matmul(h.reshape(n_groups, k, fan_in).transpose(0, 2, 1), d3,
+                      out=grads[:, w].reshape(n_groups, fan_in, fan_out))
+            d3.sum(axis=1, out=grads[:, b])
+        else:
+            for g in range(n_groups):
+                lo, hi = bounds[g], bounds[g + 1]
+                grads[g, w] = (h[lo:hi].T @ delta[lo:hi]).ravel()
+                grads[g, b] = delta[lo:hi].sum(axis=0)
+        if i > 0:
+            delta = delta @ ws[i][0].T
+            if spec.activation == "relu":
+                delta *= h > 0.0
+            else:
+                delta *= 1.0 - h ** 2
+    return nll, grads
+
+
+def group_grads(params: ParamVector, spec: MlpSpec, data: Dataset, sizes) -> np.ndarray:
+    """Mean-loss gradients of contiguous row groups, one row per group.
+
+    ``sizes`` lists the group lengths in row order and must sum to
+    ``data.n_samples``. Row ``g`` equals the gradient ``loss_and_grad``
+    returns for group ``g`` alone, up to floating-point summation order.
+    """
+    return _backprop(params, spec, data, sizes)[1]
 
 
 def loss_and_grad(params: ParamVector, spec: MlpSpec, data: Dataset):
@@ -153,36 +248,8 @@ def loss_and_grad(params: ParamVector, spec: MlpSpec, data: Dataset):
     input layout. The gradient is the mean over samples, so duplicating
     the dataset leaves it unchanged.
     """
-    X, y = data.features, data.labels
-    _check_features(spec, X)
-    if np.any(y >= spec.n_out):
-        raise ValueError(f"label out of range for {spec.n_out} classes")
-    n = X.shape[0]
-
-    logits, hs, zs = _forward(params, spec, X)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_p = shifted - log_z
-    loss = float(-log_p[np.arange(n), y].mean())
-
-    grad = ParamVector(np.zeros(params.layout.total_len), params.layout)
-    gws = _weights(grad, spec)
-    ws = _weights(params, spec)
-
-    delta = np.exp(log_p)
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
-    for i in range(spec.n_layers - 1, -1, -1):
-        gW, gb = gws[i]
-        gW += hs[i].T @ delta
-        gb += delta.sum(axis=0)
-        if i > 0:
-            back = delta @ ws[i][0].T
-            if spec.activation == "relu":
-                delta = back * (zs[i - 1] > 0.0)
-            else:
-                delta = back * (1.0 - np.tanh(zs[i - 1]) ** 2)
-    return loss, grad
+    nll, grads = _backprop(params, spec, data, (data.n_samples,))
+    return float(nll.mean()), ParamVector.unchecked(grads[0], params.layout)
 
 
 def fd_gradient(params: ParamVector, spec: MlpSpec, data: Dataset, h: float = 1e-6) -> np.ndarray:

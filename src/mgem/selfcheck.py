@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qp
-from .mlp import Dataset, MlpSpec, fd_gradient, init_params, loss_and_grad
+from .mlp import Dataset, MlpSpec, fd_gradient, group_grads, init_params, loss_and_grad
 from .seeds import rng_from
 
 _ROOT_SEED = 20240901
@@ -75,7 +75,11 @@ def check_approx_single_constraint(n_instances=100, quick=False):
 
 
 def check_gradients(n_cases=20, quick=False):
-    """Analytic backprop vs central finite differences, per coordinate."""
+    """Analytic backprop vs central finite differences, per coordinate.
+
+    Each case checks the one-group gradient (``loss_and_grad``) and one row
+    of a two-group ``group_grads`` pass, with equal and unequal groups.
+    """
     if quick:
         n_cases = max(5, n_cases // 4)
     worst = 0.0
@@ -90,10 +94,18 @@ def check_gradients(n_cases=20, quick=False):
             rng.standard_normal((6, sizes[0])),
             rng.integers(0, sizes[-1], size=6),
         )
-        _, grad = loss_and_grad(params, spec, data)
-        fd = fd_gradient(params, spec, data)
-        denom = np.maximum(1.0, np.maximum(np.abs(grad.data), np.abs(fd)))
-        worst = max(worst, float(np.max(np.abs(grad.data - fd) / denom)))
+        # even cases: first of two equal groups; odd: second of two unequal
+        row = case % 2
+        groups = ((3, 3), (2, 4))[row]
+        lo = groups[0] * row
+        group = data.take(slice(lo, lo + groups[row]))
+        pairs = (
+            (loss_and_grad(params, spec, data)[1].data, fd_gradient(params, spec, data)),
+            (group_grads(params, spec, data, groups)[row], fd_gradient(params, spec, group)),
+        )
+        for grad, fd in pairs:
+            denom = np.maximum(1.0, np.maximum(np.abs(grad), np.abs(fd)))
+            worst = max(worst, float(np.max(np.abs(grad - fd) / denom)))
     return worst < 1e-5, f"max relative gradient error = {worst:.3e} over {n_cases} cases"
 
 

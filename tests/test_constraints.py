@@ -209,6 +209,35 @@ def test_mdmgem_instance_grid():
     assert all(inst.m == 4 for inst in batch.instances)
 
 
+@pytest.mark.parametrize("method", [
+    MethodSpec("gem"),
+    MethodSpec("d_mgem", d_data=3),
+    MethodSpec("md_mgem", d_param=2, d_data=3),
+])
+def test_stacked_rows_match_per_group_gradients(method):
+    """One stacked pass gives every row the per-group gradient (11/11/10
+    splits of a 32-sample memory exercise unequal group sizes)."""
+    params = init_params(MLP, 3)
+    part = resolve_partition(params.layout, "by_layer", method.d_param)
+    mems = make_memories(3, method.d_data, n_per=32, seed=3)
+    g_t = batch_grad(params)
+    batch = build_instances(method, mems, g_t, params, MLP, part)
+    expected = []
+    for mem in mems:
+        groups = mem.splits if method.d_data > 1 else (slice(None),)
+        expected.extend(loss_and_grad(params, MLP, mem.data.take(idx))[1].data
+                        for idx in groups)
+    expected = np.vstack(expected)
+    assert sorted(len(idx) for idx in mems[0].splits) == (
+        [10, 11, 11] if method.d_data == 3 else [32])
+    for inst, span in zip(batch.instances, part.spans):
+        np.testing.assert_allclose(inst.constraint_rows, expected[:, span],
+                                   rtol=0.0, atol=1e-12)
+    for mem, got in zip(mems, batch.memory_grads):
+        _, full = loss_and_grad(params, MLP, mem.data)
+        np.testing.assert_allclose(got, full.data, rtol=0.0, atol=1e-12)
+
+
 def test_split_mismatch_rejected():
     params = init_params(MLP, 0)
     part = resolve_partition(params.layout, "by_layer", 1)

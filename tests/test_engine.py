@@ -173,6 +173,44 @@ def test_traces_only_for_tasks_with_memory():
     assert untraced.traces == []
 
 
+def test_traced_inner_products_match_per_set_gradients():
+    # single: z is the batch gradient, so the whole trace can be rebuilt
+    # from separate loss_and_grad calls per training set and memory
+    stream = rotated_stream(n_tasks=3, n_train=60)
+    c = cfg(MethodSpec("single"), iters=6, memory=20)
+    traces = iter(run(stream, MLP, c, trace=True).traces)
+    params = init_params(MLP, c.seed)
+    memories = []
+    for t_pos, task in enumerate(stream.tasks, start=1):
+        rng = rng_from(c.seed, "batch", t_pos)
+        for it in range(c.iters_per_task):
+            idx = rng.integers(0, task.train.n_samples, size=c.batch_size)
+            z = loss_and_grad(params, MLP, task.train.take(idx))[1].data
+            if t_pos >= 2:
+                tr = next(traces)
+                assert (tr.task, tr.iteration) == (t_pos, it)
+                fwd = loss_and_grad(params, MLP, task.train)[1].data @ z
+                assert abs(tr.fwd_inner - fwd) <= 1e-12
+                assert len(tr.bwd_inners) == t_pos - 1
+                for s, got in enumerate(tr.bwd_inners):
+                    want = loss_and_grad(params, MLP, stream.tasks[s].train)[1].data @ z
+                    assert abs(got - want) <= 1e-12
+                mem = min(loss_and_grad(params, MLP, m)[1].data @ z for m in memories)
+                assert abs(tr.min_memory_inner - mem) <= 1e-12
+            params.data -= c.lr * z
+        sel = rng_from(c.seed, "memory", t_pos).choice(
+            task.train.n_samples, size=c.memory_per_task, replace=False)
+        memories.append(task.train.take(np.sort(sel)))
+    assert next(traces, None) is None
+
+
+@pytest.mark.parametrize("method", [MethodSpec("single"), MethodSpec("gem")])
+def test_divergence_stops_at_the_step_that_overflows(method):
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FloatingPointError, match=r"task 1, iteration 1;"):
+        run(rotated_stream(), MLP, cfg(method, lr=1e300))
+
+
 def test_accuracy_matrix_shape_and_range():
     stream = rotated_stream(n_tasks=3, n_train=60)
     result = run(stream, MLP, cfg(MethodSpec("single"), iters=20))

@@ -7,6 +7,7 @@ from mgem.mlp import (
     accuracy,
     build_layout,
     fd_gradient,
+    group_grads,
     init_params,
     loss_and_grad,
     predict,
@@ -139,3 +140,38 @@ def test_accuracy_counts_fraction_correct():
     data = Dataset(np.array([[2.0, 0.0], [0.0, 2.0], [3.0, 0.0], [0.0, 1.0]]),
                    np.array([0, 1, 1, 1]))
     assert accuracy(params, spec, data) == 0.75
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("sizes", [(8, 8, 8), (11, 11, 10), (1, 5, 2, 9), (7,)])
+def test_group_grads_rows_match_per_group_loss_and_grad(activation, sizes):
+    spec = MlpSpec((3, 9, 7, 4), activation=activation)
+    params = init_params(spec, seed=4)
+    rng = rng_from(4, "groups", len(sizes))
+    params.data += 0.1 * rng.standard_normal(params.data.shape)
+    n = sum(sizes)
+    data = Dataset(rng.standard_normal((n, 3)), rng.integers(0, 4, size=n))
+    rows = group_grads(params, spec, data, sizes)
+    assert rows.shape == (len(sizes), params.layout.total_len)
+    bounds = np.cumsum((0,) + sizes)
+    for g in range(len(sizes)):
+        _, ref = loss_and_grad(params, spec, data.take(slice(bounds[g], bounds[g + 1])))
+        np.testing.assert_allclose(rows[g], ref.data, rtol=0.0, atol=1e-12)
+
+
+def test_loss_and_grad_is_the_one_group_case():
+    spec = MlpSpec((3, 6, 3))
+    params = init_params(spec, seed=6)
+    rng = rng_from(6, "one-group")
+    data = Dataset(rng.standard_normal((10, 3)), rng.integers(0, 3, size=10))
+    _, grad = loss_and_grad(params, spec, data)
+    assert np.array_equal(group_grads(params, spec, data, (10,))[0], grad.data)
+
+
+@pytest.mark.parametrize("sizes", [(4, 5), (10, 0), (), (11,), (-1, 11)])
+def test_group_grads_rejects_sizes_that_do_not_split_the_rows(sizes):
+    spec = MlpSpec((3, 4, 2))
+    params = init_params(spec, seed=0)
+    data = Dataset(np.zeros((10, 3)), np.zeros(10, dtype=int))
+    with pytest.raises(ValueError):
+        group_grads(params, spec, data, sizes)
