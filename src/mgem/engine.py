@@ -69,7 +69,7 @@ class StepTrace:
     bwd_inners: tuple         # <g_s, z> per past task, full training gradients
     min_memory_inner: float   # min_s <ghat_s, z> over stored-memory gradients
     solver_converged: bool
-    solver_iterations: int
+    solver_iterations: int    # active-set solves, summed over the modules
     rows_dropped: int
 
 
@@ -82,6 +82,14 @@ class RunResult:
     rows_dropped: int
     degraded: bool
     final_params: object = None
+
+
+def _check_finite(values, what: str, task: int, it: int):
+    """Stop the run at the step where ``values`` stop being finite."""
+    if not np.isfinite(values).all():
+        raise FloatingPointError(
+            f"{what} became non-finite at task {task}, iteration {it}; lower lr"
+        )
 
 
 def _solve(inst, method: MethodSpec):
@@ -130,6 +138,7 @@ def run(stream: TaskStream, mlp: MlpSpec, cfg: TrainConfig, trace: bool = False)
         for it in range(cfg.iters_per_task):
             idx = batch_rng.integers(0, n_train, size=cfg.batch_size)
             _, g_t = loss_and_grad(params, mlp, task.train.take(idx))
+            _check_finite(g_t.data, "minibatch gradient", task.descriptor, it)
 
             if method.kind == "single" or not memories:
                 z = g_t.data
@@ -137,6 +146,7 @@ def run(stream: TaskStream, mlp: MlpSpec, cfg: TrainConfig, trace: bool = False)
                 step_conv, step_iters = True, 0
             else:
                 batch = build_instances(method, memories, g_t, params, mlp, partition)
+                _check_finite(batch.memory_grads, "memory gradients", task.descriptor, it)
                 sols = [_solve(inst, method) for inst in batch.instances]
                 z = assemble_direction(sols, partition)
                 constrained += 1
@@ -163,11 +173,7 @@ def run(stream: TaskStream, mlp: MlpSpec, cfg: TrainConfig, trace: bool = False)
                 ))
 
             params.data -= cfg.lr * z
-            if not np.all(np.isfinite(params.data)):
-                raise FloatingPointError(
-                    f"parameters became non-finite at task {task.descriptor}, "
-                    f"iteration {it}; lower lr"
-                )
+            _check_finite(params.data, "parameters", task.descriptor, it)
 
         mem_rng = rng_from(cfg.seed, "memory", t_pos)
         sel = np.sort(mem_rng.choice(n_train, size=cfg.memory_per_task, replace=False))

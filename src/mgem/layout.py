@@ -70,16 +70,6 @@ class BlockLayout:
         b = self.block(name)
         return slice(b.offset, b.offset + b.length)
 
-    def indices(self, names) -> np.ndarray:
-        """Flat indices of the named blocks, in layout order."""
-        wanted = set(names)
-        unknown = wanted - set(self.names)
-        if unknown:
-            raise KeyError(sorted(unknown)[0])
-        parts = [np.arange(b.offset, b.offset + b.length)
-                 for b in self.blocks if b.name in wanted]
-        return np.concatenate(parts) if parts else np.empty(0, dtype=int)
-
 
 @dataclass(eq=False)
 class ParamVector:

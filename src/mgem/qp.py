@@ -12,12 +12,19 @@ primal update direction is recovered as ``z = g + C^T v``: the minimizer of
 ``0.5 * || g - z ||^2`` subject to ``<c_k, z> >= gamma_k`` (regularized form)
 by strong duality.
 
+With ``u = v - lb`` (``lb`` the lower bounds) both forms become one
+nonnegative QP on the m x m Gram matrix ``K = C C^T``:
+
+    min 0.5 * u^T K u + h^T u,  u >= 0,  h = C (g + C^T lb) - gamma
+
 Three routes are provided:
 
-* ``solve_exact``    -- projected cyclic coordinate descent, the production
-                        solver; converges to the stated KKT tolerance.
-* ``solve_enumerate``-- exhaustive active-set enumeration (m <= 12), the
-                        certification oracle for the other two.
+* ``solve_exact``    -- Lawson-Hanson active-set pivots on ``(K, h)``, the
+                        production solver; converges to the stated KKT
+                        tolerance in a few m-sized solves.
+* ``solve_enumerate``-- exhaustive active-set enumeration on the same
+                        ``(K, h)`` (m <= 12), the certification oracle for
+                        the other two.
 * ``solve_approx``   -- the two-stage closed form: unconstrained solution
                         with the Gram matrix replaced by its diagonal, then
                         a clamp of each multiplier to its lower bound. Exact
@@ -29,7 +36,7 @@ does this at assembly time.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,7 +105,6 @@ class DualSolution:
     iterations: int
     kkt_residual: float
     converged: bool
-    objective_history: np.ndarray = field(default=None)
 
 
 def drop_degenerate_rows(rows: np.ndarray, strength: np.ndarray):
@@ -120,20 +126,38 @@ def drop_degenerate_rows(rows: np.ndarray, strength: np.ndarray):
     return rows, strength, dropped
 
 
-def _validate(inst: QpInstance):
-    if not (np.all(np.isfinite(inst.constraint_rows))
-            and np.all(np.isfinite(inst.target))
-            and np.all(np.isfinite(inst.strength))):
+def _check(inst: QpInstance, sqnorms: np.ndarray):
+    """Reject bad input. ``sqnorms`` are the squared row norms (the Gram
+    diagonal): a row holding NaN or Inf has a non-finite norm."""
+    if not (np.isfinite(sqnorms).all()
+            and np.isfinite(inst.target).all()
+            and np.isfinite(inst.strength).all()):
         raise ValueError("QP instance contains NaN or Inf")
-    if np.any(inst.strength < 0.0):
+    if (inst.strength < 0.0).any():
         raise ValueError("strength must be entrywise >= 0")
-    if inst.m:
-        sq = np.einsum("ij,ij->i", inst.constraint_rows, inst.constraint_rows)
-        if np.any(sq < MIN_ROW_SQNORM):
-            raise ValueError(
-                "degenerate constraint row reached the solver; "
-                "drop_degenerate_rows must run at assembly time"
-            )
+    if (sqnorms < MIN_ROW_SQNORM).any():
+        raise ValueError(
+            "degenerate constraint row reached the solver; "
+            "drop_degenerate_rows must run at assembly time"
+        )
+
+
+def _gram(inst: QpInstance):
+    """Validated ``(K, h, lb)``: at ``v = lb + u`` the dual gradient is
+    ``K u + h`` (``gamma = 0`` in the box form)."""
+    rows = inst.constraint_rows
+    K = rows @ rows.T
+    _check(inst, np.diag(K))
+    lb = lower_bounds(inst)
+    h = rows @ inst.target + K @ lb
+    if inst.form == REGULARIZED_FORM:
+        h -= inst.strength
+    return K, h, lb
+
+
+def _kkt(u: np.ndarray, grad: np.ndarray) -> float:
+    """``max_k |min(u_k, grad_k)|`` for ``u = v - lb``; 0 when ``m = 0``."""
+    return float(np.abs(np.minimum(u, grad)).max(initial=0.0))
 
 
 def lower_bounds(inst: QpInstance) -> np.ndarray:
@@ -148,13 +172,6 @@ def dual_objective(inst: QpInstance, v: np.ndarray) -> float:
     return f
 
 
-def dual_gradient(inst: QpInstance, v: np.ndarray) -> np.ndarray:
-    g = inst.constraint_rows @ (inst.constraint_rows.T @ v + inst.target)
-    if inst.form == REGULARIZED_FORM:
-        g = g - inst.strength
-    return g
-
-
 def kkt_residual(inst: QpInstance, v: np.ndarray) -> float:
     """Max violation of the bound-constrained KKT conditions at ``v``.
 
@@ -162,162 +179,146 @@ def kkt_residual(inst: QpInstance, v: np.ndarray) -> float:
     ``v`` is feasible and each coordinate is either at its bound with a
     non-negative dual gradient, or stationary.
     """
-    if inst.m == 0:
-        return 0.0
     v = np.asarray(v, dtype=np.float64)
-    resid = np.minimum(v - lower_bounds(inst), dual_gradient(inst, v))
-    return float(np.max(np.abs(resid)))
+    grad = inst.constraint_rows @ (inst.constraint_rows.T @ v + inst.target)
+    if inst.form == REGULARIZED_FORM:
+        grad = grad - inst.strength
+    return _kkt(v - lower_bounds(inst), grad)
 
 
-def _solution(inst, v, iterations, converged, history=None) -> DualSolution:
-    direction = inst.target + inst.constraint_rows.T @ v
-    return DualSolution(
-        multipliers=v,
-        direction=direction,
-        iterations=iterations,
-        kkt_residual=kkt_residual(inst, v),
-        converged=converged,
-        objective_history=None if history is None else np.asarray(history),
-    )
+def _solution(inst, v, iterations, residual, converged=True) -> DualSolution:
+    return DualSolution(v, inst.target + inst.constraint_rows.T @ v, iterations,
+                        residual, converged)
 
 
-def _refine_active_set(inst, v, lb, gamma, current_obj):
-    """One Newton-style solve on the face coordinate descent has settled on.
-
-    Coordinates strictly above their bound are treated as free and their
-    stationarity system is solved directly (least-squares, so rank-deficient
-    faces are fine). The candidate is adopted only if it stays feasible and
-    does not increase the objective, which keeps the sweep history monotone.
-    Nearly anti-parallel rows make plain coordinate descent crawl; this step
-    finishes such instances to machine precision once the face is right.
-    """
-    free = np.flatnonzero(v > lb)
-    if free.size == 0:
-        return None
-    rows = inst.constraint_rows
-    pinned = np.flatnonzero(v <= lb)
-    base = inst.target
-    if pinned.size:
-        base = base + rows[pinned].T @ lb[pinned]
-    k_ff = rows[free] @ rows[free].T
-    rhs = gamma[free] - rows[free] @ base
-    v_free, *_ = np.linalg.lstsq(k_ff, rhs, rcond=None)
-    if not np.all(np.isfinite(v_free)):
-        return None
-    scale = 1.0 + float(np.max(np.abs(v_free)))
-    if np.any(v_free < lb[free] - 1e-12 * scale):
-        return None
-    cand = lb.copy()
-    cand[free] = np.maximum(v_free, lb[free])
-    if dual_objective(inst, cand) > current_obj:
-        return None
-    return cand
+def _step(u, free, d, limit):
+    """Move ``u += t * d`` in place with ``t = min(limit, first bound hit)``
+    and pin the free coordinates that reach 0. Returns ``t``, ``inf`` (no
+    move) when nothing bounds an unlimited step."""
+    down = (free & (d < 0.0)).nonzero()[0]
+    ratio = u[down] / -d[down]
+    t = min(limit, ratio.min(initial=np.inf))
+    if t < np.inf:
+        u += t * d
+        if t < limit:
+            u[down[np.argmin(ratio)]] = 0.0
+        out = free & (u <= 0.0)
+        u[out] = 0.0
+        free[out] = False
+    return t
 
 
 def solve_exact(inst: QpInstance, tol: float = DEFAULT_TOL,
                 max_iter: int = DEFAULT_MAX_ITER) -> DualSolution:
-    """Projected cyclic coordinate descent on the dual, with face refinement.
+    """Lawson-Hanson active-set method on the dual in Gram space.
 
-    Each coordinate is minimized exactly and clamped to its lower bound, so
-    iterates stay feasible and the dual objective never increases; after
-    every sweep the free-coordinate face is polished by a direct solve (see
-    ``_refine_active_set``). Stops when the KKT residual drops to ``tol``;
-    if ``max_iter`` sweeps pass first the result is returned with
-    ``converged=False`` and the caller decides. ``iterations`` counts full
-    sweeps.
+    Solves ``min 0.5 u^T K u + h^T u, u >= 0`` from ``u = 0``. Each pivot
+    frees the pinned coordinate with the most negative gradient and moves
+    it to the minimum along the direction that keeps the other free
+    coordinates stationary. A free coordinate that reaches its bound first
+    is pinned again, and Newton steps on the smaller free set follow until
+    one is not cut short (Lawson & Hanson, *Solving Least Squares
+    Problems*, 1974). The free rows stay independent: a row in their span
+    enters only by pinning one of them. Past the Gram product, all work up
+    to ``direction = g + C^T v`` is on m-sized arrays.
+
+    Stops when the KKT residual drops to ``tol``. ``iterations`` counts the
+    active-set solves (one per pivot, one per Newton step) and ``max_iter``
+    caps them. On the cap, a round-off stall or an unbounded dual (margins
+    no direction meets), the feasible iterate is returned with
+    ``converged=False``.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    _validate(inst)
-    if inst.m == 0:
-        return _solution(inst, np.zeros(0), 0, True, history=[])
-
-    rows = inst.constraint_rows
-    sq = np.einsum("ij,ij->i", rows, rows)
-    lb = lower_bounds(inst)
-    gamma = inst.strength if inst.form == REGULARIZED_FORM else np.zeros(inst.m)
-
-    v = lb.copy()
-    z = inst.target + rows.T @ v
-    history = []
-    sweeps = 0
-    converged = False
-    while sweeps < max_iter:
-        for k in range(inst.m):
-            grad_k = float(rows[k] @ z) - gamma[k]
-            new_vk = max(lb[k], v[k] - grad_k / sq[k])
-            if new_vk != v[k]:
-                z += (new_vk - v[k]) * rows[k]
-                v[k] = new_vk
-        sweeps += 1
-        refined = _refine_active_set(inst, v, lb, gamma, dual_objective(inst, v))
-        if refined is not None:
-            v = refined
-        z = inst.target + rows.T @ v  # shed incremental round-off each sweep
-        history.append(dual_objective(inst, v))
-        if kkt_residual(inst, v) <= tol:
-            converged = True
-            break
-    return _solution(inst, v, sweeps, converged, history=history)
+    K, h, lb = _gram(inst)
+    m = inst.m
+    u = np.zeros(m)
+    free = np.zeros(m, dtype=bool)
+    solves = 0
+    refined = False
+    try:
+        while solves < max_iter:
+            grad = K @ u + h
+            if _kkt(u, grad) <= tol:
+                break
+            w = np.where(free, 0.0, -grad)
+            j = int(np.argmax(w))
+            if w[j] > tol:
+                # free j along d (d_j = 1, K_PP d_P = -K_Pj): slope -w_j,
+                # curvature d^T K d, which is 0 for a row in the free span
+                solves += 1
+                P = free.nonzero()[0]
+                d = np.zeros(m)
+                d[j] = 1.0
+                if P.size:
+                    d[P] = -np.linalg.solve(K[P][:, P], K[P, j])
+                curv = float(K[j] @ d)
+                limit = w[j] / curv if curv > 0.0 else np.inf
+                free[j] = True
+                t = _step(u, free, d, limit)
+                if t == np.inf:
+                    break  # nothing stops the ray: the dual is unbounded
+                refined = False
+                if t == limit:
+                    continue
+            elif refined:
+                break  # the face is as solved as round-off allows
+            else:
+                refined = True
+            # Newton steps on the free face until one is not cut short
+            while solves < max_iter:
+                solves += 1
+                P = free.nonzero()[0]
+                d = np.zeros(m)
+                d[P] = -np.linalg.solve(K[P][:, P], K[P] @ u + h[P])
+                if _step(u, free, d, 1.0) == 1.0:
+                    break
+    except np.linalg.LinAlgError:
+        pass  # round-off made the free rows singular; u is still feasible
+    residual = _kkt(u, K @ u + h)
+    return _solution(inst, lb + u, solves, residual, residual <= tol)
 
 
 def solve_enumerate(inst: QpInstance) -> DualSolution:
     """Global optimum by exhaustive active-set enumeration (m <= 12).
 
     Every subset of coordinates is tried as the free set: the free
-    coordinates solve the stationarity system with the rest pinned to their
-    bounds, and the candidate is kept iff it is feasible and the pinned
-    coordinates have non-negative dual gradient. Singular subsystems are
-    skipped. Ties go to the first enumerated optimal set.
+    coordinates solve the Gram-space stationarity system with the rest
+    pinned to their bounds, and the candidate is kept iff it is feasible
+    and the pinned coordinates have non-negative dual gradient. Singular
+    subsystems are skipped. Ties go to the first enumerated optimal set.
     """
-    _validate(inst)
+    K, h, lb = _gram(inst)
     m = inst.m
     if m > _ENUM_MAX_M:
         raise ValueError(f"enumeration supports m <= {_ENUM_MAX_M}, got {m}")
-    if m == 0:
-        return _solution(inst, np.zeros(0), 0, True)
 
-    rows = inst.constraint_rows
-    K = rows @ rows.T
-    c = rows @ inst.target
-    lb = lower_bounds(inst)
-    gamma = inst.strength if inst.form == REGULARIZED_FORM else np.zeros(m)
+    feas_tol = 1e-9 * (1.0 + np.abs(K).max(initial=0.0) + np.abs(h).max(initial=0.0))
 
-    scale = 1.0 + float(np.max(np.abs(K))) + float(np.max(np.abs(c)))
-    feas_tol = 1e-9 * scale
-
-    best_v = None
+    best_u = None
     best_obj = np.inf
     tried = 0
     for mask in range(2 ** m):
-        free = [k for k in range(m) if mask >> k & 1]
-        v = lb.copy()
-        if free:
-            pinned = [k for k in range(m) if not (mask >> k & 1)]
-            rhs = gamma[free] - c[free]
-            if pinned:
-                rhs = rhs - K[np.ix_(free, pinned)] @ lb[pinned]
+        free = np.array([mask >> k & 1 for k in range(m)], dtype=bool)
+        u = np.zeros(m)
+        if free.any():
             try:
-                v_free = np.linalg.solve(K[np.ix_(free, free)], rhs)
+                u[free] = np.linalg.solve(K[np.ix_(free, free)], -h[free])
             except np.linalg.LinAlgError:
                 continue
-            if not np.all(np.isfinite(v_free)):
+            if not np.all(np.isfinite(u)):
                 continue
-            v[free] = v_free
         tried += 1
-        if np.any(v < lb - feas_tol):
+        grad = K @ u + h
+        if np.any(u < -feas_tol) or np.any(grad[~free] < -feas_tol):
             continue
-        grad = K @ v + c - gamma
-        pinned_mask = np.array([not (mask >> k & 1) for k in range(m)])
-        if np.any(grad[pinned_mask] < -feas_tol):
-            continue
-        obj = dual_objective(inst, v)
+        obj = float(u @ (0.5 * (grad + h)))  # 0.5 u^T K u + h^T u
         if obj < best_obj - 1e-12:
             best_obj = obj
-            best_v = v
-    if best_v is None:
+            best_u = u
+    if best_u is None:
         raise RuntimeError("no active set satisfied the KKT conditions")
-    return _solution(inst, best_v, tried, True)
+    return _solution(inst, lb + best_u, tried, _kkt(best_u, K @ best_u + h))
 
 
 def solve_approx(inst: QpInstance) -> DualSolution:
@@ -332,11 +333,9 @@ def solve_approx(inst: QpInstance) -> DualSolution:
     """
     if inst.form != BOX_FORM:
         raise ValueError("approximate solver handles the box_lower_bound form only")
-    _validate(inst)
-    if inst.m == 0:
-        return _solution(inst, np.zeros(0), 0, True)
     rows = inst.constraint_rows
     sq = np.einsum("ij,ij->i", rows, rows)
+    _check(inst, sq)
     nu = -(rows @ inst.target) / sq
     v = np.maximum(nu, inst.strength)
-    return _solution(inst, v, 0, True)
+    return _solution(inst, v, 0, kkt_residual(inst, v))

@@ -54,9 +54,9 @@ def check_oracle_equivalence(n_instances=1000, quick=False):
     worst = 0.0
     for _ in range(n_instances):
         inst = random_box_instance(rng)
-        z_cd = qp.solve_exact(inst, tol=1e-12).direction
+        z_exact = qp.solve_exact(inst, tol=1e-12).direction
         z_en = qp.solve_enumerate(inst).direction
-        worst = max(worst, float(np.max(np.abs(z_cd - z_en))))
+        worst = max(worst, float(np.max(np.abs(z_exact - z_en))))
     return worst <= 1e-6, f"max |z_exact - z_enumerate| = {worst:.3e} over {n_instances} instances"
 
 
@@ -69,8 +69,8 @@ def check_approx_single_constraint(n_instances=100, quick=False):
     for _ in range(n_instances):
         inst = random_box_instance(rng, m_max=1)
         z_ap = qp.solve_approx(inst).direction
-        z_cd = qp.solve_exact(inst, tol=1e-14).direction
-        worst = max(worst, float(np.max(np.abs(z_ap - z_cd))))
+        z_exact = qp.solve_exact(inst, tol=1e-14).direction
+        worst = max(worst, float(np.max(np.abs(z_ap - z_exact))))
     return worst <= 1e-9, f"max |z_approx - z_exact| = {worst:.3e} over {n_instances} m=1 instances"
 
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from mgem import qp
+from mgem import constraints, qp
 from mgem.constraints import MethodSpec
 from mgem.engine import TrainConfig, pareto_sweep, run
-from mgem.mlp import MlpSpec, init_params, loss_and_grad
+from mgem.mlp import Dataset, MlpSpec, group_grads, init_params, loss_and_grad
 from mgem.seeds import rng_from
 from mgem.taskgen import StreamSpec, Task, TaskStream, generate
 
@@ -209,6 +209,32 @@ def test_divergence_stops_at_the_step_that_overflows(method):
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(FloatingPointError, match=r"task 1, iteration 1;"):
         run(rotated_stream(), MLP, cfg(method, lr=1e300))
+
+
+@pytest.mark.parametrize("method", [MethodSpec("single"), MethodSpec("gem")])
+def test_overflowing_forward_pass_stops_at_its_step(method):
+    # task 2's inputs are finite but huge: the first step leaves the
+    # parameters finite (~1e298), and the second step's forward pass overflows
+    first, second = rotated_stream().tasks
+    huge = Dataset(second.train.features * 1e300, second.train.labels)
+    stream = TaskStream((first, Task(huge, second.test, second.descriptor)))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FloatingPointError,
+                          match=r"^minibatch gradient became non-finite at task 2, iteration 1;"):
+        run(stream, MLP, cfg(method))
+
+
+def test_nonfinite_memory_gradient_stops_at_its_step(monkeypatch):
+    # a NaN memory row would otherwise be dropped as degenerate
+    def poisoned(params, spec, data, sizes):
+        rows = group_grads(params, spec, data, sizes)
+        rows[0, 0] = np.nan
+        return rows
+
+    monkeypatch.setattr(constraints, "group_grads", poisoned)
+    with pytest.raises(FloatingPointError,
+                       match=r"^memory gradients became non-finite at task 2, iteration 0;"):
+        run(rotated_stream(), MLP, cfg(MethodSpec("gem")))
 
 
 def test_accuracy_matrix_shape_and_range():

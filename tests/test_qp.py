@@ -101,22 +101,34 @@ def test_direction_identity():
         sol.direction, inst.target + inst.constraint_rows.T @ sol.multipliers)
 
 
-def test_objective_history_monotone():
+def test_exact_objective_no_worse_than_start_or_oracle():
     rng = rng_from(81, "mono")
     for _ in range(30):
         m = int(rng.integers(1, 4))
         inst = box(rng.standard_normal((m, 6)), rng.standard_normal(6),
                    np.full(m, float(rng.choice([0.0, 0.3]))))
-        hist = qp.solve_exact(inst).objective_history
-        assert np.all(np.diff(hist) <= 1e-10 * (1.0 + np.abs(hist[0])))
+        f = qp.dual_objective(inst, qp.solve_exact(inst).multipliers)
+        assert f <= qp.dual_objective(inst, qp.lower_bounds(inst))
+        assert f <= qp.dual_objective(inst, qp.solve_enumerate(inst).multipliers) + 1e-9
 
 
 def test_unconverged_flagged_not_raised():
-    rng = rng_from(82, "budget")
-    inst = box(rng.standard_normal((3, 4)), rng.standard_normal(4), np.zeros(3))
-    sol = qp.solve_exact(inst, tol=1e-16, max_iter=1)
-    assert sol.iterations == 1
-    assert not sol.converged or sol.kkt_residual <= 1e-16
+    # two orthogonal conflicting rows: each needs its own pivot
+    inst = box(np.eye(2), [-1.0, -1.0], [0.1, 0.1])
+    assert qp.solve_exact(inst).iterations >= 2
+    sol = qp.solve_exact(inst, max_iter=1)
+    assert sol.iterations <= 1
+    assert not sol.converged
+    assert np.all(sol.multipliers >= 0.1)
+
+
+def test_infeasible_margins_flagged_not_raised():
+    # <c, z> >= 1 and <-c, z> >= 1 cannot both hold: the dual is unbounded
+    inst = reg([[1.0, 0.0], [-1.0, 0.0]], [0.3, 0.2], [1.0, 1.0])
+    sol = qp.solve_exact(inst)
+    assert not sol.converged
+    assert sol.iterations < qp.DEFAULT_MAX_ITER
+    assert np.all(sol.multipliers >= 0.0)
 
 
 def test_nonfinite_input_rejected():
@@ -192,6 +204,49 @@ def test_enumerate_matches_exact_on_mixed_forms():
         assert (qp.dual_objective(inst, sol_en.multipliers)
                 <= qp.dual_objective(inst, sol_cd.multipliers) + 1e-9)
     assert worst <= 1e-6, f"worst deviation {worst:.3e}"
+
+
+def _hard_rows(kind, rng):
+    """Rows of one hard instance, and a point z0 inside every row's half-space."""
+    if kind == "anti_parallel":
+        # a and -a turned by delta: cos(angle) about -0.995 or -0.99995
+        a = rng.standard_normal(6)
+        b = rng.standard_normal(6)
+        b -= (b @ a) / (a @ a) * a
+        b /= np.linalg.norm(b)
+        delta = float(rng.choice([1e-1, 1e-2]))
+        rows = np.vstack([a, -a + delta * np.linalg.norm(a) * b, rng.standard_normal(6)])
+        return rows, b + 0.5 * delta * a / np.linalg.norm(a)
+    if kind == "duplicated":  # singular Gram matrix
+        rows = rng.standard_normal((3, 5))[[0, 1, 0, 2, 1]]
+    elif kind == "more_rows_than_dims":
+        rows = rng.standard_normal((7, 3))
+    else:
+        rows = rng.standard_normal((12, 16))
+    return rows, rng.standard_normal(rows.shape[1])
+
+
+@pytest.mark.parametrize("form", [qp.BOX_FORM, qp.REGULARIZED_FORM])
+@pytest.mark.parametrize("kind", ["anti_parallel", "duplicated",
+                                  "more_rows_than_dims", "m12"])
+def test_exact_matches_enumerate_on_hard_instances(kind, form):
+    rng = rng_from(87, kind, form)
+    for _ in range(3 if kind == "m12" else 20):
+        rows, z0 = _hard_rows(kind, rng)
+        rows = np.where((rows @ z0 < 0.0)[:, None], -rows, rows)
+        if form == qp.BOX_FORM:
+            strength = np.full(len(rows), float(rng.choice([0.0, 0.1, 0.5])))
+        else:  # margins z0 meets, so the primal is feasible
+            strength = rng.uniform(0.0, 1.0, size=len(rows)) * (rows @ z0)
+        inst = qp.QpInstance(rows, rng.standard_normal(rows.shape[1]), strength, form=form)
+        sol = qp.solve_exact(inst)
+        ref = qp.solve_enumerate(inst)
+        assert sol.converged
+        np.testing.assert_allclose(sol.direction, ref.direction, rtol=0.0, atol=1e-9)
+        assert (qp.dual_objective(inst, sol.multipliers)
+                <= qp.dual_objective(inst, ref.multipliers) + 1e-9)
+        # solve_exact computes its residual in Gram space
+        assert abs(qp.kkt_residual(inst, sol.multipliers) - sol.kkt_residual) <= 1e-9
 
 
 def test_approx_equals_enumerate_for_orthogonal_rows():
