@@ -12,8 +12,14 @@ crosses the configured (or default) methods with the strength grid over the
 first two tasks and writes ``pareto.csv``. ``selfcheck`` runs the built-in
 verification suites.
 
+``--threads N`` is the number of worker processes: ``run`` spreads its
+method x seed jobs over them, ``pareto`` its grid x seed jobs
+(``engine.run_jobs``). Output is identical for any N; where ``os.fork``
+does not exist, the jobs run one after another in this process.
+``MGEM_THREADS`` is the fallback for ``--threads``.
+
 Exit codes: 0 success, 1 usage/config error, 2 runtime or solver-budget
-failure. ``MGEM_THREADS`` is the fallback for ``--threads``.
+failure (a failing job is named in the message).
 """
 
 import argparse
@@ -22,7 +28,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfigFile, default_pareto_methods, parse_config
-from .engine import TrainConfig, pareto_sweep, run
+from .engine import TrainConfig, pareto_sweep, run, run_jobs
 from .metrics import summarize, write_pareto_csv, write_rmatrix_csv, write_summary_csv
 from .selfcheck import run_all
 from .taskgen import generate
@@ -80,22 +86,18 @@ def cmd_run(args) -> int:
     out = _resolve_out_dir(cfg, args.out)
     stream = generate(cfg.stream)
     seeds = [cfg.train_seed + i for i in range(args.seeds)]
+    cfgs = [_train_config(cfg, method, seed) for method in cfg.methods for seed in seeds]
+    results = run_jobs(run, stream, cfg.model, cfgs, _threads(args))
 
     entries = []
-    any_degraded = False
-    run_idx = 0
-    for method in cfg.methods:
-        for seed in seeds:
-            run_idx += 1
-            result = run(stream, cfg.model, _train_config(cfg, method, seed))
-            entries.append((method, seed, summarize(result.accuracy),
-                            result.unconverged_steps))
-            name = "rmatrix.csv" if run_idx == 1 else f"rmatrix_{run_idx}.csv"
-            write_rmatrix_csv(out / name, result.accuracy)
-            any_degraded = any_degraded or result.degraded
+    for run_idx, (tcfg, result) in enumerate(zip(cfgs, results), start=1):
+        entries.append((tcfg.method, tcfg.seed, summarize(result.accuracy),
+                        result.unconverged_steps))
+        name = "rmatrix.csv" if run_idx == 1 else f"rmatrix_{run_idx}.csv"
+        write_rmatrix_csv(out / name, result.accuracy)
     write_summary_csv(out / "summary.csv", entries)
     print(f"wrote {out / 'summary.csv'} ({len(entries)} runs)")
-    if any_degraded:
+    if any(result.degraded for result in results):
         print("warning: at least one run exceeded the solver convergence budget",
               file=sys.stderr)
         return EXIT_RUNTIME
@@ -142,14 +144,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="path to a run config file")
     p_run.add_argument("--out", default=None, help="output directory (overrides config)")
     p_run.add_argument("--seeds", type=int, default=1, help="number of seeds per method")
-    p_run.add_argument("--threads", type=int, default=None)
+    p_run.add_argument("--threads", type=int, default=None,
+                       help="worker processes for the method x seed jobs")
     p_run.set_defaults(fn=cmd_run)
 
     p_par = sub.add_parser("pareto", help="inner-product trade-off sweep on tasks 1-2")
     p_par.add_argument("--config", required=True)
     p_par.add_argument("--out", default=None)
     p_par.add_argument("--seeds", type=int, default=1)
-    p_par.add_argument("--threads", type=int, default=None)
+    p_par.add_argument("--threads", type=int, default=None,
+                       help="worker processes for the grid x seed jobs")
     p_par.set_defaults(fn=cmd_pareto)
 
     p_chk = sub.add_parser("selfcheck", help="run the built-in verification suites")

@@ -12,7 +12,8 @@ into the per-module inequality systems each method variant needs:
 
 Every variant gets all of its rows from one stacked forward/backward pass
 per step (``mlp.group_grads`` over every stored memory, or every split),
-then slices them per module.
+then slices them per module. A memory's samples are cut into split order
+once (``EpisodicMemory.split_data``), not at every step.
 
 Per-module problems are independent (the joint QP is block-diagonal), so
 solving them separately and concatenating the directions equals the joint
@@ -25,7 +26,7 @@ import numpy as np
 
 from .layout import BlockLayout, ParamVector
 from .mlp import Dataset, MlpSpec, group_grads
-from .qp import BOX_FORM, MIN_ROW_SQNORM, QpInstance, drop_degenerate_rows
+from .qp import BOX_FORM, QpInstance, drop_degenerate_rows
 from .seeds import rng_from
 
 METHOD_KINDS = ("single", "gem", "p_mgem", "d_mgem", "md_mgem")
@@ -182,8 +183,7 @@ def build_instances(method: MethodSpec, memories, g_t: ParamVector,
             raise ValueError("episodic memory is empty")
 
     split_rows = method.kind in ("d_mgem", "md_mgem")
-    parts = []
-    row_tags = []
+    parts, sizes = [], []
     for mem in memories:
         if split_rows:
             if len(mem.splits) != method.d_data:
@@ -191,12 +191,11 @@ def build_instances(method: MethodSpec, memories, g_t: ParamVector,
                     f"memory for task {mem.task} has {len(mem.splits)} splits, "
                     f"method wants {method.d_data}"
                 )
-            parts.extend(mem.data.take(idx) for idx in mem.splits)
-            row_tags.extend((mem.task, d) for d in range(method.d_data))
+            parts.append(mem.split_data)
+            sizes.extend(len(idx) for idx in mem.splits)
         else:
             parts.append(mem.data)
-            row_tags.append((mem.task, 0))
-    sizes = [p.n_samples for p in parts]
+            sizes.append(mem.data.n_samples)
     all_rows = group_grads(params, spec, Dataset.concat(parts), sizes)
 
     if split_rows:
@@ -210,23 +209,16 @@ def build_instances(method: MethodSpec, memories, g_t: ParamVector,
 
     instances = []
     dropped_total = 0
-    for i, span in enumerate(partition.spans):
+    for span in partition.spans:
         rows = all_rows[:, span]
         strength = np.full(rows.shape[0], method.strength)
         kept_rows, kept_strength, dropped = drop_degenerate_rows(rows, strength)
         dropped_total += dropped
-        if dropped:
-            sq = np.einsum("ij,ij->i", rows, rows)
-            tags = tuple(t for t, s in zip(row_tags, sq) if s >= MIN_ROW_SQNORM)
-        else:
-            tags = tuple(row_tags)
         instances.append(QpInstance(
             constraint_rows=kept_rows,
             target=g_t.data[span].copy(),
             strength=kept_strength,
             form=BOX_FORM,
-            row_tags=tags,
-            module_index=i,
         ))
     return ConstraintBatch(instances, memory_grads, dropped_total)
 

@@ -11,10 +11,19 @@ Tracing (for the inner-product trade-off protocol) records, at every step of
 a task with at least one predecessor, the inner products of the update
 direction with the *full training set* gradients of the current and each
 past task, plus solver diagnostics.
+
+``run_jobs`` runs independent jobs (one ``TrainConfig`` each, over a shared
+stream and model spec) on a fork-started process pool that lives only for
+the call; ``mgem run`` and ``pareto_sweep`` use it. Results come back in job
+order and do not depend on the worker count.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+import os
+import threading
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +68,12 @@ class EpisodicMemory:
     task: int
     data: Dataset
     splits: tuple
+
+    @cached_property
+    def split_data(self) -> Dataset:
+        """The samples split by split, in split order: cut on first use and
+        kept, since a memory never changes once stored."""
+        return self.data.take(np.concatenate(self.splits))
 
 
 @dataclass(eq=False)
@@ -199,6 +214,88 @@ def run(stream: TaskStream, mlp: MlpSpec, cfg: TrainConfig, trace: bool = False)
     )
 
 
+class JobError(RuntimeError):
+    """A job of ``run_jobs`` raised; the message names the job and keeps
+    the original message (e.g. the task and iteration of a divergence)."""
+
+
+PARENT_POLL_S = 0.25
+_worker_job = None  # (job, stream, mlp), set in each pool worker
+
+
+@contextmanager
+def _naming(i: int, cfgs):
+    try:
+        yield
+    except Exception as exc:
+        cfg = cfgs[i]
+        raise JobError(
+            f"job {i + 1} of {len(cfgs)} ({cfg.method.label}, "
+            f"q={cfg.method.strength:g}, seed={cfg.seed}) failed: {exc}"
+        ) from exc
+
+
+def _exit_with_parent(parent: int):
+    # Every worker holds both ends of the pool's pipes, so none sees EOF
+    # when the parent dies; without this, a killed parent leaves them asleep.
+    while os.getppid() == parent:
+        time.sleep(PARENT_POLL_S)
+    os._exit(1)
+
+
+def _init_worker(parent: int, job, stream, mlp):
+    global _worker_job
+    _worker_job = (job, stream, mlp)
+    threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
+
+
+def _pool_job(cfg):
+    job, stream, mlp = _worker_job
+    return job(stream, mlp, cfg)
+
+
+def run_jobs(job, stream: TaskStream, mlp: MlpSpec, cfgs, threads: int = 1) -> list:
+    """``[job(stream, mlp, cfg) for cfg in cfgs]`` on up to ``threads``
+    worker processes.
+
+    The pool is fork-started and lives only for this call: ``stream``,
+    ``mlp`` and ``job`` reach each worker once, inherited through the pool
+    initializer; each job sends only its config in and its result back.
+    Every worker exits once the calling process is gone, even if that
+    process was killed. With one worker or one job, or where ``os.fork``
+    does not exist, the jobs run here one after another and no process
+    starts. The first job in order that raises cancels the pending jobs and
+    raises ``JobError``.
+    """
+    cfgs = list(cfgs)
+    workers = min(threads, len(cfgs))
+    results = []
+    if workers <= 1 or not hasattr(os, "fork"):
+        for i, cfg in enumerate(cfgs):
+            with _naming(i, cfgs):
+                results.append(job(stream, mlp, cfg))
+        return results
+
+    # Imported here: they add ~15 ms to ``import mgem``. Fork, not spawn:
+    # workers inherit the stream and skip a fresh import of numpy and mgem.
+    # mgem starts no threads of its own, and the pool forks its workers
+    # before it starts its manager thread.
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_init_worker,
+                             initargs=(os.getpid(), job, stream, mlp)) as pool:
+        futures = [pool.submit(_pool_job, cfg) for cfg in cfgs]
+        try:
+            for i, fut in enumerate(futures):
+                with _naming(i, cfgs):
+                    results.append(fut.result())
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return results
+
+
 @dataclass(eq=False)
 class ParetoPoint:
     method: MethodSpec
@@ -224,6 +321,9 @@ def pareto_sweep(stream: TaskStream, mlp: MlpSpec, base_cfg: TrainConfig,
     mean inner products of the update direction with the past-task gradient
     (backward axis) and current-task gradient (forward axis), averaged over
     task-2 iterations. Rows come back in grid-major, then seed, order.
+    The (grid point, seed) jobs run through ``run_jobs`` on up to
+    ``threads`` worker processes; the rows are the same for any count. A
+    failing job raises ``JobError`` naming it.
     """
     if stream.n_tasks < 2:
         raise ValueError("pareto requires >= 2 tasks")
@@ -237,7 +337,4 @@ def pareto_sweep(stream: TaskStream, mlp: MlpSpec, base_cfg: TrainConfig,
             cfgs.append(replace(
                 base_cfg, method=replace(method, strength=float(q)), seed=seed,
             ))
-    if threads > 1 and len(cfgs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda c: _pareto_one(stream2, mlp, c), cfgs))
-    return [_pareto_one(stream2, mlp, cfg) for cfg in cfgs]
+    return run_jobs(_pareto_one, stream2, mlp, cfgs, threads)

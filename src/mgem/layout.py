@@ -107,21 +107,3 @@ class ParamVector:
         """View of one named block (shares memory)."""
         return self.data[self.layout.span(name)]
 
-
-def block_view(v: ParamVector, block_ids) -> ParamVector:
-    """Sub-vector covering exactly the named blocks, in layout order.
-
-    The result carries its own layout (offsets rebased to zero) so it can be
-    sliced further. Concatenating the views of any partition of the blocks
-    reconstructs the full vector.
-    """
-    wanted = set(block_ids)
-    if not wanted:
-        raise ValueError("block_view needs at least one block id")
-    unknown = wanted - set(v.layout.names)
-    if unknown:
-        raise KeyError(sorted(unknown)[0])
-    kept = [b for b in v.layout.blocks if b.name in wanted]
-    sub_layout = BlockLayout.from_sizes((b.name, b.length) for b in kept)
-    pieces = [v.data[b.offset:b.offset + b.length] for b in kept]
-    return ParamVector(np.concatenate(pieces), sub_layout)

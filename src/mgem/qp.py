@@ -58,16 +58,13 @@ class QpInstance:
 
     ``strength`` is the per-row lower bound ``q`` in the box form, or the
     per-row primal margin ``gamma`` in the regularized form; entrywise >= 0
-    either way. ``row_tags`` optionally records ``(task, split)`` provenance
-    per row and ``module_index`` which parameter module the instance covers.
+    either way.
     """
 
     constraint_rows: np.ndarray
     target: np.ndarray
     strength: np.ndarray
     form: str = BOX_FORM
-    row_tags: tuple = None
-    module_index: int = 0
 
     def __post_init__(self):
         self.constraint_rows = np.atleast_2d(

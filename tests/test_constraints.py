@@ -147,7 +147,7 @@ def test_gem_instance_rows_are_memory_gradients():
         assert np.array_equal(inst.constraint_rows[s], grad.data)
         assert np.array_equal(batch.memory_grads[s], grad.data)
     assert np.all(inst.strength == 0.3)
-    assert inst.row_tags == ((1, 0), (2, 0))
+    assert batch.rows_dropped == 0  # row k is memory k's gradient, checked above
 
 
 def test_pmgem_d1_identical_to_gem():
@@ -185,8 +185,11 @@ def test_dmgem_row_count():
                             batch_grad(params), params, MLP, part)
     assert len(batch.instances) == 1
     assert batch.instances[0].m == 6
-    assert batch.instances[0].row_tags == (
-        (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1))
+    # row 2s + d is the gradient of split d of memory s
+    for k, row in enumerate(batch.instances[0].constraint_rows):
+        mem = mems[k // 2]
+        _, grad = loss_and_grad(params, MLP, mem.data.take(mem.splits[k % 2]))
+        np.testing.assert_allclose(row, grad.data, rtol=0, atol=1e-12)
 
 
 def test_dmgem_memory_grad_is_weighted_split_mean():
@@ -262,8 +265,7 @@ def test_degenerate_rows_dropped_and_counted():
 
 def test_fully_fit_memory_degenerates_to_unconstrained():
     # a saturated model has a ~zero gradient on a perfectly classified
-    # memory; the row drops, its tag goes with it, and the step falls back
-    # to the plain gradient
+    # memory; the row drops, and the step falls back to the plain gradient
     spec = MlpSpec((2, 4, 2))
     params = init_params(spec, 0)
     params.data[:] = 0.0
@@ -286,8 +288,14 @@ def test_fully_fit_memory_degenerates_to_unconstrained():
 
     both = build_instances(MethodSpec("gem"), [fit_mem, live_mem],
                            g_t, params, spec, part)
-    assert both.instances[0].m == 1
-    assert both.instances[0].row_tags == ((2, 0),)
+    assert both.instances[0].m == 1 and both.rows_dropped == 1
+    # the kept row is the live memory's gradient; the dropped one is the
+    # fit memory's, which is degenerate
+    _, live_grad = loss_and_grad(params, spec, live_mem.data)
+    np.testing.assert_allclose(both.instances[0].constraint_rows[0], live_grad.data,
+                               rtol=0, atol=1e-12)
+    _, fit_grad = loss_and_grad(params, spec, fit_mem.data)
+    assert fit_grad.data @ fit_grad.data < qp.MIN_ROW_SQNORM
 
 
 # --- direction assembly ------------------------------------------------------

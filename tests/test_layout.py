@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mgem.layout import Block, BlockLayout, ParamVector, block_view
+from mgem.layout import Block, BlockLayout, ParamVector
 
 
 def make_layout(sizes):
@@ -37,28 +37,11 @@ def test_param_vector_rejects_nonfinite():
         ParamVector(np.array([1.0]), layout)
 
 
-def test_block_view_full_set_is_identity():
-    layout = make_layout([2, 3])
-    v = ParamVector(np.arange(5.0), layout)
-    full = block_view(v, {"b0", "b1"})
-    assert np.array_equal(full.data, v.data)
-
-
-def test_block_view_errors():
-    layout = make_layout([2, 3])
-    v = ParamVector(np.arange(5.0), layout)
-    with pytest.raises(ValueError):
-        block_view(v, set())
-    with pytest.raises(KeyError):
-        block_view(v, {"b0", "nope"})
-
-
 def test_pythagorean_split():
     layout = make_layout([4, 3])
     v = ParamVector(np.array([1.0, -2.0, 0.5, 3.0, 2.0, -1.0, 0.25]), layout)
-    h1 = block_view(v, {"b0"})
-    h2 = block_view(v, {"b1"})
-    assert np.isclose(v.data @ v.data, h1.data @ h1.data + h2.data @ h2.data)
+    h1, h2 = v.block("b0"), v.block("b1")
+    assert np.isclose(v.data @ v.data, h1 @ h1 + h2 @ h2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -68,7 +51,7 @@ def test_split_concat_round_trip(sizes, seed):
     layout = make_layout(sizes)
     rng = np.random.default_rng(seed)
     v = ParamVector(rng.standard_normal(layout.total_len), layout)
-    views = [block_view(v, {name}) for name in layout.names]
-    assert np.array_equal(np.concatenate([w.data for w in views]), v.data)
+    views = [v.block(name) for name in layout.names]
+    assert np.array_equal(np.concatenate(views), v.data)
     for name, w in zip(layout.names, views):
-        assert w.layout.total_len == layout.block(name).length
+        assert w.shape == (layout.block(name).length,)
