@@ -9,7 +9,6 @@ task streams, and the ACC/BWD/FWD transfer metrics.
 
 __version__ = "0.1.0"
 
-from .layout import Block, BlockLayout, ParamVector
 from .mlp import Dataset, MlpSpec, accuracy, init_params, loss_and_grad, predict
 from .qp import (
     BOX_FORM,
@@ -24,7 +23,6 @@ from .qp import (
 from .constraints import (
     ConstraintBatch,
     MethodSpec,
-    PartitionSpec,
     assemble_direction,
     build_instances,
     resolve_partition,

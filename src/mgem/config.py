@@ -3,7 +3,6 @@
 The format is deliberately dependency-free: UTF-8 text, one ``key = value``
 pair per line, ``#`` comments, keys like ``train.lr`` or ``method.1.kind``.
 Unknown keys are rejected with a diagnostic naming the section and key.
-``serialize_config(parse_config(text))`` is canonical and idempotent.
 """
 
 from dataclasses import dataclass
@@ -179,36 +178,3 @@ def parse_config(text: str) -> RunConfigFile:
     if out_dir is not None:
         kwargs["out_dir"] = out_dir
     return RunConfigFile(stream=stream, model=model, methods=tuple(methods), **kwargs)
-
-
-def serialize_config(cfg: RunConfigFile) -> str:
-    """Canonical text form; floats use repr so parsing it back is lossless."""
-    def num(x):
-        return repr(float(x)) if isinstance(x, float) else str(x)
-
-    lines = [f"stream.family = {cfg.stream.family}"]
-    if cfg.stream.family == "csv":
-        lines.append(f"stream.csv_paths = {','.join(cfg.stream.csv_paths)}")
-        lines.append(f"stream.seed = {cfg.stream.seed}")
-    else:
-        for name in ("n_tasks", "n_train", "n_test", "n_features", "n_classes"):
-            lines.append(f"stream.{name} = {getattr(cfg.stream, name)}")
-        lines.append(f"stream.noise = {num(cfg.stream.noise)}")
-        lines.append(f"stream.seed = {cfg.stream.seed}")
-    lines.append(f"model.layer_sizes = {','.join(str(s) for s in cfg.model.layer_sizes)}")
-    lines.append(f"model.activation = {cfg.model.activation}")
-    lines.append(f"train.lr = {num(cfg.lr)}")
-    lines.append(f"train.iters_per_task = {cfg.iters_per_task}")
-    lines.append(f"train.batch_size = {cfg.batch_size}")
-    lines.append(f"train.memory_per_task = {cfg.memory_per_task}")
-    lines.append(f"train.seed = {cfg.train_seed}")
-    lines.append(f"train.partition_mode = {cfg.partition_mode}")
-    for i, m in enumerate(cfg.methods, start=1):
-        lines.append(f"method.{i}.kind = {m.kind}")
-        lines.append(f"method.{i}.q = {num(m.strength)}")
-        lines.append(f"method.{i}.d_param = {m.d_param}")
-        lines.append(f"method.{i}.d_data = {m.d_data}")
-        lines.append(f"method.{i}.solver = {m.solver}")
-    lines.append(f"pareto.q_grid = {','.join(num(q) for q in cfg.q_grid)}")
-    lines.append(f"output.dir = {cfg.out_dir}")
-    return "\n".join(lines) + "\n"

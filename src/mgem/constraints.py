@@ -4,11 +4,14 @@ Turns episodic memories, the current gradient, and a parameter partition
 into the per-module inequality systems each method variant needs:
 
 * ``gem``     -- one instance, one row per past task (full-memory gradient).
-* ``p_mgem``  -- one instance per parameter module; rows are block slices of
-                 the same per-task gradients.
+* ``p_mgem``  -- one instance per parameter module; rows are module slices
+                 of the same per-task gradients.
 * ``d_mgem``  -- one instance, ``d_data`` rows per past task, each from a
                  disjoint split of that task's memory.
-* ``md_mgem`` -- both: one instance per module, split rows sliced per block.
+* ``md_mgem`` -- both: one instance per module, split rows sliced per module.
+
+A partition is a tuple of contiguous ``slice``s that tile the flat
+parameter vector, one per module (``resolve_partition``).
 
 Every variant gets all of its rows from one stacked forward/backward pass
 per step (``mlp.group_grads`` over every stored memory, or every split),
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layout import BlockLayout, ParamVector
+from .layout import layer_slices, n_params
 from .mlp import Dataset, MlpSpec, group_grads
 from .qp import BOX_FORM, QpInstance, drop_degenerate_rows
 from .seeds import rng_from
@@ -71,28 +74,6 @@ class MethodSpec:
         return self.kind if self.solver == "exact" else f"approx_{self.kind}"
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
-    """A resolved split of the parameter blocks into modules.
-
-    ``groups`` holds one tuple of block names per module, indexing into
-    ``layout`` (the model layout for ``by_layer``; a synthetic re-blocking
-    of the same flat range for ``equal_flat``). Groups are disjoint, cover
-    every block, and are contiguous in the flat index space; ``spans`` holds
-    each module's flat slice.
-    """
-
-    mode: str
-    d: int
-    layout: BlockLayout
-    groups: tuple
-    spans: tuple
-
-    @property
-    def n_modules(self) -> int:
-        return len(self.groups)
-
-
 def _near_equal_chunks(items, d):
     """Split a sequence into d contiguous chunks, remainder to the earliest."""
     n = len(items)
@@ -107,33 +88,26 @@ def _near_equal_chunks(items, d):
     return chunks
 
 
-def resolve_partition(layout: BlockLayout, mode: str, d: int) -> PartitionSpec:
-    """Group the layout's blocks into ``d`` parameter modules.
+def resolve_partition(spec: MlpSpec, mode: str, d: int) -> tuple:
+    """Split the flat parameter vector of ``spec`` into ``d`` modules.
 
-    ``by_layer`` groups consecutive blocks; ``equal_flat`` re-blocks the flat
-    index range into ``d`` near-equal contiguous spans (named ``F0..``).
-    The effective module count is capped by the number of blocks (or flat
-    length), remainder always to the earliest groups.
+    Returns one contiguous ``slice`` per module, in order, tiling
+    ``[0, n_params(spec))``. ``by_layer`` groups consecutive blocks, a block
+    being one layer's weights or its bias; ``equal_flat`` cuts the flat
+    range into ``d`` near-equal spans. The effective module count is capped
+    by the number of blocks (or entries), remainder always to the earliest
+    modules.
     """
     if mode not in PARTITION_MODES:
         raise ValueError(f"unknown partition mode {mode!r}")
     if d < 1:
         raise ValueError("module count must be >= 1")
     if mode == "by_layer":
-        chunks = _near_equal_chunks(list(layout.blocks), d)
+        blocks = [s for w, b, _, _ in layer_slices(spec) for s in (w, b)]
     else:
-        sizes = _near_equal_chunks(list(range(layout.total_len)), d)
-        layout = BlockLayout.from_sizes((f"F{i}", len(span)) for i, span in enumerate(sizes))
-        chunks = [[b] for b in layout.blocks]
-    groups = tuple(tuple(b.name for b in chunk) for chunk in chunks)
-    spans = tuple(slice(chunk[0].offset, chunk[-1].offset + chunk[-1].length)
-                  for chunk in chunks)
-    return PartitionSpec(mode, d, layout, groups, spans)
-
-
-def module_span(partition: PartitionSpec, i: int) -> slice:
-    """Flat slice of module ``i`` (groups are contiguous by construction)."""
-    return partition.spans[i]
+        blocks = [slice(i, i + 1) for i in range(n_params(spec))]
+    return tuple(slice(chunk[0].start, chunk[-1].stop)
+                 for chunk in _near_equal_chunks(blocks, d))
 
 
 def split_memory(n_samples: int, d_data: int, seed: int):
@@ -164,10 +138,9 @@ class ConstraintBatch:
     rows_dropped: int
 
 
-def build_instances(method: MethodSpec, memories, g_t: ParamVector,
-                    params: ParamVector, spec: MlpSpec,
-                    partition: PartitionSpec) -> ConstraintBatch:
-    """Assemble one QpInstance per parameter module for this step.
+def build_instances(method: MethodSpec, memories, g_t: np.ndarray,
+                    params: np.ndarray, spec: MlpSpec, spans) -> ConstraintBatch:
+    """Assemble one QpInstance per parameter module (``spans``) for this step.
 
     ``memories`` is the ordered list of past-task EpisodicMemory objects;
     an empty list yields an empty batch (first task: the caller uses the
@@ -209,28 +182,26 @@ def build_instances(method: MethodSpec, memories, g_t: ParamVector,
 
     instances = []
     dropped_total = 0
-    for span in partition.spans:
+    for span in spans:
         rows = all_rows[:, span]
         strength = np.full(rows.shape[0], method.strength)
         kept_rows, kept_strength, dropped = drop_degenerate_rows(rows, strength)
         dropped_total += dropped
         instances.append(QpInstance(
             constraint_rows=kept_rows,
-            target=g_t.data[span].copy(),
+            target=g_t[span].copy(),
             strength=kept_strength,
             form=BOX_FORM,
         ))
     return ConstraintBatch(instances, memory_grads, dropped_total)
 
 
-def assemble_direction(solutions, partition: PartitionSpec) -> np.ndarray:
+def assemble_direction(solutions, spans) -> np.ndarray:
     """Scatter per-module directions back into one flat update vector."""
-    if len(solutions) != partition.n_modules:
-        raise ValueError(
-            f"got {len(solutions)} solutions for {partition.n_modules} modules"
-        )
-    z = np.empty(partition.layout.total_len)
-    for i, (sol, span) in enumerate(zip(solutions, partition.spans)):
+    if len(solutions) != len(spans):
+        raise ValueError(f"got {len(solutions)} solutions for {len(spans)} modules")
+    z = np.empty(spans[-1].stop)
+    for i, (sol, span) in enumerate(zip(solutions, spans)):
         if sol.direction.shape[0] != span.stop - span.start:
             raise ValueError(f"module {i} direction has the wrong length")
         z[span] = sol.direction

@@ -10,7 +10,7 @@ the summary metrics).
 Tracing (for the inner-product trade-off protocol) records, at every step of
 a task with at least one predecessor, the inner products of the update
 direction with the *full training set* gradients of the current and each
-past task, plus solver diagnostics.
+past task, and with the stored-memory gradients.
 
 ``run_jobs`` runs independent jobs (one ``TrainConfig`` each, over a shared
 stream and model spec) on a fork-started process pool that lives only for
@@ -83,9 +83,6 @@ class StepTrace:
     fwd_inner: float          # <g_t, z>, current-task full training gradient
     bwd_inners: tuple         # <g_s, z> per past task, full training gradients
     min_memory_inner: float   # min_s <ghat_s, z> over stored-memory gradients
-    solver_converged: bool
-    solver_iterations: int    # active-set solves, summed over the modules
-    rows_dropped: int
 
 
 @dataclass(eq=False)
@@ -96,7 +93,7 @@ class RunResult:
     unconverged_steps: int
     rows_dropped: int
     degraded: bool
-    final_params: object = None
+    final_params: np.ndarray  # parameters after the last task
 
 
 def _check_finite(values, what: str, task: int, it: int):
@@ -129,7 +126,7 @@ def run(stream: TaskStream, mlp: MlpSpec, cfg: TrainConfig, trace: bool = False)
 
     method = cfg.method
     params = init_params(mlp, cfg.seed)
-    partition = resolve_partition(params.layout, cfg.partition_mode, method.d_param)
+    spans = resolve_partition(mlp, cfg.partition_mode, method.d_param)
 
     T = stream.n_tasks
     R = np.zeros((T, T))
@@ -153,21 +150,18 @@ def run(stream: TaskStream, mlp: MlpSpec, cfg: TrainConfig, trace: bool = False)
         for it in range(cfg.iters_per_task):
             idx = batch_rng.integers(0, n_train, size=cfg.batch_size)
             _, g_t = loss_and_grad(params, mlp, task.train.take(idx))
-            _check_finite(g_t.data, "minibatch gradient", task.descriptor, it)
+            _check_finite(g_t, "minibatch gradient", task.descriptor, it)
 
             if method.kind == "single" or not memories:
-                z = g_t.data
+                z = g_t
                 batch = None
-                step_conv, step_iters = True, 0
             else:
-                batch = build_instances(method, memories, g_t, params, mlp, partition)
+                batch = build_instances(method, memories, g_t, params, mlp, spans)
                 _check_finite(batch.memory_grads, "memory gradients", task.descriptor, it)
                 sols = [_solve(inst, method) for inst in batch.instances]
-                z = assemble_direction(sols, partition)
+                z = assemble_direction(sols, spans)
                 constrained += 1
-                step_conv = all(s.converged for s in sols)
-                step_iters = sum(s.iterations for s in sols)
-                if not step_conv:
+                if not all(s.converged for s in sols):
                     unconverged += 1
                 rows_dropped += batch.rows_dropped
 
@@ -182,13 +176,10 @@ def run(stream: TaskStream, mlp: MlpSpec, cfg: TrainConfig, trace: bool = False)
                     fwd_inner=float(rows[0] @ z),
                     bwd_inners=bwd,
                     min_memory_inner=mem_inner,
-                    solver_converged=step_conv,
-                    solver_iterations=step_iters,
-                    rows_dropped=0 if batch is None else batch.rows_dropped,
                 ))
 
-            params.data -= cfg.lr * z
-            _check_finite(params.data, "parameters", task.descriptor, it)
+            params -= cfg.lr * z
+            _check_finite(params, "parameters", task.descriptor, it)
 
         mem_rng = rng_from(cfg.seed, "memory", t_pos)
         sel = np.sort(mem_rng.choice(n_train, size=cfg.memory_per_task, replace=False))

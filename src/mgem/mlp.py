@@ -3,16 +3,15 @@
 Loss is mean softmax cross-entropy over the dataset, so gradients are
 invariant to batch size. ``group_grads`` returns the gradients of several
 contiguous row groups from one forward/backward pass; ``loss_and_grad`` is
-its one-group case. Weights for layer ``i`` live in block ``L{i}.w``
-(row-major ``(fan_in, fan_out)``), biases in ``L{i}.b``.
+its one-group case. Parameters and gradients are 1-D float64 arrays laid
+out by ``layout.layer_slices``.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .layout import BlockLayout, ParamVector
+from .layout import layer_slices, n_params
 from .seeds import rng_from
 
 _ACTIVATIONS = ("relu", "tanh")
@@ -97,48 +96,23 @@ class Dataset:
                                  np.concatenate([p.labels for p in parts]))
 
 
-def build_layout(spec: MlpSpec) -> BlockLayout:
-    sizes = []
-    for i in range(spec.n_layers):
-        fan_in, fan_out = spec.layer_sizes[i], spec.layer_sizes[i + 1]
-        sizes.append((f"L{i}.w", fan_in * fan_out))
-        sizes.append((f"L{i}.b", fan_out))
-    return BlockLayout.from_sizes(sizes)
-
-
-@functools.cache
-def _layer_slices(spec: MlpSpec) -> tuple:
-    """Per-layer ``(weight slice, bias slice, fan_in, fan_out)`` in the flat
-    vector, in ``build_layout`` order; computed once per spec."""
-    out = []
-    offset = 0
-    for fan_in, fan_out in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]):
-        w = slice(offset, offset + fan_in * fan_out)
-        b = slice(w.stop, w.stop + fan_out)
-        out.append((w, b, fan_in, fan_out))
-        offset = b.stop
-    return tuple(out)
-
-
-def init_params(spec: MlpSpec, seed: int) -> ParamVector:
+def init_params(spec: MlpSpec, seed: int) -> np.ndarray:
     """Xavier-uniform weights, zero biases; deterministic per seed."""
     rng = rng_from(seed, "init")
-    layout = build_layout(spec)
-    data = np.zeros(layout.total_len)
-    for w, _, fan_in, fan_out in _layer_slices(spec):
+    params = np.zeros(n_params(spec))
+    for w, _, fan_in, fan_out in layer_slices(spec):
         s = np.sqrt(6.0 / (fan_in + fan_out))
-        data[w] = rng.uniform(-s, s, size=fan_in * fan_out)
+        params[w] = rng.uniform(-s, s, size=fan_in * fan_out)
         # biases stay zero
-    return ParamVector(data, layout)
+    return params
 
 
-def _weights(params: ParamVector, spec: MlpSpec):
+def _weights(params: np.ndarray, spec: MlpSpec):
     """Per-layer ``(W, b)`` views into the flat vector."""
-    layers = _layer_slices(spec)
-    data = params.data
-    if data.shape[0] != layers[-1][1].stop:
-        raise ValueError(f"parameter vector of length {data.shape[0]} does not fit {spec}")
-    return [(data[w].reshape(fan_in, fan_out), data[b]) for w, b, fan_in, fan_out in layers]
+    layers = layer_slices(spec)
+    if np.shape(params) != (layers[-1][1].stop,):
+        raise ValueError(f"parameter vector of shape {np.shape(params)} does not fit {spec}")
+    return [(params[w].reshape(fan_in, fan_out), params[b]) for w, b, fan_in, fan_out in layers]
 
 
 def _check_features(spec: MlpSpec, features: np.ndarray):
@@ -162,7 +136,7 @@ def _forward(weights, spec: MlpSpec, X: np.ndarray):
     return logits, hs
 
 
-def predict(params: ParamVector, spec: MlpSpec, features) -> np.ndarray:
+def predict(params: np.ndarray, spec: MlpSpec, features) -> np.ndarray:
     """Argmax class per sample; ties break to the lowest class index."""
     X = np.asarray(features, dtype=np.float64)
     _check_features(spec, X)
@@ -170,11 +144,11 @@ def predict(params: ParamVector, spec: MlpSpec, features) -> np.ndarray:
     return np.argmax(logits, axis=1).astype(np.int64)
 
 
-def accuracy(params: ParamVector, spec: MlpSpec, data: Dataset) -> float:
+def accuracy(params: np.ndarray, spec: MlpSpec, data: Dataset) -> float:
     return float(np.mean(predict(params, spec, data.features) == data.labels))
 
 
-def _backprop(params: ParamVector, spec: MlpSpec, data: Dataset, sizes):
+def _backprop(params: np.ndarray, spec: MlpSpec, data: Dataset, sizes):
     """Per-sample losses and the mean-loss gradient of each row group.
 
     The rows of ``data`` form contiguous groups of ``sizes`` rows. One
@@ -204,12 +178,12 @@ def _backprop(params: ParamVector, spec: MlpSpec, data: Dataset, sizes):
 
     n_groups = len(sizes)
     k = sizes[0] if sizes.count(sizes[0]) == n_groups else None  # common group size
-    grads = np.empty((n_groups, params.data.shape[0]))
+    grads = np.empty((n_groups, params.shape[0]))
     delta = np.exp(log_p)
     delta[target] -= 1.0
     delta /= k if k else np.repeat(sizes, sizes)[:, None]
     bounds = np.cumsum([0] + sizes)
-    for i, (w, b, fan_in, fan_out) in reversed(list(enumerate(_layer_slices(spec)))):
+    for i, (w, b, fan_in, fan_out) in reversed(list(enumerate(layer_slices(spec)))):
         h = hs[i]
         if k:
             d3 = delta.reshape(n_groups, k, fan_out)
@@ -231,7 +205,7 @@ def _backprop(params: ParamVector, spec: MlpSpec, data: Dataset, sizes):
     return nll, grads
 
 
-def group_grads(params: ParamVector, spec: MlpSpec, data: Dataset, sizes) -> np.ndarray:
+def group_grads(params: np.ndarray, spec: MlpSpec, data: Dataset, sizes) -> np.ndarray:
     """Mean-loss gradients of contiguous row groups, one row per group.
 
     ``sizes`` lists the group lengths in row order and must sum to
@@ -241,27 +215,27 @@ def group_grads(params: ParamVector, spec: MlpSpec, data: Dataset, sizes) -> np.
     return _backprop(params, spec, data, sizes)[1]
 
 
-def loss_and_grad(params: ParamVector, spec: MlpSpec, data: Dataset):
+def loss_and_grad(params: np.ndarray, spec: MlpSpec, data: Dataset):
     """Mean softmax cross-entropy and its gradient, in one backward pass.
 
-    Returns ``(loss, grad)`` where ``grad`` is a ParamVector sharing the
-    input layout. The gradient is the mean over samples, so duplicating
-    the dataset leaves it unchanged.
+    Returns ``(loss, grad)`` with ``grad`` laid out like ``params``. The
+    gradient is the mean over samples, so duplicating the dataset leaves it
+    unchanged.
     """
     nll, grads = _backprop(params, spec, data, (data.n_samples,))
-    return float(nll.mean()), ParamVector.unchecked(grads[0], params.layout)
+    return float(nll.mean()), grads[0]
 
 
-def fd_gradient(params: ParamVector, spec: MlpSpec, data: Dataset, h: float = 1e-6) -> np.ndarray:
-    """Central-difference loss gradient; the independent oracle for backprop."""
-    x = params.data
-    g = np.empty_like(x)
-    for i in range(x.size):
-        old = x[i]
-        x[i] = old + h
+def fd_gradient(params: np.ndarray, spec: MlpSpec, data: Dataset, h: float = 1e-6) -> np.ndarray:
+    """Central-difference loss gradient; the independent oracle for backprop.
+    Perturbs ``params`` in place and restores every entry."""
+    g = np.empty_like(params)
+    for i in range(params.size):
+        old = params[i]
+        params[i] = old + h
         lp, _ = loss_and_grad(params, spec, data)
-        x[i] = old - h
+        params[i] = old - h
         lm, _ = loss_and_grad(params, spec, data)
-        x[i] = old
+        params[i] = old
         g[i] = (lp - lm) / (2.0 * h)
     return g

@@ -89,7 +89,7 @@ def check_gradients(n_cases=20, quick=False):
         sizes = (int(rng.integers(2, 5)), int(rng.integers(3, 7)), int(rng.integers(2, 4)))
         spec = MlpSpec(sizes, activation=act)
         params = init_params(spec, seed=1000 + case)
-        params.data += 0.05 * rng.standard_normal(params.data.shape)
+        params += 0.05 * rng.standard_normal(params.shape)
         data = Dataset(
             rng.standard_normal((6, sizes[0])),
             rng.integers(0, sizes[-1], size=6),
@@ -100,7 +100,7 @@ def check_gradients(n_cases=20, quick=False):
         lo = groups[0] * row
         group = data.take(slice(lo, lo + groups[row]))
         pairs = (
-            (loss_and_grad(params, spec, data)[1].data, fd_gradient(params, spec, data)),
+            (loss_and_grad(params, spec, data)[1], fd_gradient(params, spec, data)),
             (group_grads(params, spec, data, groups)[row], fd_gradient(params, spec, group)),
         )
         for grad, fd in pairs:

@@ -1,12 +1,11 @@
+from pathlib import Path
+
 import pytest
 
-from mgem.config import (
-    DEFAULT_Q_GRID,
-    ConfigError,
-    default_pareto_methods,
-    parse_config,
-    serialize_config,
-)
+from mgem.config import DEFAULT_Q_GRID, ConfigError, default_pareto_methods, parse_config
+from mgem.constraints import MethodSpec
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
 MINIMAL = """
 stream.family = rotated
@@ -86,7 +85,7 @@ method.2.q = 0.2
     assert cfg.methods[1].strength == 0.2
 
 
-def test_round_trip_is_lossless_and_idempotent():
+def test_parse_grid_output_and_method_fields():
     text = MINIMAL + """
 pareto.q_grid = 0.0,0.1,0.5
 output.dir = results
@@ -96,10 +95,15 @@ method.2.q = 0.3
 method.2.solver = approx
 """
     cfg = parse_config(text)
-    canon = serialize_config(cfg)
-    cfg2 = parse_config(canon)
-    assert cfg2 == cfg
-    assert serialize_config(cfg2) == canon
+    assert cfg.q_grid == (0.0, 0.1, 0.5)
+    assert cfg.out_dir == "results"
+    assert cfg.methods[1] == MethodSpec("p_mgem", d_param=2, strength=0.3, solver="approx")
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
+def test_committed_configs_parse(path):
+    cfg = parse_config(path.read_text(encoding="utf-8"))
+    assert (cfg.model.n_in, cfg.model.n_out) == (cfg.stream.n_features, cfg.stream.n_classes)
 
 
 def test_default_pareto_grid_is_five_methods_eight_qs():

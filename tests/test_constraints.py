@@ -6,13 +6,12 @@ from mgem.constraints import (
     MethodSpec,
     assemble_direction,
     build_instances,
-    module_span,
     resolve_partition,
     split_memory,
 )
 from mgem.engine import EpisodicMemory
-from mgem.layout import ParamVector
-from mgem.mlp import Dataset, MlpSpec, build_layout, init_params, loss_and_grad
+from mgem.layout import layer_slices, n_params
+from mgem.mlp import Dataset, MlpSpec, init_params, loss_and_grad
 from mgem.seeds import derive_seed, rng_from
 from mgem.selfcheck import check_block_consistency
 
@@ -56,45 +55,44 @@ def test_method_spec_validation():
 
 # --- partitions --------------------------------------------------------------
 
+# (3, 5, 3): blocks L0 weights [0, 15), L0 bias [15, 20), L1 weights
+# [20, 35), L1 bias [35, 38)
+
 def test_partition_d1_is_single_group():
-    layout = build_layout(MLP)
-    part = resolve_partition(layout, "by_layer", 1)
-    assert part.groups == (layout.names,)
+    assert n_params(MLP) == 38
+    assert resolve_partition(MLP, "by_layer", 1) == (slice(0, 38),)
+    assert resolve_partition(MLP, "equal_flat", 1) == (slice(0, 38),)
 
 
 def test_partition_by_layer_near_equal():
-    layout = build_layout(MLP)  # 4 blocks
-    part = resolve_partition(layout, "by_layer", 2)
-    assert part.groups == (("L0.w", "L0.b"), ("L1.w", "L1.b"))
-    part3 = resolve_partition(layout, "by_layer", 3)
-    assert [len(g) for g in part3.groups] == [2, 1, 1]
+    assert resolve_partition(MLP, "by_layer", 2) == (slice(0, 20), slice(20, 38))
+    # blocks 2/1/1: remainder to the earliest module
+    assert resolve_partition(MLP, "by_layer", 3) == (
+        slice(0, 20), slice(20, 35), slice(35, 38))
 
 
 def test_partition_one_block_per_group():
-    layout = build_layout(MLP)
-    part = resolve_partition(layout, "by_layer", 4)
-    assert part.n_modules == 4
-    assert all(len(g) == 1 for g in part.groups)
+    blocks = tuple(s for w, b, _, _ in layer_slices(MLP) for s in (w, b))
+    assert resolve_partition(MLP, "by_layer", 4) == blocks
+    assert blocks == (slice(0, 15), slice(15, 20), slice(20, 35), slice(35, 38))
     # more groups than blocks: effective D capped
-    assert resolve_partition(layout, "by_layer", 9).n_modules == 4
+    assert resolve_partition(MLP, "by_layer", 9) == blocks
 
 
 def test_partition_equal_flat_spans():
-    layout = build_layout(MLP)  # total 38
-    part = resolve_partition(layout, "equal_flat", 4)
-    spans = [module_span(part, i) for i in range(part.n_modules)]
+    spans = resolve_partition(MLP, "equal_flat", 4)
+    assert spans == (slice(0, 10), slice(10, 20), slice(20, 29), slice(29, 38))
     sizes = [s.stop - s.start for s in spans]
-    assert sum(sizes) == layout.total_len
+    assert sum(sizes) == n_params(MLP)
     assert max(sizes) - min(sizes) <= 1
-    assert spans[0].start == 0 and spans[-1].stop == layout.total_len
+    assert all(a.stop == b.start for a, b in zip(spans, spans[1:]))
 
 
 def test_partition_rejects_bad_args():
-    layout = build_layout(MLP)
     with pytest.raises(ValueError):
-        resolve_partition(layout, "by_layer", 0)
+        resolve_partition(MLP, "by_layer", 0)
     with pytest.raises(ValueError):
-        resolve_partition(layout, "by_neuron", 2)
+        resolve_partition(MLP, "by_neuron", 2)
 
 
 # --- memory splits -----------------------------------------------------------
@@ -120,94 +118,93 @@ def test_split_memory_rejects_too_small():
 
 def test_no_past_tasks_yields_empty_batch():
     params = init_params(MLP, 0)
-    part = resolve_partition(params.layout, "by_layer", 1)
-    batch = build_instances(MethodSpec("gem"), [], batch_grad(params), params, MLP, part)
+    spans = resolve_partition(MLP, "by_layer", 1)
+    batch = build_instances(MethodSpec("gem"), [], batch_grad(params), params, MLP, spans)
     assert batch.instances == [] and batch.memory_grads == []
 
 
 def test_single_method_refuses_assembly():
     params = init_params(MLP, 0)
-    part = resolve_partition(params.layout, "by_layer", 1)
+    spans = resolve_partition(MLP, "by_layer", 1)
     with pytest.raises(ValueError):
         build_instances(MethodSpec("single"), make_memories(1, 1),
-                        batch_grad(params), params, MLP, part)
+                        batch_grad(params), params, MLP, spans)
 
 
 def test_gem_instance_rows_are_memory_gradients():
     params = init_params(MLP, 0)
-    part = resolve_partition(params.layout, "by_layer", 1)
+    spans = resolve_partition(MLP, "by_layer", 1)
     mems = make_memories(2, 1)
     g_t = batch_grad(params)
-    batch = build_instances(MethodSpec("gem", strength=0.3), mems, g_t, params, MLP, part)
+    batch = build_instances(MethodSpec("gem", strength=0.3), mems, g_t, params, MLP, spans)
     assert len(batch.instances) == 1
     inst = batch.instances[0]
     assert inst.m == 2 and inst.form == qp.BOX_FORM
     for s, mem in enumerate(mems):
         _, grad = loss_and_grad(params, MLP, mem.data)
-        assert np.array_equal(inst.constraint_rows[s], grad.data)
-        assert np.array_equal(batch.memory_grads[s], grad.data)
+        assert np.array_equal(inst.constraint_rows[s], grad)
+        assert np.array_equal(batch.memory_grads[s], grad)
     assert np.all(inst.strength == 0.3)
     assert batch.rows_dropped == 0  # row k is memory k's gradient, checked above
 
 
 def test_pmgem_d1_identical_to_gem():
     params = init_params(MLP, 0)
-    part = resolve_partition(params.layout, "by_layer", 1)
+    spans = resolve_partition(MLP, "by_layer", 1)
     mems = make_memories(2, 1)
     g_t = batch_grad(params)
-    a = build_instances(MethodSpec("gem", strength=0.1), mems, g_t, params, MLP, part)
+    a = build_instances(MethodSpec("gem", strength=0.1), mems, g_t, params, MLP, spans)
     b = build_instances(MethodSpec("p_mgem", d_param=1, strength=0.1),
-                        mems, g_t, params, MLP, part)
+                        mems, g_t, params, MLP, spans)
     assert np.array_equal(a.instances[0].constraint_rows, b.instances[0].constraint_rows)
     assert np.array_equal(a.instances[0].target, b.instances[0].target)
 
 
 def test_pmgem_slices_one_backprop_per_task():
     params = init_params(MLP, 0)
-    part = resolve_partition(params.layout, "by_layer", 2)
+    spans = resolve_partition(MLP, "by_layer", 2)
     mems = make_memories(2, 1)
     g_t = batch_grad(params)
-    batch = build_instances(MethodSpec("p_mgem", d_param=2), mems, g_t, params, MLP, part)
+    batch = build_instances(MethodSpec("p_mgem", d_param=2), mems, g_t, params, MLP, spans)
     assert len(batch.instances) == 2
     full = build_instances(MethodSpec("gem"), mems, g_t, params, MLP,
-                           resolve_partition(params.layout, "by_layer", 1)).instances[0]
-    for i, inst in enumerate(batch.instances):
-        span = module_span(part, i)
+                           resolve_partition(MLP, "by_layer", 1)).instances[0]
+    for inst, span in zip(batch.instances, spans):
         assert np.array_equal(inst.constraint_rows, full.constraint_rows[:, span])
-        assert np.array_equal(inst.target, g_t.data[span])
+        assert np.array_equal(inst.target, g_t[span])
 
 
 def test_dmgem_row_count():
     params = init_params(MLP, 0)
-    part = resolve_partition(params.layout, "by_layer", 1)
+    spans = resolve_partition(MLP, "by_layer", 1)
     mems = make_memories(3, 2)
     batch = build_instances(MethodSpec("d_mgem", d_data=2), mems,
-                            batch_grad(params), params, MLP, part)
+                            batch_grad(params), params, MLP, spans)
     assert len(batch.instances) == 1
     assert batch.instances[0].m == 6
     # row 2s + d is the gradient of split d of memory s
     for k, row in enumerate(batch.instances[0].constraint_rows):
         mem = mems[k // 2]
         _, grad = loss_and_grad(params, MLP, mem.data.take(mem.splits[k % 2]))
-        np.testing.assert_allclose(row, grad.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(row, grad, rtol=0, atol=1e-12)
 
 
 def test_dmgem_memory_grad_is_weighted_split_mean():
     params = init_params(MLP, 0)
-    part = resolve_partition(params.layout, "by_layer", 1)
+    spans = resolve_partition(MLP, "by_layer", 1)
     mems = make_memories(1, 2)
     batch = build_instances(MethodSpec("d_mgem", d_data=2), mems,
-                            batch_grad(params), params, MLP, part)
+                            batch_grad(params), params, MLP, spans)
     _, full = loss_and_grad(params, MLP, mems[0].data)
-    np.testing.assert_allclose(batch.memory_grads[0], full.data, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(batch.memory_grads[0], full, rtol=1e-12, atol=1e-15)
 
 
 def test_mdmgem_instance_grid():
     params = init_params(MLP, 0)
-    part = resolve_partition(params.layout, "by_layer", 2)
+    spans = resolve_partition(MLP, "by_layer", 2)
     mems = make_memories(2, 2)
     batch = build_instances(MethodSpec("md_mgem", d_param=2, d_data=2), mems,
-                            batch_grad(params), params, MLP, part)
+                            batch_grad(params), params, MLP, spans)
     assert len(batch.instances) == 2
     assert all(inst.m == 4 for inst in batch.instances)
 
@@ -221,41 +218,41 @@ def test_stacked_rows_match_per_group_gradients(method):
     """One stacked pass gives every row the per-group gradient (11/11/10
     splits of a 32-sample memory exercise unequal group sizes)."""
     params = init_params(MLP, 3)
-    part = resolve_partition(params.layout, "by_layer", method.d_param)
+    spans = resolve_partition(MLP, "by_layer", method.d_param)
     mems = make_memories(3, method.d_data, n_per=32, seed=3)
     g_t = batch_grad(params)
-    batch = build_instances(method, mems, g_t, params, MLP, part)
+    batch = build_instances(method, mems, g_t, params, MLP, spans)
     expected = []
     for mem in mems:
         groups = mem.splits if method.d_data > 1 else (slice(None),)
-        expected.extend(loss_and_grad(params, MLP, mem.data.take(idx))[1].data
+        expected.extend(loss_and_grad(params, MLP, mem.data.take(idx))[1]
                         for idx in groups)
     expected = np.vstack(expected)
     assert sorted(len(idx) for idx in mems[0].splits) == (
         [10, 11, 11] if method.d_data == 3 else [32])
-    for inst, span in zip(batch.instances, part.spans):
+    for inst, span in zip(batch.instances, spans):
         np.testing.assert_allclose(inst.constraint_rows, expected[:, span],
                                    rtol=0.0, atol=1e-12)
     for mem, got in zip(mems, batch.memory_grads):
         _, full = loss_and_grad(params, MLP, mem.data)
-        np.testing.assert_allclose(got, full.data, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(got, full, rtol=0.0, atol=1e-12)
 
 
 def test_split_mismatch_rejected():
     params = init_params(MLP, 0)
-    part = resolve_partition(params.layout, "by_layer", 1)
+    spans = resolve_partition(MLP, "by_layer", 1)
     mems = make_memories(1, 2)
     with pytest.raises(ValueError):
         build_instances(MethodSpec("d_mgem", d_data=3), mems,
-                        batch_grad(params), params, MLP, part)
+                        batch_grad(params), params, MLP, spans)
 
 
 def test_degenerate_rows_dropped_and_counted():
     params = init_params(MLP, 0)
-    part = resolve_partition(params.layout, "by_layer", 1)
+    spans = resolve_partition(MLP, "by_layer", 1)
     mems = make_memories(2, 1)
     g_t = batch_grad(params)
-    batch = build_instances(MethodSpec("gem"), mems, g_t, params, MLP, part)
+    batch = build_instances(MethodSpec("gem"), mems, g_t, params, MLP, spans)
     # near-zero rows (a fully fit past task) must vanish before solving
     rows = batch.instances[0].constraint_rows.copy()
     rows[0] = 1e-8
@@ -268,9 +265,9 @@ def test_fully_fit_memory_degenerates_to_unconstrained():
     # memory; the row drops, and the step falls back to the plain gradient
     spec = MlpSpec((2, 4, 2))
     params = init_params(spec, 0)
-    params.data[:] = 0.0
-    params.block("L1.b")[:] = np.array([50.0, -50.0])
-    part = resolve_partition(params.layout, "by_layer", 1)
+    params[:] = 0.0
+    params[layer_slices(spec)[1][1]] = np.array([50.0, -50.0])
+    spans = resolve_partition(spec, "by_layer", 1)
     rng = rng_from(6, "fit")
     fit_mem = EpisodicMemory(1, Dataset(rng.standard_normal((6, 2)),
                                         np.zeros(6, dtype=int)),
@@ -278,81 +275,79 @@ def test_fully_fit_memory_degenerates_to_unconstrained():
     live_mem = EpisodicMemory(2, Dataset(rng.standard_normal((6, 2)),
                                          rng.integers(0, 2, size=6)),
                               tuple(split_memory(6, 1, 1)))
-    g_t = ParamVector(rng.standard_normal(params.layout.total_len), params.layout)
+    g_t = rng.standard_normal(n_params(spec))
 
-    batch = build_instances(MethodSpec("gem"), [fit_mem], g_t, params, spec, part)
+    batch = build_instances(MethodSpec("gem"), [fit_mem], g_t, params, spec, spans)
     assert batch.rows_dropped == 1
     assert batch.instances[0].m == 0
     sol = qp.solve_exact(batch.instances[0])
-    assert np.array_equal(sol.direction, g_t.data)
+    assert np.array_equal(sol.direction, g_t)
 
     both = build_instances(MethodSpec("gem"), [fit_mem, live_mem],
-                           g_t, params, spec, part)
+                           g_t, params, spec, spans)
     assert both.instances[0].m == 1 and both.rows_dropped == 1
     # the kept row is the live memory's gradient; the dropped one is the
     # fit memory's, which is degenerate
     _, live_grad = loss_and_grad(params, spec, live_mem.data)
-    np.testing.assert_allclose(both.instances[0].constraint_rows[0], live_grad.data,
+    np.testing.assert_allclose(both.instances[0].constraint_rows[0], live_grad,
                                rtol=0, atol=1e-12)
     _, fit_grad = loss_and_grad(params, spec, fit_mem.data)
-    assert fit_grad.data @ fit_grad.data < qp.MIN_ROW_SQNORM
+    assert fit_grad @ fit_grad < qp.MIN_ROW_SQNORM
 
 
 # --- direction assembly ------------------------------------------------------
 
 def test_assemble_single_module_verbatim():
     params = init_params(MLP, 0)
-    part = resolve_partition(params.layout, "by_layer", 1)
-    direction = rng_from(1, "z").standard_normal(params.layout.total_len)
+    spans = resolve_partition(MLP, "by_layer", 1)
+    direction = rng_from(1, "z").standard_normal(n_params(MLP))
     sol = qp.DualSolution(np.zeros(0), direction, 0, 0.0, True)
-    assert np.array_equal(assemble_direction([sol], part), direction)
+    assert np.array_equal(assemble_direction([sol], spans), direction)
 
 
 def test_assemble_all_modules_unconstrained_returns_target():
     params = init_params(MLP, 0)
-    part = resolve_partition(params.layout, "by_layer", 2)
+    spans = resolve_partition(MLP, "by_layer", 2)
     g_t = batch_grad(params)
     sols = []
-    for i in range(2):
-        span = module_span(part, i)
+    for span in spans:
         inst = qp.QpInstance(np.zeros((0, span.stop - span.start)),
-                             g_t.data[span], np.zeros(0))
+                             g_t[span], np.zeros(0))
         sols.append(qp.solve_exact(inst))
-    assert np.array_equal(assemble_direction(sols, part), g_t.data)
+    assert np.array_equal(assemble_direction(sols, spans), g_t)
 
 
 def test_assemble_validates_counts_and_lengths():
     params = init_params(MLP, 0)
-    part = resolve_partition(params.layout, "by_layer", 2)
+    spans = resolve_partition(MLP, "by_layer", 2)
     sol = qp.DualSolution(np.zeros(0), np.zeros(3), 0, 0.0, True)
     with pytest.raises(ValueError):
-        assemble_direction([sol], part)
+        assemble_direction([sol], spans)
     with pytest.raises(ValueError):
-        assemble_direction([sol, sol], part)
+        assemble_direction([sol, sol], spans)
 
 
 def test_per_module_solve_equals_joint_solve():
     """The block-diagonal equality behind parameter-wise splitting."""
     params = init_params(MLP, 4)
-    part = resolve_partition(params.layout, "by_layer", 2)
+    spans = resolve_partition(MLP, "by_layer", 2)
     mems = make_memories(2, 1, seed=4)
     g_t = batch_grad(params, seed=5)
     batch = build_instances(MethodSpec("p_mgem", d_param=2, strength=0.2),
-                            mems, g_t, params, MLP, part)
+                            mems, g_t, params, MLP, spans)
     z_blocks = assemble_direction(
-        [qp.solve_exact(inst, tol=1e-12) for inst in batch.instances], part)
+        [qp.solve_exact(inst, tol=1e-12) for inst in batch.instances], spans)
 
     joint_rows = []
     joint_strength = []
-    n = params.layout.total_len
-    for i, inst in enumerate(batch.instances):
-        span = module_span(part, i)
+    n = n_params(MLP)
+    for inst, span in zip(batch.instances, spans):
         for r in range(inst.m):
             row = np.zeros(n)
             row[span] = inst.constraint_rows[r]
             joint_rows.append(row)
             joint_strength.append(inst.strength[r])
-    joint = qp.QpInstance(np.vstack(joint_rows), g_t.data,
+    joint = qp.QpInstance(np.vstack(joint_rows), g_t,
                           np.asarray(joint_strength), form=qp.BOX_FORM)
     z_joint = qp.solve_exact(joint, tol=1e-12).direction
     assert np.max(np.abs(z_joint - z_blocks)) <= 1e-8
@@ -381,11 +376,11 @@ def test_dmgem_direction_meets_pooled_margin():
 
 def test_pipeline_determinism():
     params = init_params(MLP, 0)
-    part = resolve_partition(params.layout, "by_layer", 2)
+    spans = resolve_partition(MLP, "by_layer", 2)
     mems = make_memories(2, 1)
     g_t = batch_grad(params)
-    a = build_instances(MethodSpec("p_mgem", d_param=2), mems, g_t, params, MLP, part)
-    b = build_instances(MethodSpec("p_mgem", d_param=2), mems, g_t, params, MLP, part)
+    a = build_instances(MethodSpec("p_mgem", d_param=2), mems, g_t, params, MLP, spans)
+    b = build_instances(MethodSpec("p_mgem", d_param=2), mems, g_t, params, MLP, spans)
     for x, y in zip(a.instances, b.instances):
         assert np.array_equal(x.constraint_rows, y.constraint_rows)
         assert np.array_equal(x.target, y.target)

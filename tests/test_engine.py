@@ -39,8 +39,8 @@ def test_single_matches_hand_rolled_sgd():
     for _ in range(c.iters_per_task):
         idx = rng.integers(0, train.n_samples, size=c.batch_size)
         _, g = loss_and_grad(params, MLP, train.take(idx))
-        params.data -= c.lr * g.data
-    assert np.array_equal(result.final_params.data, params.data)
+        params -= c.lr * g
+    assert np.array_equal(result.final_params, params)
 
 
 def test_task1_trajectory_identical_across_methods():
@@ -50,7 +50,7 @@ def test_task1_trajectory_identical_across_methods():
               MethodSpec("p_mgem", d_param=2, strength=0.3),
               MethodSpec("d_mgem", d_data=2, strength=0.3),
               MethodSpec("gem", solver="approx")):
-        finals.append(run(stream, MLP, cfg(m)).final_params.data)
+        finals.append(run(stream, MLP, cfg(m)).final_params)
     for other in finals[1:]:
         assert np.array_equal(finals[0], other)
 
@@ -62,7 +62,7 @@ def test_gem_without_conflicts_equals_single():
     r_single = run(stream, MLP, cfg(MethodSpec("single"), lr=0.01, iters=30))
     r_gem = run(stream, MLP, cfg(MethodSpec("gem"), lr=0.01, iters=30), trace=True)
     assert all(t.min_memory_inner >= 0 for t in r_gem.traces)
-    assert np.array_equal(r_single.final_params.data, r_gem.final_params.data)
+    assert np.array_equal(r_single.final_params, r_gem.final_params)
     assert np.array_equal(r_single.accuracy, r_gem.accuracy)
 
 
@@ -73,7 +73,7 @@ def test_modular_methods_with_one_module_reduce_to_gem():
     for m in (MethodSpec("gem", strength=0.2),
               MethodSpec("p_mgem", d_param=1, strength=0.2),
               MethodSpec("d_mgem", d_data=1, strength=0.2)):
-        finals[m.kind] = run(stream, MLP, cfg(m)).final_params.data
+        finals[m.kind] = run(stream, MLP, cfg(m)).final_params
     assert np.array_equal(finals["gem"], finals["p_mgem"])
     assert np.array_equal(finals["gem"], finals["d_mgem"])
 
@@ -84,7 +84,7 @@ def test_equal_flat_partition_runs_and_is_deterministic():
                     method=MethodSpec("p_mgem", d_param=3, strength=0.1),
                     partition_mode="equal_flat", seed=0)
     a, b = run(stream, MLP, c), run(stream, MLP, c)
-    assert np.array_equal(a.final_params.data, b.final_params.data)
+    assert np.array_equal(a.final_params, b.final_params)
     assert a.constrained_steps == 20
 
 
@@ -93,7 +93,7 @@ def test_memories_never_change_after_storage(monkeypatch):
     seen = {}
     original = engine_mod.build_instances
 
-    def spying(method, memories, g_t, params, spec, partition):
+    def spying(method, memories, g_t, params, spec, spans):
         for mem in memories:
             snapshot = (mem.data.features.tobytes(), mem.data.labels.tobytes(),
                         tuple(s.tobytes() for s in mem.splits))
@@ -101,7 +101,7 @@ def test_memories_never_change_after_storage(monkeypatch):
                 assert seen[mem.task] == snapshot, f"memory for task {mem.task} changed"
             else:
                 seen[mem.task] = snapshot
-        return original(method, memories, g_t, params, spec, partition)
+        return original(method, memories, g_t, params, spec, spans)
 
     monkeypatch.setattr(engine_mod, "build_instances", spying)
     run(rotated_stream(n_tasks=3, n_train=60), MLP, cfg(MethodSpec("gem"), iters=15))
@@ -113,9 +113,9 @@ def test_run_is_deterministic():
     a = run(stream, MLP, cfg(MethodSpec("gem", strength=0.1)))
     b = run(stream, MLP, cfg(MethodSpec("gem", strength=0.1)))
     assert np.array_equal(a.accuracy, b.accuracy)
-    assert np.array_equal(a.final_params.data, b.final_params.data)
+    assert np.array_equal(a.final_params, b.final_params)
     c = run(stream, MLP, cfg(MethodSpec("gem", strength=0.1), seed=1))
-    assert not np.array_equal(a.final_params.data, c.final_params.data)
+    assert not np.array_equal(a.final_params, c.final_params)
 
 
 def test_approx_run_is_deterministic():
@@ -185,19 +185,19 @@ def test_traced_inner_products_match_per_set_gradients():
         rng = rng_from(c.seed, "batch", t_pos)
         for it in range(c.iters_per_task):
             idx = rng.integers(0, task.train.n_samples, size=c.batch_size)
-            z = loss_and_grad(params, MLP, task.train.take(idx))[1].data
+            z = loss_and_grad(params, MLP, task.train.take(idx))[1]
             if t_pos >= 2:
                 tr = next(traces)
                 assert (tr.task, tr.iteration) == (t_pos, it)
-                fwd = loss_and_grad(params, MLP, task.train)[1].data @ z
+                fwd = loss_and_grad(params, MLP, task.train)[1] @ z
                 assert abs(tr.fwd_inner - fwd) <= 1e-12
                 assert len(tr.bwd_inners) == t_pos - 1
                 for s, got in enumerate(tr.bwd_inners):
-                    want = loss_and_grad(params, MLP, stream.tasks[s].train)[1].data @ z
+                    want = loss_and_grad(params, MLP, stream.tasks[s].train)[1] @ z
                     assert abs(got - want) <= 1e-12
-                mem = min(loss_and_grad(params, MLP, m)[1].data @ z for m in memories)
+                mem = min(loss_and_grad(params, MLP, m)[1] @ z for m in memories)
                 assert abs(tr.min_memory_inner - mem) <= 1e-12
-            params.data -= c.lr * z
+            params -= c.lr * z
         sel = rng_from(c.seed, "memory", t_pos).choice(
             task.train.n_samples, size=c.memory_per_task, replace=False)
         memories.append(task.train.take(np.sort(sel)))

@@ -1,57 +1,46 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mgem.layout import Block, BlockLayout, ParamVector
+from mgem.layout import layer_slices, n_params
+from mgem.mlp import MlpSpec
 
-
-def make_layout(sizes):
-    return BlockLayout.from_sizes((f"b{i}", s) for i, s in enumerate(sizes))
+# input and hidden widths, then an output width of at least 2
+specs = st.builds(lambda sizes, n_out: MlpSpec(tuple(sizes) + (n_out,)),
+                  st.lists(st.integers(1, 9), min_size=1, max_size=4), st.integers(2, 9))
 
 
 def test_from_sizes_packs_contiguously():
-    layout = make_layout([3, 2, 4])
-    assert layout.total_len == 9
-    assert layout.names == ("b0", "b1", "b2")
-    assert layout.block("b1") == Block("b1", 3, 2)
-    assert layout.span("b2") == slice(5, 9)
-
-
-@pytest.mark.parametrize("blocks,total", [
-    ((Block("a", 0, 2), Block("b", 3, 1)), 4),   # gap
-    ((Block("a", 0, 2), Block("b", 1, 2)), 3),   # overlap
-    ((Block("a", 0, 2), Block("a", 2, 1)), 3),   # duplicate name
-    ((Block("a", 0, 2),), 5),                    # wrong total
-])
-def test_layout_rejects_malformed(blocks, total):
-    with pytest.raises(ValueError):
-        BlockLayout(blocks, total)
-
-
-def test_param_vector_rejects_nonfinite():
-    layout = make_layout([2])
-    with pytest.raises(ValueError):
-        ParamVector(np.array([1.0, np.nan]), layout)
-    with pytest.raises(ValueError):
-        ParamVector(np.array([1.0]), layout)
+    spec = MlpSpec((3, 2, 4))
+    assert layer_slices(spec) == (
+        (slice(0, 6), slice(6, 8), 3, 2),
+        (slice(8, 16), slice(16, 20), 2, 4),
+    )
+    assert n_params(spec) == 20
 
 
 def test_pythagorean_split():
-    layout = make_layout([4, 3])
-    v = ParamVector(np.array([1.0, -2.0, 0.5, 3.0, 2.0, -1.0, 0.25]), layout)
-    h1, h2 = v.block("b0"), v.block("b1")
-    assert np.isclose(v.data @ v.data, h1 @ h1 + h2 @ h2)
+    spec = MlpSpec((2, 1, 2))  # blocks of 2, 1, 2, 2 entries
+    v = np.array([1.0, -2.0, 0.5, 3.0, 2.0, -1.0, 0.25])
+    parts = [v[s] for w, b, _, _ in layer_slices(spec) for s in (w, b)]
+    assert np.isclose(v @ v, sum(p @ p for p in parts))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=6),
-       st.integers(0, 2**31 - 1))
-def test_split_concat_round_trip(sizes, seed):
-    layout = make_layout(sizes)
-    rng = np.random.default_rng(seed)
-    v = ParamVector(rng.standard_normal(layout.total_len), layout)
-    views = [v.block(name) for name in layout.names]
-    assert np.array_equal(np.concatenate(views), v.data)
-    for name, w in zip(layout.names, views):
-        assert w.shape == (layout.block(name).length,)
+@given(specs, st.integers(0, 2**31 - 1))
+def test_split_concat_round_trip(spec, seed):
+    """The slices tile ``[0, n)`` in W, b order with lengths fan_in*fan_out
+    and fan_out; the views put back together are the vector."""
+    layers = layer_slices(spec)
+    assert len(layers) == spec.n_layers
+    cursor = 0
+    for i, (w, b, fan_in, fan_out) in enumerate(layers):
+        assert (fan_in, fan_out) == spec.layer_sizes[i:i + 2]
+        assert (w.start, w.stop, w.step) == (cursor, cursor + fan_in * fan_out, None)
+        assert (b.start, b.stop, b.step) == (w.stop, w.stop + fan_out, None)
+        cursor = b.stop
+    assert cursor == n_params(spec)
+
+    v = np.random.default_rng(seed).standard_normal(n_params(spec))
+    views = [v[s] for w, b, _, _ in layers for s in (w, b)]
+    assert np.array_equal(np.concatenate(views), v)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from mgem.layout import layer_slices, n_params
 from mgem.mlp import (
     Dataset,
     MlpSpec,
     accuracy,
-    build_layout,
     fd_gradient,
     group_grads,
     init_params,
@@ -16,28 +16,32 @@ from mgem.selfcheck import check_gradients
 from mgem.seeds import rng_from
 
 
+def block(params, spec, layer, part):
+    """View of one layer's weights (part 0) or bias (part 1)."""
+    return params[layer_slices(spec)[layer][part]]
+
+
 def test_layout_size_arithmetic():
     # [2,3,2]: 2*3 + 3 + 3*2 + 2
-    layout = build_layout(MlpSpec((2, 3, 2)))
-    assert layout.total_len == 17
-    assert layout.names == ("L0.w", "L0.b", "L1.w", "L1.b")
+    assert n_params(MlpSpec((2, 3, 2))) == 17
 
 
 def test_init_deterministic_and_zero_bias():
     spec = MlpSpec((4, 5, 3))
     a = init_params(spec, seed=7)
     b = init_params(spec, seed=7)
-    assert np.array_equal(a.data, b.data)
-    assert not np.array_equal(a.data, init_params(spec, seed=8).data)
+    assert a.dtype == np.float64 and a.shape == (n_params(spec),)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, init_params(spec, seed=8))
     for i in range(spec.n_layers):
-        assert np.all(a.block(f"L{i}.b") == 0.0)
+        assert np.all(block(a, spec, i, 1) == 0.0)
 
 
 def test_init_xavier_bounds():
     spec = MlpSpec((6, 4, 3))
     p = init_params(spec, seed=0)
     s0 = np.sqrt(6.0 / (6 + 4))
-    assert np.max(np.abs(p.block("L0.w"))) <= s0
+    assert np.max(np.abs(block(p, spec, 0, 0))) <= s0
 
 
 @pytest.mark.parametrize("bad", [(5,), (3, 1), (0, 4, 2)])
@@ -49,7 +53,7 @@ def test_spec_validation(bad):
 def test_uniform_logits_loss_is_log_c():
     spec = MlpSpec((3, 4))
     params = init_params(spec, seed=0)
-    params.data[:] = 0.0
+    params[:] = 0.0
     data = Dataset(np.array([[0.3, -1.2, 0.7]]), np.array([2]))
     loss, _ = loss_and_grad(params, spec, data)
     assert loss == pytest.approx(np.log(4), rel=1e-12)
@@ -65,7 +69,7 @@ def test_duplicated_samples_leave_mean_loss_and_grad():
     l1, g1 = loss_and_grad(params, spec, data)
     l2, g2 = loss_and_grad(params, spec, doubled)
     assert l2 == pytest.approx(l1, rel=1e-12)
-    np.testing.assert_allclose(g2.data, g1.data, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(g2, g1, rtol=1e-12, atol=1e-15)
 
 
 def test_shape_mismatch_raises():
@@ -79,10 +83,20 @@ def test_shape_mismatch_raises():
         predict(params, spec, np.zeros((2, 5)))
 
 
+def test_wrong_length_params_rejected():
+    spec = MlpSpec((3, 4, 2))  # 23 parameters
+    data = Dataset(np.zeros((2, 3)), np.zeros(2, dtype=int))
+    for params in (np.zeros(0), np.zeros(22), np.zeros(24)):
+        with pytest.raises(ValueError, match="does not fit"):
+            loss_and_grad(params, spec, data)
+        with pytest.raises(ValueError, match="does not fit"):
+            predict(params, spec, data.features)
+
+
 def test_predict_tie_breaks_to_lowest_class():
     spec = MlpSpec((2, 3))
     params = init_params(spec, seed=0)
-    params.data[:] = 0.0  # all logits equal
+    params[:] = 0.0  # all logits equal
     labels = predict(params, spec, np.array([[1.0, -2.0], [0.5, 0.5]]))
     assert np.array_equal(labels, [0, 0])
 
@@ -91,8 +105,8 @@ def test_predict_known_logits():
     # identity-ish single layer: logits = x @ W + b
     spec = MlpSpec((2, 2))
     params = init_params(spec, seed=0)
-    params.block("L0.w")[:] = np.eye(2).ravel()
-    params.block("L0.b")[:] = 0.0
+    block(params, spec, 0, 0)[:] = np.eye(2).ravel()
+    block(params, spec, 0, 1)[:] = 0.0
     assert predict(params, spec, np.array([[0.1, 0.9]]))[0] == 1
 
 
@@ -102,7 +116,7 @@ def test_predictions_invariant_to_logit_shift():
     rng = rng_from(5, "shift")
     X = rng.standard_normal((20, 3))
     before = predict(params, spec, X)
-    params.block("L1.b")[:] += 3.7  # shifts every logit equally
+    block(params, spec, 1, 1)[:] += 3.7  # shifts every logit equally
     assert np.array_equal(predict(params, spec, X), before)
 
 
@@ -113,8 +127,8 @@ def test_gradient_matches_central_differences():
     data = Dataset(rng.standard_normal((5, 3)), rng.integers(0, 3, size=5))
     _, grad = loss_and_grad(params, spec, data)
     fd = fd_gradient(params, spec, data)
-    denom = np.maximum(1.0, np.maximum(np.abs(grad.data), np.abs(fd)))
-    assert np.max(np.abs(grad.data - fd) / denom) < 1e-5
+    denom = np.maximum(1.0, np.maximum(np.abs(grad), np.abs(fd)))
+    assert np.max(np.abs(grad - fd) / denom) < 1e-5
 
 
 def test_gradient_battery_passes():
@@ -130,13 +144,13 @@ def test_loss_and_grad_deterministic():
     l1, g1 = loss_and_grad(params, spec, data)
     l2, g2 = loss_and_grad(params, spec, data)
     assert l1 == l2
-    assert np.array_equal(g1.data, g2.data)
+    assert np.array_equal(g1, g2)
 
 
 def test_accuracy_counts_fraction_correct():
     spec = MlpSpec((2, 2))
     params = init_params(spec, seed=0)
-    params.block("L0.w")[:] = np.eye(2).ravel()
+    block(params, spec, 0, 0)[:] = np.eye(2).ravel()
     data = Dataset(np.array([[2.0, 0.0], [0.0, 2.0], [3.0, 0.0], [0.0, 1.0]]),
                    np.array([0, 1, 1, 1]))
     assert accuracy(params, spec, data) == 0.75
@@ -148,15 +162,15 @@ def test_group_grads_rows_match_per_group_loss_and_grad(activation, sizes):
     spec = MlpSpec((3, 9, 7, 4), activation=activation)
     params = init_params(spec, seed=4)
     rng = rng_from(4, "groups", len(sizes))
-    params.data += 0.1 * rng.standard_normal(params.data.shape)
+    params += 0.1 * rng.standard_normal(params.shape)
     n = sum(sizes)
     data = Dataset(rng.standard_normal((n, 3)), rng.integers(0, 4, size=n))
     rows = group_grads(params, spec, data, sizes)
-    assert rows.shape == (len(sizes), params.layout.total_len)
+    assert rows.shape == (len(sizes), n_params(spec))
     bounds = np.cumsum((0,) + sizes)
     for g in range(len(sizes)):
         _, ref = loss_and_grad(params, spec, data.take(slice(bounds[g], bounds[g + 1])))
-        np.testing.assert_allclose(rows[g], ref.data, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(rows[g], ref, rtol=0.0, atol=1e-12)
 
 
 def test_loss_and_grad_is_the_one_group_case():
@@ -165,7 +179,7 @@ def test_loss_and_grad_is_the_one_group_case():
     rng = rng_from(6, "one-group")
     data = Dataset(rng.standard_normal((10, 3)), rng.integers(0, 3, size=10))
     _, grad = loss_and_grad(params, spec, data)
-    assert np.array_equal(group_grads(params, spec, data, (10,))[0], grad.data)
+    assert np.array_equal(group_grads(params, spec, data, (10,))[0], grad)
 
 
 @pytest.mark.parametrize("sizes", [(4, 5), (10, 0), (), (11,), (-1, 11)])
