@@ -14,9 +14,15 @@ verification suites.
 
 ``--threads N`` is the number of worker processes: ``run`` spreads its
 method x seed jobs over them, ``pareto`` its grid x seed jobs
-(``engine.run_jobs``). Output is identical for any N; where ``os.fork``
-does not exist, the jobs run one after another in this process.
-``MGEM_THREADS`` is the fallback for ``--threads``.
+(``engine.run_jobs``). Jobs of one seed and memory-row layout train in
+lockstep as one parameter stack (``engine.run_group``); at N > 1 these
+groups are cut into at least 2N chunks, largest first. Output is identical
+for any N; where ``os.fork`` does not exist, the chunks run one after
+another in this process. ``MGEM_THREADS`` is the fallback for
+``--threads``.
+
+A config's ``output.dir`` is created with its parents; an ``--out``
+directory is created only if its parent exists.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime or solver-budget
 failure (a failing job is named in the message).
@@ -28,7 +34,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfigFile, default_pareto_methods, parse_config
-from .engine import TrainConfig, pareto_sweep, run, run_jobs
+from .engine import TrainConfig, pareto_sweep, run_group, run_jobs
 from .metrics import summarize, write_pareto_csv, write_rmatrix_csv, write_summary_csv
 from .selfcheck import run_all
 from .taskgen import generate
@@ -47,7 +53,11 @@ def _load_config(path: str) -> RunConfigFile:
 
 
 def _resolve_out_dir(cfg: RunConfigFile, override) -> Path:
-    out = Path(override) if override else Path(cfg.out_dir)
+    if not override:
+        out = Path(cfg.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        return out
+    out = Path(override)
     if not out.exists():
         if not out.parent.exists():
             raise ConfigError(f"output directory parent {out.parent} does not exist")
@@ -87,7 +97,7 @@ def cmd_run(args) -> int:
     stream = generate(cfg.stream)
     seeds = [cfg.train_seed + i for i in range(args.seeds)]
     cfgs = [_train_config(cfg, method, seed) for method in cfg.methods for seed in seeds]
-    results = run_jobs(run, stream, cfg.model, cfgs, _threads(args))
+    results = run_jobs(run_group, stream, cfg.model, cfgs, _threads(args))
 
     entries = []
     for run_idx, (tcfg, result) in enumerate(zip(cfgs, results), start=1):

@@ -13,10 +13,10 @@ into the per-module inequality systems each method variant needs:
 A partition is a tuple of contiguous ``slice``s that tile the flat
 parameter vector, one per module (``resolve_partition``).
 
-Every variant gets all of its rows from one stacked forward/backward pass
-per step (``mlp.group_grads`` over every stored memory, or every split),
-then slices them per module. A memory's samples are cut into split order
-once (``EpisodicMemory.split_data``), not at every step.
+Every variant reads its rows from one stacked forward/backward pass per
+step over every split of every stored memory (``memory_groups`` cuts those
+samples once per task; a memory of ``gem`` or ``p_mgem`` is one split), then
+slices them per module.
 
 Per-module problems are independent (the joint QP is block-diagonal), so
 solving them separately and concatenating the directions equals the joint
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layout import layer_slices, n_params
-from .mlp import Dataset, MlpSpec, group_grads
+from .mlp import Dataset, MlpSpec
 from .qp import BOX_FORM, QpInstance, drop_degenerate_rows
 from .seeds import rng_from
 
@@ -138,54 +138,56 @@ class ConstraintBatch:
     rows_dropped: int
 
 
+def memory_groups(memories):
+    """The samples of every memory, split by split in split order, and the
+    split sizes: the rows and groups of the stacked pass whose gradients
+    ``build_instances`` reads, one gradient row per split."""
+    data = Dataset.concat([mem.split_data for mem in memories])
+    return data, [len(idx) for mem in memories for idx in mem.splits]
+
+
 def build_instances(method: MethodSpec, memories, g_t: np.ndarray,
-                    params: np.ndarray, spec: MlpSpec, spans) -> ConstraintBatch:
+                    rows: np.ndarray, spans) -> ConstraintBatch:
     """Assemble one QpInstance per parameter module (``spans``) for this step.
 
-    ``memories`` is the ordered list of past-task EpisodicMemory objects;
-    an empty list yields an empty batch (first task: the caller uses the
-    plain gradient). Degenerate rows are dropped per the solver policy; an
-    instance whose rows all drop degenerates to the unconstrained problem.
+    ``memories`` is the ordered list of past-task EpisodicMemory objects,
+    each cut into ``method.d_data`` splits, and ``rows`` holds this step's
+    gradient of every split, in ``memory_groups`` order. An empty list
+    yields an empty batch (first task: the caller uses the plain gradient).
+    Degenerate rows are dropped per the solver policy; an instance whose
+    rows all drop degenerates to the unconstrained problem.
     """
     if method.kind == "single":
         raise ValueError("the single baseline does not assemble constraints")
     if not memories:
         return ConstraintBatch([], [], 0)
+    d = method.d_data
     for mem in memories:
         if mem.data.n_samples < 1:
             raise ValueError("episodic memory is empty")
+        if len(mem.splits) != d:
+            raise ValueError(
+                f"memory for task {mem.task} has {len(mem.splits)} splits, "
+                f"method wants {d}"
+            )
+    if rows.shape[0] != d * len(memories):
+        raise ValueError(f"got {rows.shape[0]} gradient rows for {len(memories)} "
+                         f"memories of {d} splits")
 
-    split_rows = method.kind in ("d_mgem", "md_mgem")
-    parts, sizes = [], []
-    for mem in memories:
-        if split_rows:
-            if len(mem.splits) != method.d_data:
-                raise ValueError(
-                    f"memory for task {mem.task} has {len(mem.splits)} splits, "
-                    f"method wants {method.d_data}"
-                )
-            parts.append(mem.split_data)
-            sizes.extend(len(idx) for idx in mem.splits)
-        else:
-            parts.append(mem.data)
-            sizes.append(mem.data.n_samples)
-    all_rows = group_grads(params, spec, Dataset.concat(parts), sizes)
-
-    if split_rows:
+    if d > 1:
         memory_grads = []
-        for k in range(len(memories)):
-            lo, hi = k * method.d_data, (k + 1) * method.d_data
-            w = np.asarray(sizes[lo:hi], dtype=np.float64)
-            memory_grads.append((w / w.sum()) @ all_rows[lo:hi])
+        for k, mem in enumerate(memories):
+            w = np.asarray([len(idx) for idx in mem.splits], dtype=np.float64)
+            memory_grads.append((w / w.sum()) @ rows[k * d:(k + 1) * d])
     else:
-        memory_grads = list(all_rows)
+        memory_grads = list(rows)
 
     instances = []
     dropped_total = 0
     for span in spans:
-        rows = all_rows[:, span]
-        strength = np.full(rows.shape[0], method.strength)
-        kept_rows, kept_strength, dropped = drop_degenerate_rows(rows, strength)
+        module_rows = rows[:, span]
+        strength = np.full(module_rows.shape[0], method.strength)
+        kept_rows, kept_strength, dropped = drop_degenerate_rows(module_rows, strength)
         dropped_total += dropped
         instances.append(QpInstance(
             constraint_rows=kept_rows,

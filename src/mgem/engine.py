@@ -12,16 +12,24 @@ a task with at least one predecessor, the inner products of the update
 direction with the *full training set* gradients of the current and each
 past task, and with the stored-memory gradients.
 
+Jobs that draw the same data -- the same seed, step size, schedule, memory
+size and memory rows per step, e.g. the methods and strengths of one sweep
+-- train in lockstep (``run_group``): their parameters form one ``(J, P)``
+stack, and each step makes one stacked minibatch, memory and trace pass for
+all of them, while constraint assembly and the QP solves stay per job.
+``run`` is the one-job case.
+
 ``run_jobs`` runs independent jobs (one ``TrainConfig`` each, over a shared
-stream and model spec) on a fork-started process pool that lives only for
-the call; ``mgem run`` and ``pareto_sweep`` use it. Results come back in job
-order and do not depend on the worker count.
+stream and model spec): it groups them by the data they draw, cuts the
+groups into chunks, and runs the chunks on a fork-started process pool that
+lives only for the call; ``mgem run`` and ``pareto_sweep`` use it. Results
+come back in job order and do not depend on the worker count or the
+chunking.
 """
 
 import os
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -32,10 +40,11 @@ from .constraints import (
     MethodSpec,
     assemble_direction,
     build_instances,
+    memory_groups,
     resolve_partition,
     split_memory,
 )
-from .mlp import Dataset, MlpSpec, accuracy, group_grads, init_params, loss_and_grad
+from .mlp import Dataset, MlpSpec, _backprop, accuracy, init_params
 from .seeds import derive_seed, rng_from
 from .taskgen import TaskStream
 
@@ -96,12 +105,17 @@ class RunResult:
     final_params: np.ndarray  # parameters after the last task
 
 
-def _check_finite(values, what: str, task: int, it: int):
-    """Stop the run at the step where ``values`` stop being finite."""
-    if not np.isfinite(values).all():
-        raise FloatingPointError(
-            f"{what} became non-finite at task {task}, iteration {it}; lower lr"
-        )
+def _nonfinite(what: str, task: int, it: int) -> FloatingPointError:
+    return FloatingPointError(f"{what} became non-finite at task {task}, iteration {it}; lower lr")
+
+
+def _nonfinite_rows(stack: np.ndarray, what: str, task: int, it: int) -> dict:
+    """Each job (row of ``stack``) whose values stop being finite at this
+    step, with the error that stops it there."""
+    finite = np.isfinite(stack).all(axis=1)
+    if finite.all():
+        return {}
+    return {int(r): _nonfinite(what, task, it) for r in np.flatnonzero(~finite)}
 
 
 def _solve(inst, method: MethodSpec):
@@ -110,120 +124,170 @@ def _solve(inst, method: MethodSpec):
     return qp.solve_exact(inst)
 
 
+def _group_key(cfg: TrainConfig) -> tuple:
+    """Jobs with equal keys draw the same data and train in lockstep: the
+    same initial parameters, minibatches and memories (all seeded from
+    ``seed``), the same step size, and the same memory rows per step (none
+    for ``single``, else one per split of each memory)."""
+    rows = 0 if cfg.method.kind == "single" else cfg.method.d_data
+    return (cfg.seed, cfg.lr, cfg.iters_per_task, cfg.batch_size, cfg.memory_per_task, rows)
+
+
 def run(stream: TaskStream, mlp: MlpSpec, cfg: TrainConfig, trace: bool = False) -> RunResult:
     """Train through the stream; returns the R matrix and step traces.
 
     Unconverged solver steps fall back to the clamped (still feasible) dual
     iterate rather than aborting; the run is flagged degraded when more than
-    ``DEGRADED_BUDGET`` of constrained steps fail to converge.
+    ``DEGRADED_BUDGET`` of constrained steps fail to converge. This is the
+    one-job case of ``run_group``; it raises what stopped the job.
     """
+    result = run_group(stream, mlp, [cfg], trace)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> list:
+    """Train jobs that draw the same data in lockstep, as one ``(J, P)``
+    parameter stack; returns one entry per config, in order: its
+    ``RunResult``, or the ``FloatingPointError`` that stopped that job.
+
+    All configs must share one ``_group_key``. Each step makes one stacked
+    minibatch pass, one stacked memory pass and (when tracing) one stacked
+    trace pass for all jobs; the memory and trace rows are cut once per
+    task. Constraint assembly, the QP solves, the direction, the trace inner
+    products and the finiteness checks run per job, so each job's result is
+    the one it gets alone, bit for bit. A job whose values stop being finite
+    leaves the stack at that step; the other jobs train on.
+    """
+    cfgs = list(cfgs)
+    if not cfgs:
+        return []
+    lead = cfgs[0]
+    if any(_group_key(cfg) != _group_key(lead) for cfg in cfgs):
+        raise ValueError("jobs of a group must share seed, lr, iters_per_task, batch_size, "
+                         "memory_per_task and memory rows")
     for task in stream.tasks:
-        if cfg.memory_per_task > task.train.n_samples:
+        if lead.memory_per_task > task.train.n_samples:
             raise ValueError(
-                f"memory_per_task {cfg.memory_per_task} exceeds task "
+                f"memory_per_task {lead.memory_per_task} exceeds task "
                 f"{task.descriptor} training size {task.train.n_samples}"
             )
 
-    method = cfg.method
-    params = init_params(mlp, cfg.seed)
-    spans = resolve_partition(mlp, cfg.partition_mode, method.d_param)
+    constrained_kind = lead.method.kind != "single"
+    spans = [resolve_partition(mlp, cfg.partition_mode, cfg.method.d_param) for cfg in cfgs]
+    params = np.tile(init_params(mlp, lead.seed), (len(cfgs), 1))
+    live = list(range(len(cfgs)))  # the job of each stack row
+    results = [None] * len(cfgs)
 
     T = stream.n_tasks
-    R = np.zeros((T, T))
+    R = [np.zeros((T, T)) for _ in cfgs]
+    traces = [[] for _ in cfgs]
+    constrained = [0] * len(cfgs)
+    unconverged = [0] * len(cfgs)
+    rows_dropped = [0] * len(cfgs)
     memories = []
-    traces = []
-    constrained = 0
-    unconverged = 0
-    rows_dropped = 0
+
+    def leave(failed: dict) -> list:
+        """Take the jobs of the stack rows in ``failed`` out of the stack,
+        each keeping its exception; returns the rows that stay."""
+        nonlocal params, live
+        for r, exc in failed.items():
+            results[live[r]] = exc
+        keep = [r for r in range(len(live)) if r not in failed]
+        params, live = params[keep], [live[r] for r in keep]
+        return keep
 
     for t_pos, task in enumerate(stream.tasks, start=1):
-        batch_rng = rng_from(cfg.seed, "batch", t_pos)
+        batch_rng = rng_from(lead.seed, "batch", t_pos)
         n_train = task.train.n_samples
-        if trace and t_pos >= 2:
-            # one group_grads pass per step: the current and every past
-            # training set, then (unconstrained steps only) every memory
+        memory_rows = memory_groups(memories) if constrained_kind and memories else None
+        traced = trace and t_pos >= 2
+        if traced:
+            # the current and every past training set, then (single only)
+            # every memory; constrained jobs take those from their memory rows
             trace_sets = [task.train] + [stream.tasks[s].train for s in range(t_pos - 1)]
-            if method.kind == "single":
+            if not constrained_kind:
                 trace_sets += [mem.data for mem in memories]
             trace_data = Dataset.concat(trace_sets)
             trace_sizes = [d.n_samples for d in trace_sets]
-        for it in range(cfg.iters_per_task):
-            idx = batch_rng.integers(0, n_train, size=cfg.batch_size)
-            _, g_t = loss_and_grad(params, mlp, task.train.take(idx))
-            _check_finite(g_t, "minibatch gradient", task.descriptor, it)
+        for it in range(lead.iters_per_task):
+            if not live:
+                break
+            idx = batch_rng.integers(0, n_train, size=lead.batch_size)
+            g_t = _backprop(params, mlp, task.train.take(idx), (lead.batch_size,))[1][:, 0]
+            if memory_rows is not None:
+                mem_rows = _backprop(params, mlp, *memory_rows)[1]
+            if traced:
+                trace_rows = _backprop(params, mlp, trace_data, trace_sizes)[1]
+            z = g_t if memory_rows is None else np.empty_like(g_t)
+            failed = _nonfinite_rows(g_t, "minibatch gradient", task.descriptor, it)
+            for r, j in enumerate(live):
+                if r in failed:
+                    continue
+                method = cfgs[j].method
+                if memory_rows is not None:
+                    batch = build_instances(method, memories, g_t[r], mem_rows[r], spans[j])
+                    if not np.isfinite(batch.memory_grads).all():
+                        failed[r] = _nonfinite("memory gradients", task.descriptor, it)
+                        continue
+                    sols = [_solve(inst, method) for inst in batch.instances]
+                    z[r] = assemble_direction(sols, spans[j])
+                    constrained[j] += 1
+                    if not all(s.converged for s in sols):
+                        unconverged[j] += 1
+                    rows_dropped[j] += batch.rows_dropped
+                if traced:
+                    rows = trace_rows[r]
+                    mem_grads = rows[t_pos:] if memory_rows is None else batch.memory_grads
+                    traces[j].append(StepTrace(
+                        task=t_pos,
+                        iteration=it,
+                        fwd_inner=float(rows[0] @ z[r]),
+                        bwd_inners=tuple(float(rows[s] @ z[r]) for s in range(1, t_pos)),
+                        min_memory_inner=min(float(g @ z[r]) for g in mem_grads),
+                    ))
+            if failed:
+                z = z[leave(failed)]
+            params -= lead.lr * z
+            failed = _nonfinite_rows(params, "parameters", task.descriptor, it)
+            if failed:
+                leave(failed)
 
-            if method.kind == "single" or not memories:
-                z = g_t
-                batch = None
-            else:
-                batch = build_instances(method, memories, g_t, params, mlp, spans)
-                _check_finite(batch.memory_grads, "memory gradients", task.descriptor, it)
-                sols = [_solve(inst, method) for inst in batch.instances]
-                z = assemble_direction(sols, spans)
-                constrained += 1
-                if not all(s.converged for s in sols):
-                    unconverged += 1
-                rows_dropped += batch.rows_dropped
-
-            if trace and t_pos >= 2:
-                rows = group_grads(params, mlp, trace_data, trace_sizes)
-                bwd = tuple(float(rows[s] @ z) for s in range(1, t_pos))
-                mem_grads = rows[t_pos:] if batch is None else batch.memory_grads
-                mem_inner = min(float(g @ z) for g in mem_grads)
-                traces.append(StepTrace(
-                    task=t_pos,
-                    iteration=it,
-                    fwd_inner=float(rows[0] @ z),
-                    bwd_inners=bwd,
-                    min_memory_inner=mem_inner,
-                ))
-
-            params -= cfg.lr * z
-            _check_finite(params, "parameters", task.descriptor, it)
-
-        mem_rng = rng_from(cfg.seed, "memory", t_pos)
-        sel = np.sort(mem_rng.choice(n_train, size=cfg.memory_per_task, replace=False))
+        mem_rng = rng_from(lead.seed, "memory", t_pos)
+        sel = np.sort(mem_rng.choice(n_train, size=lead.memory_per_task, replace=False))
         memories.append(EpisodicMemory(
             task=task.descriptor,
             data=task.train.take(sel),
-            splits=tuple(split_memory(cfg.memory_per_task, method.d_data,
-                                      derive_seed(cfg.seed, "memsplit", t_pos))),
+            splits=tuple(split_memory(lead.memory_per_task, lead.method.d_data,
+                                      derive_seed(lead.seed, "memsplit", t_pos))),
         ))
 
-        for j, other in enumerate(stream.tasks):
-            R[t_pos - 1, j] = accuracy(params, mlp, other.test)
+        for r, j in enumerate(live):
+            for k, other in enumerate(stream.tasks):
+                R[j][t_pos - 1, k] = accuracy(params[r], mlp, other.test)
 
-    degraded = constrained > 0 and unconverged > DEGRADED_BUDGET * constrained
-    return RunResult(
-        accuracy=R,
-        traces=traces,
-        constrained_steps=constrained,
-        unconverged_steps=unconverged,
-        rows_dropped=rows_dropped,
-        degraded=degraded,
-        final_params=params,
-    )
+    for r, j in enumerate(live):
+        results[j] = RunResult(
+            accuracy=R[j],
+            traces=traces[j],
+            constrained_steps=constrained[j],
+            unconverged_steps=unconverged[j],
+            rows_dropped=rows_dropped[j],
+            degraded=(constrained[j] > 0
+                      and unconverged[j] > DEGRADED_BUDGET * constrained[j]),
+            final_params=params[r].copy(),
+        )
+    return results
 
 
 class JobError(RuntimeError):
-    """A job of ``run_jobs`` raised; the message names the job and keeps
+    """A job of ``run_jobs`` failed; the message names the job and keeps
     the original message (e.g. the task and iteration of a divergence)."""
 
 
 PARENT_POLL_S = 0.25
 _worker_job = None  # (job, stream, mlp), set in each pool worker
-
-
-@contextmanager
-def _naming(i: int, cfgs):
-    try:
-        yield
-    except Exception as exc:
-        cfg = cfgs[i]
-        raise JobError(
-            f"job {i + 1} of {len(cfgs)} ({cfg.method.label}, "
-            f"q={cfg.method.strength:g}, seed={cfg.seed}) failed: {exc}"
-        ) from exc
 
 
 def _exit_with_parent(parent: int):
@@ -240,50 +304,94 @@ def _init_worker(parent: int, job, stream, mlp):
     threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
 
 
-def _pool_job(cfg):
+def _pool_job(cfgs):
     job, stream, mlp = _worker_job
-    return job(stream, mlp, cfg)
+    return job(stream, mlp, cfgs)
+
+
+def _chunks(cfgs, threads: int) -> list:
+    """Job indices of each chunk: one chunk per ``_group_key`` group, in
+    order of first job; for more than one worker, the largest chunk is
+    halved until there are at least two chunks per worker (or every chunk
+    holds one job), and the chunks are ordered largest first."""
+    groups = {}
+    for i, cfg in enumerate(cfgs):
+        groups.setdefault(_group_key(cfg), []).append(i)
+    chunks = list(groups.values())
+    if threads > 1:
+        while len(chunks) < 2 * threads:
+            k = max(range(len(chunks)), key=lambda c: len(chunks[c]))
+            if len(chunks[k]) < 2:
+                break
+            half = (len(chunks[k]) + 1) // 2
+            chunks[k:k + 1] = [chunks[k][:half], chunks[k][half:]]
+        chunks.sort(key=len, reverse=True)
+    return chunks
 
 
 def run_jobs(job, stream: TaskStream, mlp: MlpSpec, cfgs, threads: int = 1) -> list:
-    """``[job(stream, mlp, cfg) for cfg in cfgs]`` on up to ``threads``
-    worker processes.
+    """One result per config of ``cfgs``, in order, from lockstep chunks
+    run on up to ``threads`` worker processes.
+
+    ``job(stream, mlp, chunk)`` trains a chunk of configs that share one
+    ``_group_key`` (``run_group`` is such a job) and returns one entry per
+    config: its result, or the exception that stopped that config alone.
+    Configs are grouped by the data they draw; at one worker each group is
+    one chunk, and at more the largest chunk is halved until there are at
+    least two chunks per worker, submitted largest first. Results do not
+    depend on the chunking.
 
     The pool is fork-started and lives only for this call: ``stream``,
     ``mlp`` and ``job`` reach each worker once, inherited through the pool
-    initializer; each job sends only its config in and its result back.
+    initializer; each chunk sends only its configs in and its results back.
     Every worker exits once the calling process is gone, even if that
-    process was killed. With one worker or one job, or where ``os.fork``
-    does not exist, the jobs run here one after another and no process
-    starts. The first job in order that raises cancels the pending jobs and
-    raises ``JobError``.
+    process was killed. With one chunk or one worker, or where ``os.fork``
+    does not exist, the chunks run here one after another and no process
+    starts. Once every chunk has run, the first config in order that failed
+    raises ``JobError`` naming it; a chunk that raises as a whole fails
+    every config in it.
     """
     cfgs = list(cfgs)
-    workers = min(threads, len(cfgs))
-    results = []
-    if workers <= 1 or not hasattr(os, "fork"):
-        for i, cfg in enumerate(cfgs):
-            with _naming(i, cfgs):
-                results.append(job(stream, mlp, cfg))
-        return results
+    chunks = _chunks(cfgs, threads)
+    results = [None] * len(cfgs)
 
-    # Imported here: they add ~15 ms to ``import mgem``. Fork, not spawn:
-    # workers inherit the stream and skip a fresh import of numpy and mgem.
-    # mgem starts no threads of its own, and the pool forks its workers
-    # before it starts its manager thread.
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_init_worker,
-                             initargs=(os.getpid(), job, stream, mlp)) as pool:
-        futures = [pool.submit(_pool_job, cfg) for cfg in cfgs]
+    def collect(chunk, get):
         try:
-            for i, fut in enumerate(futures):
-                with _naming(i, cfgs):
-                    results.append(fut.result())
-        finally:
-            pool.shutdown(cancel_futures=True)
+            out = get()
+        except Exception as exc:  # raised below as the JobError of its first job
+            out = [exc] * len(chunk)
+        for i, res in zip(chunk, out):
+            results[i] = res
+
+    if min(threads, len(chunks)) <= 1 or not hasattr(os, "fork"):
+        for chunk in chunks:
+            collect(chunk, lambda: job(stream, mlp, [cfgs[i] for i in chunk]))
+    else:
+        # Imported here: they add ~15 ms to ``import mgem``. Fork, not spawn:
+        # workers inherit the stream and skip a fresh import of numpy and
+        # mgem. mgem starts no threads of its own, and the pool forks its
+        # workers before it starts its manager thread.
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(min(threads, len(chunks)),
+                                 mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_init_worker,
+                                 initargs=(os.getpid(), job, stream, mlp)) as pool:
+            try:
+                futures = [pool.submit(_pool_job, [cfgs[i] for i in chunk])
+                           for chunk in chunks]
+                for chunk, fut in zip(chunks, futures):
+                    collect(chunk, fut.result)
+            finally:
+                pool.shutdown(cancel_futures=True)
+
+    for i, (cfg, res) in enumerate(zip(cfgs, results)):
+        if isinstance(res, Exception):
+            raise JobError(
+                f"job {i + 1} of {len(cfgs)} ({cfg.method.label}, "
+                f"q={cfg.method.strength:g}, seed={cfg.seed}) failed: {res}"
+            ) from res
     return results
 
 
@@ -296,12 +404,17 @@ class ParetoPoint:
     degraded: bool = field(default=False)
 
 
-def _pareto_one(stream2, mlp, cfg):
-    result = run(stream2, mlp, cfg, trace=True)
-    steps = [tr for tr in result.traces if tr.task == 2]
-    bwd = float(np.mean([tr.bwd_inners[0] for tr in steps]))
-    fwd = float(np.mean([tr.fwd_inner for tr in steps]))
-    return ParetoPoint(cfg.method, cfg.seed, bwd, fwd, result.degraded)
+def _pareto_group(stream2, mlp, cfgs):
+    points = []
+    for cfg, result in zip(cfgs, run_group(stream2, mlp, cfgs, trace=True)):
+        if isinstance(result, Exception):
+            points.append(result)
+            continue
+        steps = [tr for tr in result.traces if tr.task == 2]
+        bwd = float(np.mean([tr.bwd_inners[0] for tr in steps]))
+        fwd = float(np.mean([tr.fwd_inner for tr in steps]))
+        points.append(ParetoPoint(cfg.method, cfg.seed, bwd, fwd, result.degraded))
+    return points
 
 
 def pareto_sweep(stream: TaskStream, mlp: MlpSpec, base_cfg: TrainConfig,
@@ -312,9 +425,10 @@ def pareto_sweep(stream: TaskStream, mlp: MlpSpec, base_cfg: TrainConfig,
     mean inner products of the update direction with the past-task gradient
     (backward axis) and current-task gradient (forward axis), averaged over
     task-2 iterations. Rows come back in grid-major, then seed, order.
-    The (grid point, seed) jobs run through ``run_jobs`` on up to
-    ``threads`` worker processes; the rows are the same for any count. A
-    failing job raises ``JobError`` naming it.
+    The (grid point, seed) jobs run through ``run_jobs``: the jobs of one
+    seed and memory-row layout train in lockstep (``run_group``), in chunks
+    spread over up to ``threads`` worker processes; the rows are the same
+    for any count. A failing job raises ``JobError`` naming it.
     """
     if stream.n_tasks < 2:
         raise ValueError("pareto requires >= 2 tasks")
@@ -328,4 +442,4 @@ def pareto_sweep(stream: TaskStream, mlp: MlpSpec, base_cfg: TrainConfig,
             cfgs.append(replace(
                 base_cfg, method=replace(method, strength=float(q)), seed=seed,
             ))
-    return run_jobs(_pareto_one, stream2, mlp, cfgs, threads)
+    return run_jobs(_pareto_group, stream2, mlp, cfgs, threads)

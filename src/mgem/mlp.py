@@ -4,9 +4,12 @@ Loss is mean softmax cross-entropy over the dataset, so gradients are
 invariant to batch size. ``group_grads`` returns the gradients of several
 contiguous row groups from one forward/backward pass; ``loss_and_grad`` is
 its one-group case. Parameters and gradients are 1-D float64 arrays laid
-out by ``layout.layer_slices``.
+out by ``layout.layer_slices``. The pass behind both, ``_backprop``, also
+takes a ``(J, P)`` stack of parameter vectors over the same rows, which is
+how the engine trains jobs in lockstep.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,11 +111,16 @@ def init_params(spec: MlpSpec, seed: int) -> np.ndarray:
 
 
 def _weights(params: np.ndarray, spec: MlpSpec):
-    """Per-layer ``(W, b)`` views into the flat vector."""
+    """Per-layer ``(W, b)`` views into a flat vector ``(P,)`` or a stack of
+    them ``(J, P)``; a stack gives ``W`` of shape ``(J, fan_in, fan_out)``
+    and ``b`` of shape ``(J, 1, fan_out)``, which broadcast over samples."""
     layers = layer_slices(spec)
-    if np.shape(params) != (layers[-1][1].stop,):
-        raise ValueError(f"parameter vector of shape {np.shape(params)} does not fit {spec}")
-    return [(params[w].reshape(fan_in, fan_out), params[b]) for w, b, fan_in, fan_out in layers]
+    shape = np.shape(params)
+    if len(shape) not in (1, 2) or shape[-1] != layers[-1][1].stop:
+        raise ValueError(f"parameter vector of shape {shape} does not fit {spec}")
+    lead = shape[:-1]
+    return [(params[..., w].reshape(lead + (fan_in, fan_out)), params[..., None, b])
+            for w, b, fan_in, fan_out in layers]
 
 
 def _check_features(spec: MlpSpec, features: np.ndarray):
@@ -149,19 +157,24 @@ def accuracy(params: np.ndarray, spec: MlpSpec, data: Dataset) -> float:
 
 
 def _backprop(params: np.ndarray, spec: MlpSpec, data: Dataset, sizes):
-    """Per-sample losses and the mean-loss gradient of each row group.
+    """Per-sample losses and the mean-loss gradient of each row group, for
+    one parameter vector ``(P,)`` or a stack of them ``(J, P)``.
 
     The rows of ``data`` form contiguous groups of ``sizes`` rows. One
     forward and one backward pass serve every group: ``delta`` is scaled
     by each row's own group size, so a group's weight gradient is the
     segment sum ``h_g^T delta_g`` and its bias gradient the column sum of
     ``delta_g`` (the per-example-gradient trick, without materialising a
-    gradient per sample). Returns ``(nll, grads)`` with ``grads`` of shape
-    ``(len(sizes), n_params)``.
+    gradient per sample). A stack puts models on a leading axis the same
+    way: every stack member sees the same rows, and the stacked
+    ``np.matmul`` computes each member's slice as the unstacked product
+    would. Returns ``(nll, grads)``: ``nll`` of shape ``(n,)`` or
+    ``(J, n)``, ``grads`` of shape ``(G, P)`` or ``(J, G, P)`` for
+    ``G = len(sizes)``.
     """
     X, y = data.features, data.labels
     _check_features(spec, X)
-    if np.any(y >= spec.n_out):
+    if y.max() >= spec.n_out:
         raise ValueError(f"label out of range for {spec.n_out} classes")
     n = X.shape[0]
     sizes = [int(k) for k in sizes]
@@ -169,35 +182,42 @@ def _backprop(params: np.ndarray, spec: MlpSpec, data: Dataset, sizes):
         raise ValueError(f"group sizes {sizes} do not split {n} samples")
 
     ws = _weights(params, spec)
+    lead = params.shape[:-1]
     logits, hs = _forward(ws, spec, X)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    # The row maximum over a class-major copy: a maximum is exact in any
+    # order, and reducing a few contiguous entries per row costs far more
+    # per row than reducing whole rows elementwise.
+    top = logits.T.copy().max(axis=0).T[..., None]
+    shifted = logits - top
+    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     log_p = shifted - log_z
-    target = (np.arange(n), y)
+    target = (..., np.arange(n), y)
     nll = -log_p[target]
 
     n_groups = len(sizes)
     k = sizes[0] if sizes.count(sizes[0]) == n_groups else None  # common group size
-    grads = np.empty((n_groups, params.shape[0]))
+    grads = np.empty(lead + (n_groups, params.shape[-1]))
     delta = np.exp(log_p)
     delta[target] -= 1.0
     delta /= k if k else np.repeat(sizes, sizes)[:, None]
-    bounds = np.cumsum([0] + sizes)
     for i, (w, b, fan_in, fan_out) in reversed(list(enumerate(layer_slices(spec)))):
-        h = hs[i]
+        h = hs[i]  # (n, fan_in) for the shared input, else lead + (n, fan_in)
+        # one contiguous run per gradient row, so these are views
+        g_w = grads[..., w].reshape(lead + (n_groups, fan_in, fan_out))
+        g_b = grads[..., b]
         if k:
-            d3 = delta.reshape(n_groups, k, fan_out)
-            # grads[:, w] is one contiguous run per row, so this is a view
-            np.matmul(h.reshape(n_groups, k, fan_in).transpose(0, 2, 1), d3,
-                      out=grads[:, w].reshape(n_groups, fan_in, fan_out))
-            d3.sum(axis=1, out=grads[:, b])
+            d = delta.reshape(lead + (n_groups, k, fan_out))
+            hg = h.reshape(h.shape[:-2] + (n_groups, k, fan_in))
+            np.matmul(hg.swapaxes(-1, -2), d, out=g_w)
+            d.sum(axis=-2, out=g_b)
         else:
-            for g in range(n_groups):
-                lo, hi = bounds[g], bounds[g + 1]
-                grads[g, w] = (h[lo:hi].T @ delta[lo:hi]).ravel()
-                grads[g, b] = delta[lo:hi].sum(axis=0)
+            for g, hi in enumerate(itertools.accumulate(sizes)):
+                rows = slice(hi - sizes[g], hi)
+                np.matmul(h[..., rows, :].swapaxes(-1, -2), delta[..., rows, :],
+                          out=g_w[..., g, :, :])
+                delta[..., rows, :].sum(axis=-2, out=g_b[..., g, :])
         if i > 0:
-            delta = delta @ ws[i][0].T
+            delta = delta @ ws[i][0].swapaxes(-1, -2)
             if spec.activation == "relu":
                 delta *= h > 0.0
             else:

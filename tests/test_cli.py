@@ -69,9 +69,15 @@ def test_out_dir_created_if_parent_exists(tmp_path):
 
 
 def test_out_dir_missing_parent_exits_one(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, RUN_CFG + f"output.dir = {tmp_path / 'a' / 'b'}\n")
-    assert main(["run", "--config", cfg]) == 1
+    cfg = write_cfg(tmp_path, RUN_CFG)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "a" / "b")]) == 1
     assert "parent" in capsys.readouterr().err
+
+
+def test_config_out_dir_created_with_its_parents(tmp_path):
+    cfg = write_cfg(tmp_path, RUN_CFG + f"output.dir = {tmp_path / 'a' / 'b'}\n")
+    assert main(["run", "--config", cfg]) == 0
+    assert (tmp_path / "a" / "b" / "summary.csv").exists()
 
 
 def test_pareto_requires_two_tasks(tmp_path, capsys):
@@ -119,14 +125,15 @@ def test_threads_flag_and_env(tmp_path, monkeypatch):
 def test_degraded_run_exits_two(tmp_path, monkeypatch):
     import mgem.cli as cli_mod
 
-    original = cli_mod.run
+    original = cli_mod.run_group
 
-    def degraded_run(stream, mlp, cfg, trace=False):
-        result = original(stream, mlp, cfg, trace=trace)
-        result.degraded = True
-        return result
+    def degraded_run(stream, mlp, cfgs, trace=False):
+        results = original(stream, mlp, cfgs, trace=trace)
+        for result in results:
+            result.degraded = True
+        return results
 
-    monkeypatch.setattr(cli_mod, "run", degraded_run)
+    monkeypatch.setattr(cli_mod, "run_group", degraded_run)
     cfg = write_cfg(tmp_path, RUN_CFG.replace("single", "gem")
                     + f"output.dir = {tmp_path / 'o'}\n")
     assert main(["run", "--config", cfg]) == 2

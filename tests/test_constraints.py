@@ -6,12 +6,13 @@ from mgem.constraints import (
     MethodSpec,
     assemble_direction,
     build_instances,
+    memory_groups,
     resolve_partition,
     split_memory,
 )
 from mgem.engine import EpisodicMemory
 from mgem.layout import layer_slices, n_params
-from mgem.mlp import Dataset, MlpSpec, init_params, loss_and_grad
+from mgem.mlp import Dataset, MlpSpec, group_grads, init_params, loss_and_grad
 from mgem.seeds import derive_seed, rng_from
 from mgem.selfcheck import check_block_consistency
 
@@ -26,6 +27,12 @@ def make_memories(n_tasks, d_data, n_per=8, seed=0):
         splits = tuple(split_memory(n_per, d_data, derive_seed(seed, "memsplit", t)))
         mems.append(EpisodicMemory(task=t, data=data, splits=splits))
     return mems
+
+
+def build(method, memories, g_t, params, spec, spans):
+    """``build_instances`` on the memory rows of one stacked pass at ``params``."""
+    rows = group_grads(params, spec, *memory_groups(memories)) if memories else None
+    return build_instances(method, memories, g_t, rows, spans)
 
 
 def batch_grad(params, seed=1):
@@ -119,7 +126,7 @@ def test_split_memory_rejects_too_small():
 def test_no_past_tasks_yields_empty_batch():
     params = init_params(MLP, 0)
     spans = resolve_partition(MLP, "by_layer", 1)
-    batch = build_instances(MethodSpec("gem"), [], batch_grad(params), params, MLP, spans)
+    batch = build(MethodSpec("gem"), [], batch_grad(params), params, MLP, spans)
     assert batch.instances == [] and batch.memory_grads == []
 
 
@@ -127,8 +134,8 @@ def test_single_method_refuses_assembly():
     params = init_params(MLP, 0)
     spans = resolve_partition(MLP, "by_layer", 1)
     with pytest.raises(ValueError):
-        build_instances(MethodSpec("single"), make_memories(1, 1),
-                        batch_grad(params), params, MLP, spans)
+        build(MethodSpec("single"), make_memories(1, 1),
+              batch_grad(params), params, MLP, spans)
 
 
 def test_gem_instance_rows_are_memory_gradients():
@@ -136,7 +143,7 @@ def test_gem_instance_rows_are_memory_gradients():
     spans = resolve_partition(MLP, "by_layer", 1)
     mems = make_memories(2, 1)
     g_t = batch_grad(params)
-    batch = build_instances(MethodSpec("gem", strength=0.3), mems, g_t, params, MLP, spans)
+    batch = build(MethodSpec("gem", strength=0.3), mems, g_t, params, MLP, spans)
     assert len(batch.instances) == 1
     inst = batch.instances[0]
     assert inst.m == 2 and inst.form == qp.BOX_FORM
@@ -153,9 +160,9 @@ def test_pmgem_d1_identical_to_gem():
     spans = resolve_partition(MLP, "by_layer", 1)
     mems = make_memories(2, 1)
     g_t = batch_grad(params)
-    a = build_instances(MethodSpec("gem", strength=0.1), mems, g_t, params, MLP, spans)
-    b = build_instances(MethodSpec("p_mgem", d_param=1, strength=0.1),
-                        mems, g_t, params, MLP, spans)
+    a = build(MethodSpec("gem", strength=0.1), mems, g_t, params, MLP, spans)
+    b = build(MethodSpec("p_mgem", d_param=1, strength=0.1),
+              mems, g_t, params, MLP, spans)
     assert np.array_equal(a.instances[0].constraint_rows, b.instances[0].constraint_rows)
     assert np.array_equal(a.instances[0].target, b.instances[0].target)
 
@@ -165,10 +172,10 @@ def test_pmgem_slices_one_backprop_per_task():
     spans = resolve_partition(MLP, "by_layer", 2)
     mems = make_memories(2, 1)
     g_t = batch_grad(params)
-    batch = build_instances(MethodSpec("p_mgem", d_param=2), mems, g_t, params, MLP, spans)
+    batch = build(MethodSpec("p_mgem", d_param=2), mems, g_t, params, MLP, spans)
     assert len(batch.instances) == 2
-    full = build_instances(MethodSpec("gem"), mems, g_t, params, MLP,
-                           resolve_partition(MLP, "by_layer", 1)).instances[0]
+    full = build(MethodSpec("gem"), mems, g_t, params, MLP,
+                 resolve_partition(MLP, "by_layer", 1)).instances[0]
     for inst, span in zip(batch.instances, spans):
         assert np.array_equal(inst.constraint_rows, full.constraint_rows[:, span])
         assert np.array_equal(inst.target, g_t[span])
@@ -178,8 +185,8 @@ def test_dmgem_row_count():
     params = init_params(MLP, 0)
     spans = resolve_partition(MLP, "by_layer", 1)
     mems = make_memories(3, 2)
-    batch = build_instances(MethodSpec("d_mgem", d_data=2), mems,
-                            batch_grad(params), params, MLP, spans)
+    batch = build(MethodSpec("d_mgem", d_data=2), mems,
+                  batch_grad(params), params, MLP, spans)
     assert len(batch.instances) == 1
     assert batch.instances[0].m == 6
     # row 2s + d is the gradient of split d of memory s
@@ -193,8 +200,8 @@ def test_dmgem_memory_grad_is_weighted_split_mean():
     params = init_params(MLP, 0)
     spans = resolve_partition(MLP, "by_layer", 1)
     mems = make_memories(1, 2)
-    batch = build_instances(MethodSpec("d_mgem", d_data=2), mems,
-                            batch_grad(params), params, MLP, spans)
+    batch = build(MethodSpec("d_mgem", d_data=2), mems,
+                  batch_grad(params), params, MLP, spans)
     _, full = loss_and_grad(params, MLP, mems[0].data)
     np.testing.assert_allclose(batch.memory_grads[0], full, rtol=1e-12, atol=1e-15)
 
@@ -203,8 +210,8 @@ def test_mdmgem_instance_grid():
     params = init_params(MLP, 0)
     spans = resolve_partition(MLP, "by_layer", 2)
     mems = make_memories(2, 2)
-    batch = build_instances(MethodSpec("md_mgem", d_param=2, d_data=2), mems,
-                            batch_grad(params), params, MLP, spans)
+    batch = build(MethodSpec("md_mgem", d_param=2, d_data=2), mems,
+                  batch_grad(params), params, MLP, spans)
     assert len(batch.instances) == 2
     assert all(inst.m == 4 for inst in batch.instances)
 
@@ -221,7 +228,7 @@ def test_stacked_rows_match_per_group_gradients(method):
     spans = resolve_partition(MLP, "by_layer", method.d_param)
     mems = make_memories(3, method.d_data, n_per=32, seed=3)
     g_t = batch_grad(params)
-    batch = build_instances(method, mems, g_t, params, MLP, spans)
+    batch = build(method, mems, g_t, params, MLP, spans)
     expected = []
     for mem in mems:
         groups = mem.splits if method.d_data > 1 else (slice(None),)
@@ -243,8 +250,8 @@ def test_split_mismatch_rejected():
     spans = resolve_partition(MLP, "by_layer", 1)
     mems = make_memories(1, 2)
     with pytest.raises(ValueError):
-        build_instances(MethodSpec("d_mgem", d_data=3), mems,
-                        batch_grad(params), params, MLP, spans)
+        build(MethodSpec("d_mgem", d_data=3), mems,
+              batch_grad(params), params, MLP, spans)
 
 
 def test_degenerate_rows_dropped_and_counted():
@@ -252,7 +259,7 @@ def test_degenerate_rows_dropped_and_counted():
     spans = resolve_partition(MLP, "by_layer", 1)
     mems = make_memories(2, 1)
     g_t = batch_grad(params)
-    batch = build_instances(MethodSpec("gem"), mems, g_t, params, MLP, spans)
+    batch = build(MethodSpec("gem"), mems, g_t, params, MLP, spans)
     # near-zero rows (a fully fit past task) must vanish before solving
     rows = batch.instances[0].constraint_rows.copy()
     rows[0] = 1e-8
@@ -277,14 +284,14 @@ def test_fully_fit_memory_degenerates_to_unconstrained():
                               tuple(split_memory(6, 1, 1)))
     g_t = rng.standard_normal(n_params(spec))
 
-    batch = build_instances(MethodSpec("gem"), [fit_mem], g_t, params, spec, spans)
+    batch = build(MethodSpec("gem"), [fit_mem], g_t, params, spec, spans)
     assert batch.rows_dropped == 1
     assert batch.instances[0].m == 0
     sol = qp.solve_exact(batch.instances[0])
     assert np.array_equal(sol.direction, g_t)
 
-    both = build_instances(MethodSpec("gem"), [fit_mem, live_mem],
-                           g_t, params, spec, spans)
+    both = build(MethodSpec("gem"), [fit_mem, live_mem],
+                 g_t, params, spec, spans)
     assert both.instances[0].m == 1 and both.rows_dropped == 1
     # the kept row is the live memory's gradient; the dropped one is the
     # fit memory's, which is degenerate
@@ -333,8 +340,8 @@ def test_per_module_solve_equals_joint_solve():
     spans = resolve_partition(MLP, "by_layer", 2)
     mems = make_memories(2, 1, seed=4)
     g_t = batch_grad(params, seed=5)
-    batch = build_instances(MethodSpec("p_mgem", d_param=2, strength=0.2),
-                            mems, g_t, params, MLP, spans)
+    batch = build(MethodSpec("p_mgem", d_param=2, strength=0.2),
+                  mems, g_t, params, MLP, spans)
     z_blocks = assemble_direction(
         [qp.solve_exact(inst, tol=1e-12) for inst in batch.instances], spans)
 
@@ -379,8 +386,8 @@ def test_pipeline_determinism():
     spans = resolve_partition(MLP, "by_layer", 2)
     mems = make_memories(2, 1)
     g_t = batch_grad(params)
-    a = build_instances(MethodSpec("p_mgem", d_param=2), mems, g_t, params, MLP, spans)
-    b = build_instances(MethodSpec("p_mgem", d_param=2), mems, g_t, params, MLP, spans)
+    a = build(MethodSpec("p_mgem", d_param=2), mems, g_t, params, MLP, spans)
+    b = build(MethodSpec("p_mgem", d_param=2), mems, g_t, params, MLP, spans)
     for x, y in zip(a.instances, b.instances):
         assert np.array_equal(x.constraint_rows, y.constraint_rows)
         assert np.array_equal(x.target, y.target)

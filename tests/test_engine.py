@@ -1,10 +1,14 @@
+import re
+from dataclasses import replace
+from functools import partial
+
 import numpy as np
 import pytest
 
-from mgem import constraints, qp
+from mgem import qp
 from mgem.constraints import MethodSpec
-from mgem.engine import TrainConfig, pareto_sweep, run
-from mgem.mlp import Dataset, MlpSpec, group_grads, init_params, loss_and_grad
+from mgem.engine import TrainConfig, _chunks, _group_key, pareto_sweep, run, run_group, run_jobs
+from mgem.mlp import Dataset, MlpSpec, init_params, loss_and_grad
 from mgem.seeds import rng_from
 from mgem.taskgen import StreamSpec, Task, TaskStream, generate
 
@@ -93,7 +97,7 @@ def test_memories_never_change_after_storage(monkeypatch):
     seen = {}
     original = engine_mod.build_instances
 
-    def spying(method, memories, g_t, params, spec, spans):
+    def spying(method, memories, *args):
         for mem in memories:
             snapshot = (mem.data.features.tobytes(), mem.data.labels.tobytes(),
                         tuple(s.tobytes() for s in mem.splits))
@@ -101,7 +105,7 @@ def test_memories_never_change_after_storage(monkeypatch):
                 assert seen[mem.task] == snapshot, f"memory for task {mem.task} changed"
             else:
                 seen[mem.task] = snapshot
-        return original(method, memories, g_t, params, spec, spans)
+        return original(method, memories, *args)
 
     monkeypatch.setattr(engine_mod, "build_instances", spying)
     run(rotated_stream(n_tasks=3, n_train=60), MLP, cfg(MethodSpec("gem"), iters=15))
@@ -226,12 +230,15 @@ def test_overflowing_forward_pass_stops_at_its_step(method):
 
 def test_nonfinite_memory_gradient_stops_at_its_step(monkeypatch):
     # a NaN memory row would otherwise be dropped as degenerate
-    def poisoned(params, spec, data, sizes):
-        rows = group_grads(params, spec, data, sizes)
-        rows[0, 0] = np.nan
-        return rows
+    import mgem.engine as engine_mod
+    original = engine_mod.build_instances
 
-    monkeypatch.setattr(constraints, "group_grads", poisoned)
+    def poisoned(method, memories, g_t, rows, spans):
+        rows = rows.copy()
+        rows[0, 0] = np.nan
+        return original(method, memories, g_t, rows, spans)
+
+    monkeypatch.setattr(engine_mod, "build_instances", poisoned)
     with pytest.raises(FloatingPointError,
                        match=r"^memory gradients became non-finite at task 2, iteration 0;"):
         run(rotated_stream(), MLP, cfg(MethodSpec("gem")))
@@ -243,6 +250,108 @@ def test_accuracy_matrix_shape_and_range():
     R = result.accuracy
     assert R.shape == (3, 3)
     assert np.all((0.0 <= R) & (R <= 1.0))
+
+
+# --- lockstep groups ---------------------------------------------------------
+
+# Every memory-row layout: none (single), whole memories (gem, p_mgem by
+# layer and equal_flat, approx gem) and three splits of a 32-sample memory,
+# 11/11/10 rows, which takes the unequal-group path (d_mgem, md_mgem).
+LOCKSTEP_JOBS = (
+    (MethodSpec("single"), "by_layer"),
+    (MethodSpec("single"), "equal_flat"),
+    (MethodSpec("gem", strength=0.5), "by_layer"),
+    (MethodSpec("p_mgem", d_param=2, strength=0.5), "by_layer"),
+    (MethodSpec("p_mgem", d_param=3, strength=0.2), "equal_flat"),
+    (MethodSpec("gem", solver="approx", strength=0.5), "by_layer"),
+    (MethodSpec("d_mgem", d_data=3, strength=0.5), "by_layer"),
+    (MethodSpec("md_mgem", d_param=2, d_data=3, strength=0.3), "by_layer"),
+)
+
+
+def lockstep_cfgs(seed=0):
+    return [replace(cfg(method, iters=12, memory=32, seed=seed), partition_mode=mode)
+            for method, mode in LOCKSTEP_JOBS]
+
+
+def assert_same_run(a, b):
+    assert np.array_equal(a.accuracy, b.accuracy)
+    assert np.array_equal(a.final_params, b.final_params)
+    assert [vars(t) for t in a.traces] == [vars(t) for t in b.traces]
+    assert (a.constrained_steps, a.unconverged_steps, a.rows_dropped, a.degraded) == (
+        b.constrained_steps, b.unconverged_steps, b.rows_dropped, b.degraded)
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_lockstep_group_equals_each_job_alone(activation, trace):
+    stream = rotated_stream(n_tasks=3, n_train=60)
+    mlp = MlpSpec((3, 8, 3), activation=activation)
+    cfgs = lockstep_cfgs()
+    alone = [run(stream, mlp, c, trace=trace) for c in cfgs]
+    assert sum(r.constrained_steps for r in alone) > 0
+    assert all(bool(r.traces) == trace for r in alone)
+    groups = {}
+    for c in cfgs:
+        groups.setdefault(_group_key(c), []).append(c)
+    assert [len(g) for g in groups.values()] == [2, 4, 2]
+    together = [r for g in groups.values() for r in run_group(stream, mlp, g, trace=trace)]
+    for a, b in zip(alone, together):
+        assert_same_run(a, b)
+    # the whole mixed list, grouped and chunked for one and for three workers
+    job = partial(run_group, trace=trace)
+    for threads in (1, 3):
+        for a, b in zip(alone, run_jobs(job, stream, mlp, cfgs, threads)):
+            assert_same_run(a, b)
+
+
+def test_lockstep_results_do_not_depend_on_the_chunking():
+    stream = rotated_stream(n_tasks=3, n_train=60)
+    cfgs = [c for c in lockstep_cfgs() if _group_key(c)[-1] == 1]
+    cfgs += [replace(c, method=replace(c.method, strength=q))
+             for c in cfgs for q in (0.0, 1.0)]
+    whole = run_group(stream, MLP, cfgs, trace=True)
+    for cut in (1, 5, 11):
+        parts = (run_group(stream, MLP, cfgs[:cut], trace=True)
+                 + run_group(stream, MLP, cfgs[cut:], trace=True))
+        for a, b in zip(whole, parts):
+            assert_same_run(a, b)
+
+
+def test_group_rejects_jobs_that_draw_different_data():
+    stream = rotated_stream()
+    for other in (cfg(MethodSpec("gem"), seed=1), cfg(MethodSpec("gem"), lr=0.1),
+                  cfg(MethodSpec("single")), cfg(MethodSpec("d_mgem", d_data=2))):
+        with pytest.raises(ValueError, match="must share"):
+            run_group(stream, MLP, [cfg(MethodSpec("gem")), other])
+
+
+def test_diverging_job_leaves_its_group():
+    stream = rotated_stream()
+    cfgs = [cfg(MethodSpec("gem", strength=q)) for q in (0.1, 1e300, 0.5)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = run_group(stream, MLP, cfgs)
+        with pytest.raises(FloatingPointError) as alone:
+            run(stream, MLP, cfgs[1])
+    assert isinstance(results[1], FloatingPointError)
+    assert str(results[1]) == str(alone.value)
+    assert re.search(r"non-finite at task 2, iteration \d+;", str(results[1]))
+    for c, result in zip(cfgs[::2], results[::2]):
+        assert_same_run(result, run(stream, MLP, c))
+
+
+def test_chunks_halve_the_largest_until_two_per_worker():
+    grid = [MethodSpec("gem"), MethodSpec("p_mgem", d_param=2),
+            MethodSpec("d_mgem", d_data=2), MethodSpec("md_mgem", d_param=2, d_data=2),
+            MethodSpec("gem", solver="approx")]
+    cfgs = [cfg(replace(m, strength=q)) for m in grid for q in range(8)]
+    assert [len(c) for c in _chunks(cfgs, 1)] == [24, 16]
+    assert [len(c) for c in _chunks(cfgs, 2)] == [12, 12, 8, 8]
+    assert [len(c) for c in _chunks(cfgs, 3)] == [8, 8, 6, 6, 6, 6]
+    assert sorted(i for c in _chunks(cfgs, 3) for i in c) == list(range(40))
+    assert [len(c) for c in _chunks(cfgs[:2], 4)] == [1, 1]  # one job per chunk at most
+    for chunk in _chunks(cfgs, 3):
+        assert len({_group_key(cfgs[i]) for i in chunk}) == 1
 
 
 # --- pareto sweep ------------------------------------------------------------

@@ -10,6 +10,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mgem.cli import main
@@ -63,14 +64,14 @@ def train_cfg(seed=0, **kw):
                        method=MethodSpec("gem", **kw), seed=seed)
 
 
-def _pid_job(stream, mlp, cfg):
-    return os.getpid(), cfg.seed
+def _pid_job(stream, mlp, cfgs):
+    return [(os.getpid(), cfg.seed) for cfg in cfgs]
 
 
-def _failing_job(stream, mlp, cfg):
-    if cfg.seed == 2:
+def _failing_job(stream, mlp, cfgs):
+    if any(cfg.seed == 2 for cfg in cfgs):
         raise FloatingPointError("went wrong at task 2, iteration 7")
-    return cfg.seed
+    return [cfg.seed for cfg in cfgs]
 
 
 @pytest.mark.parametrize("command,extra", [("run", ["--seeds", "2"]), ("pareto", [])])
@@ -131,6 +132,21 @@ def test_diverging_job_exits_two_naming_job_task_and_iteration(tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"{job} failed: " in err
     assert re.search(r"non-finite at task 1, iteration \d+", err)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_diverging_job_in_a_group_is_named(tmp_path, capsys, threads):
+    # gem at q = 1e300 trains in lockstep with gem at q = 0.1 and diverges
+    # alone on task 2; the other jobs finish, and the run still fails
+    cfg = write_cfg(tmp_path, CFG + "method.4.kind = gem\nmethod.4.q = 1e300\n")
+    argv = ["run", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", str(threads)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"job 4 of 4 \(gem, q=1e\+300, seed=0\) failed: "
+                     r"[a-z ]+ became non-finite at task 2, iteration \d+;", err)
+    assert err.count("failed") == 1
     assert multiprocessing.active_children() == []
 
 
