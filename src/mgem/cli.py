@@ -19,7 +19,8 @@ lockstep as one parameter stack (``engine.run_group``); at N > 1 these
 groups are cut into at least 2N chunks, largest first. Output is identical
 for any N; where ``os.fork`` does not exist, the chunks run one after
 another in this process. ``MGEM_THREADS`` is the fallback for
-``--threads``.
+``--threads``. ``--seeds``, ``--threads`` and ``MGEM_THREADS`` must be at
+least 1.
 
 A config's ``output.dir`` is created with its parents; an ``--out``
 directory is created only if its parent exists.
@@ -65,16 +66,30 @@ def _resolve_out_dir(cfg: RunConfigFile, override) -> Path:
     return out
 
 
+def _count(text: str) -> int:
+    """An integer >= 1, for ``--seeds`` and ``--threads``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _threads(args) -> int:
     if args.threads is not None:
-        return max(1, args.threads)
+        return args.threads
     env = os.environ.get("MGEM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"MGEM_THREADS must be an integer, got {env!r}") from None
-    return 1
+    if not env:
+        return 1
+    try:
+        threads = int(env)
+    except ValueError:
+        raise ConfigError(f"MGEM_THREADS must be an integer, got {env!r}") from None
+    if threads < 1:
+        raise ConfigError(f"MGEM_THREADS must be >= 1, got {threads}")
+    return threads
 
 
 def _train_config(cfg: RunConfigFile, method, seed) -> TrainConfig:
@@ -90,6 +105,7 @@ def _train_config(cfg: RunConfigFile, method, seed) -> TrainConfig:
 
 
 def cmd_run(args) -> int:
+    threads = _threads(args)
     cfg = _load_config(args.config)
     if not cfg.methods:
         raise ConfigError("[method.1] at least one method entry is required for run")
@@ -97,7 +113,7 @@ def cmd_run(args) -> int:
     stream = generate(cfg.stream)
     seeds = [cfg.train_seed + i for i in range(args.seeds)]
     cfgs = [_train_config(cfg, method, seed) for method in cfg.methods for seed in seeds]
-    results = run_jobs(run_group, stream, cfg.model, cfgs, _threads(args))
+    results = run_jobs(run_group, stream, cfg.model, cfgs, threads)
 
     entries = []
     for run_idx, (tcfg, result) in enumerate(zip(cfgs, results), start=1):
@@ -115,6 +131,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_pareto(args) -> int:
+    threads = _threads(args)
     cfg = _load_config(args.config)
     out = _resolve_out_dir(cfg, args.out)
     stream = generate(cfg.stream)
@@ -124,8 +141,7 @@ def cmd_pareto(args) -> int:
     grid = [(m, q) for m in methods for q in cfg.q_grid]
     seeds = [cfg.train_seed + i for i in range(args.seeds)]
     base = _train_config(cfg, methods[0], cfg.train_seed)
-    points = pareto_sweep(stream, cfg.model, base, grid, seeds=seeds,
-                          threads=_threads(args))
+    points = pareto_sweep(stream, cfg.model, base, grid, seeds=seeds, threads=threads)
     write_pareto_csv(out / "pareto.csv", points)
     print(f"wrote {out / 'pareto.csv'} ({len(points)} rows)")
     if any(p.degraded for p in points):
@@ -153,16 +169,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="train every configured method, write summary")
     p_run.add_argument("--config", required=True, help="path to a run config file")
     p_run.add_argument("--out", default=None, help="output directory (overrides config)")
-    p_run.add_argument("--seeds", type=int, default=1, help="number of seeds per method")
-    p_run.add_argument("--threads", type=int, default=None,
+    p_run.add_argument("--seeds", type=_count, default=1, help="number of seeds per method")
+    p_run.add_argument("--threads", type=_count, default=None,
                        help="worker processes for the method x seed jobs")
     p_run.set_defaults(fn=cmd_run)
 
     p_par = sub.add_parser("pareto", help="inner-product trade-off sweep on tasks 1-2")
     p_par.add_argument("--config", required=True)
     p_par.add_argument("--out", default=None)
-    p_par.add_argument("--seeds", type=int, default=1)
-    p_par.add_argument("--threads", type=int, default=None,
+    p_par.add_argument("--seeds", type=_count, default=1)
+    p_par.add_argument("--threads", type=_count, default=None,
                        help="worker processes for the grid x seed jobs")
     p_par.set_defaults(fn=cmd_pareto)
 

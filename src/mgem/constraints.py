@@ -20,7 +20,12 @@ slices them per module.
 
 Per-module problems are independent (the joint QP is block-diagonal), so
 solving them separately and concatenating the directions equals the joint
-solve; ``assemble_direction`` does the concatenation.
+solve. The engine assembles the instances of every job of a lockstep stack
+at once (``assemble_step``): per module span and solver, one einsum finds
+the degenerate rows of all the jobs, and the jobs that keep the same number
+of rows form one stacked ``QpInstance`` for ``qp.solve_batch``.
+``build_instances`` is its one-job case, with one instance per module, and
+``assemble_direction`` concatenates the per-module directions.
 """
 
 from dataclasses import dataclass
@@ -29,12 +34,12 @@ import numpy as np
 
 from .layout import layer_slices, n_params
 from .mlp import Dataset, MlpSpec
-from .qp import BOX_FORM, QpInstance, drop_degenerate_rows
+from .qp import APPROX, BOX_FORM, EXACT, MIN_ROW_SQNORM, QpInstance
 from .seeds import rng_from
 
 METHOD_KINDS = ("single", "gem", "p_mgem", "d_mgem", "md_mgem")
 PARTITION_MODES = ("by_layer", "equal_flat")
-SOLVERS = ("exact", "approx")
+SOLVERS = (EXACT, APPROX)
 
 
 @dataclass(frozen=True)
@@ -128,9 +133,8 @@ def split_memory(n_samples: int, d_data: int, seed: int):
 class ConstraintBatch:
     """Instances for one update step plus gradient bookkeeping.
 
-    ``memory_grads`` holds the full-length per-past-task memory gradient
-    (for data-split methods: the size-weighted mean of the split gradients,
-    which equals the full-memory gradient under the mean-loss convention).
+    ``memory_grads`` holds each past task's full-length memory gradient
+    (see ``memory_grads``).
     """
 
     instances: list
@@ -138,12 +142,89 @@ class ConstraintBatch:
     rows_dropped: int
 
 
+@dataclass(eq=False)
+class ModuleStack:
+    """The instances of one step that share a module span, a kept row count
+    and a solver, as one stacked ``QpInstance``: item k belongs to the job
+    in stack row ``jobs[k]``."""
+
+    jobs: np.ndarray
+    span: slice
+    solver: str
+    inst: QpInstance
+
+
 def memory_groups(memories):
     """The samples of every memory, split by split in split order, and the
     split sizes: the rows and groups of the stacked pass whose gradients
-    ``build_instances`` reads, one gradient row per split."""
+    ``assemble_step`` reads, one gradient row per split."""
     data = Dataset.concat([mem.split_data for mem in memories])
     return data, [len(idx) for mem in memories for idx in mem.splits]
+
+
+def memory_grads(memories, rows: np.ndarray) -> np.ndarray:
+    """The full gradient of each memory for each job of a stack.
+
+    ``rows`` is ``(J, G, P)``: each job's gradient of every split, in
+    ``memory_groups`` order. Returns ``(J, len(memories), P)``. A memory of
+    one split is its row; for a split memory it is the size-weighted mean of
+    its split rows, which equals the full-memory gradient under the
+    mean-loss convention.
+    """
+    d = len(memories[0].splits)
+    if d == 1:
+        return rows
+    w = np.array([[len(idx) for idx in mem.splits] for mem in memories], dtype=np.float64)
+    w /= w.sum(axis=1, keepdims=True)
+    J, _, P = rows.shape
+    return np.matmul(w[:, None, :], rows.reshape(J, len(memories), d, P))[:, :, 0]
+
+
+def assemble_step(methods, spans, g_t: np.ndarray, rows: np.ndarray, jobs) -> tuple:
+    """Assemble the box-form instances of one step for the jobs of a stack.
+
+    ``methods[r]`` and ``spans[r]`` are the method and partition of stack
+    row ``r``, ``g_t`` the ``(J, P)`` minibatch gradients and ``rows`` the
+    ``(J, G, P)`` memory gradient rows (``memory_groups`` order); ``jobs``
+    lists the stack rows to assemble, in order. For every module span and
+    solver, one einsum finds each job's degenerate rows, and the jobs that
+    keep the same number of rows form one ``ModuleStack``; an instance whose
+    rows all drop degenerates to the unconstrained problem. Returns the
+    stacks and the rows dropped per stack row.
+
+    Each item is laid out as its job's instance alone would be: a module
+    slice of the job's rows, or a copy of the kept rows once one drops, so
+    the solvers give each job its own result bit for bit.
+    """
+    members = {}
+    for r in jobs:
+        for span in spans[r]:
+            members.setdefault((span.start, span.stop, methods[r].solver), []).append(r)
+    stacks = []
+    dropped = np.zeros(len(rows), dtype=np.int64)
+    G = rows.shape[1]
+    for (a, b, solver), group in members.items():
+        lo, hi = group[0], group[-1] + 1
+        block = rows[lo:hi] if hi - lo == len(group) else rows[group]
+        module = block[:, :, a:b]
+        keep = np.einsum("jgn,jgn->jg", module, module) >= MIN_ROW_SQNORM
+        kept = keep.sum(axis=1)
+        group = np.asarray(group)
+        dropped[group] += G - kept
+        strength = np.array([methods[r].strength for r in group])
+        for m in np.bincount(kept).nonzero()[0]:
+            at = (kept == m).nonzero()[0]
+            if m == G:
+                c = module if at.size == group.size else block[at][:, :, a:b]
+            else:
+                c = block[at[:, None], keep[at].nonzero()[1].reshape(at.size, m), a:b]
+            stacks.append(ModuleStack(group[at], slice(a, b), solver, QpInstance(
+                constraint_rows=c,
+                target=g_t[group[at], a:b],
+                strength=np.repeat(strength[at, None], m, axis=1),
+                form=BOX_FORM,
+            )))
+    return stacks, dropped
 
 
 def build_instances(method: MethodSpec, memories, g_t: np.ndarray,
@@ -155,7 +236,8 @@ def build_instances(method: MethodSpec, memories, g_t: np.ndarray,
     gradient of every split, in ``memory_groups`` order. An empty list
     yields an empty batch (first task: the caller uses the plain gradient).
     Degenerate rows are dropped per the solver policy; an instance whose
-    rows all drop degenerates to the unconstrained problem.
+    rows all drop degenerates to the unconstrained problem. This is the
+    one-job case of ``assemble_step``.
     """
     if method.kind == "single":
         raise ValueError("the single baseline does not assemble constraints")
@@ -174,28 +256,15 @@ def build_instances(method: MethodSpec, memories, g_t: np.ndarray,
         raise ValueError(f"got {rows.shape[0]} gradient rows for {len(memories)} "
                          f"memories of {d} splits")
 
-    if d > 1:
-        memory_grads = []
-        for k, mem in enumerate(memories):
-            w = np.asarray([len(idx) for idx in mem.splits], dtype=np.float64)
-            memory_grads.append((w / w.sum()) @ rows[k * d:(k + 1) * d])
-    else:
-        memory_grads = list(rows)
-
+    stacks, dropped = assemble_step([method], [spans], g_t[None], rows[None], [0])
+    by_span = {(s.span.start, s.span.stop): s.inst for s in stacks}
     instances = []
-    dropped_total = 0
     for span in spans:
-        module_rows = rows[:, span]
-        strength = np.full(module_rows.shape[0], method.strength)
-        kept_rows, kept_strength, dropped = drop_degenerate_rows(module_rows, strength)
-        dropped_total += dropped
-        instances.append(QpInstance(
-            constraint_rows=kept_rows,
-            target=g_t[span].copy(),
-            strength=kept_strength,
-            form=BOX_FORM,
-        ))
-    return ConstraintBatch(instances, memory_grads, dropped_total)
+        inst = by_span[(span.start, span.stop)]
+        instances.append(QpInstance(inst.constraint_rows[0], inst.target[0],
+                                    inst.strength[0], inst.form))
+    return ConstraintBatch(instances, list(memory_grads(memories, rows[None])[0]),
+                           int(dropped[0]))
 
 
 def assemble_direction(solutions, spans) -> np.ndarray:

@@ -16,8 +16,9 @@ Jobs that draw the same data -- the same seed, step size, schedule, memory
 size and memory rows per step, e.g. the methods and strengths of one sweep
 -- train in lockstep (``run_group``): their parameters form one ``(J, P)``
 stack, and each step makes one stacked minibatch, memory and trace pass for
-all of them, while constraint assembly and the QP solves stay per job.
-``run`` is the one-job case.
+all of them, assembles the per-module QPs of every job at once
+(``constraints.assemble_step``) and solves them in one ``qp.solve_batch``
+call. ``run`` is the one-job case.
 
 ``run_jobs`` runs independent jobs (one ``TrainConfig`` each, over a shared
 stream and model spec): it groups them by the data they draw, cuts the
@@ -38,8 +39,8 @@ import numpy as np
 from . import qp
 from .constraints import (
     MethodSpec,
-    assemble_direction,
-    build_instances,
+    assemble_step,
+    memory_grads,
     memory_groups,
     resolve_partition,
     split_memory,
@@ -110,18 +111,12 @@ def _nonfinite(what: str, task: int, it: int) -> FloatingPointError:
 
 
 def _nonfinite_rows(stack: np.ndarray, what: str, task: int, it: int) -> dict:
-    """Each job (row of ``stack``) whose values stop being finite at this
-    step, with the error that stops it there."""
-    finite = np.isfinite(stack).all(axis=1)
+    """Each job (first index of ``stack``) whose values stop being finite at
+    this step, with the error that stops it there."""
+    finite = np.isfinite(stack).all(axis=tuple(range(1, stack.ndim)))
     if finite.all():
         return {}
     return {int(r): _nonfinite(what, task, it) for r in np.flatnonzero(~finite)}
-
-
-def _solve(inst, method: MethodSpec):
-    if method.solver == "approx":
-        return qp.solve_approx(inst)
-    return qp.solve_exact(inst)
 
 
 def _group_key(cfg: TrainConfig) -> tuple:
@@ -155,10 +150,12 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
     All configs must share one ``_group_key``. Each step makes one stacked
     minibatch pass, one stacked memory pass and (when tracing) one stacked
     trace pass for all jobs; the memory and trace rows are cut once per
-    task. Constraint assembly, the QP solves, the direction, the trace inner
-    products and the finiteness checks run per job, so each job's result is
-    the one it gets alone, bit for bit. A job whose values stop being finite
-    leaves the stack at that step; the other jobs train on.
+    task. The per-module QPs of every job are assembled together and solved
+    in one batched call, and each direction ``g + C^T v`` is written into
+    its job's module span of the update stack; the trace inner products stay
+    per job. Each job's result is the one it gets alone, bit for bit. A job
+    whose values stop being finite leaves the stack at that step; the other
+    jobs train on.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -222,24 +219,30 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
                 trace_rows = _backprop(params, mlp, trace_data, trace_sizes)[1]
             z = g_t if memory_rows is None else np.empty_like(g_t)
             failed = _nonfinite_rows(g_t, "minibatch gradient", task.descriptor, it)
-            for r, j in enumerate(live):
-                if r in failed:
-                    continue
-                method = cfgs[j].method
-                if memory_rows is not None:
-                    batch = build_instances(method, memories, g_t[r], mem_rows[r], spans[j])
-                    if not np.isfinite(batch.memory_grads).all():
-                        failed[r] = _nonfinite("memory gradients", task.descriptor, it)
-                        continue
-                    sols = [_solve(inst, method) for inst in batch.instances]
-                    z[r] = assemble_direction(sols, spans[j])
+            if memory_rows is not None:
+                grads = memory_grads(memories, mem_rows)
+                for r, exc in _nonfinite_rows(grads, "memory gradients",
+                                              task.descriptor, it).items():
+                    failed.setdefault(r, exc)
+                todo = [r for r in range(len(live)) if r not in failed]
+                stacks, dropped = assemble_step([cfgs[j].method for j in live],
+                                                [spans[j] for j in live], g_t, mem_rows, todo)
+                unsolved = np.zeros(len(live), dtype=bool)
+                for stack, sol in zip(stacks, qp.solve_batch([s.inst for s in stacks],
+                                                             [s.solver for s in stacks])):
+                    z[stack.jobs, stack.span] = sol.direction
+                    unsolved[stack.jobs[~sol.converged]] = True
+                for r in todo:
+                    j = live[r]
                     constrained[j] += 1
-                    if not all(s.converged for s in sols):
-                        unconverged[j] += 1
-                    rows_dropped[j] += batch.rows_dropped
-                if traced:
+                    unconverged[j] += int(unsolved[r])
+                    rows_dropped[j] += int(dropped[r])
+            if traced:
+                for r, j in enumerate(live):
+                    if r in failed:
+                        continue
                     rows = trace_rows[r]
-                    mem_grads = rows[t_pos:] if memory_rows is None else batch.memory_grads
+                    mem_grads = rows[t_pos:] if memory_rows is None else grads[r]
                     traces[j].append(StepTrace(
                         task=t_pos,
                         iteration=it,

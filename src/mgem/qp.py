@@ -30,11 +30,23 @@ Three routes are provided:
                         a clamp of each multiplier to its lower bound. Exact
                         for a single constraint; one matrix-vector pass.
 
+``solve_batch`` solves many instances at once, each by the exact or the
+approximate route: a ``QpInstance`` may hold a stack of instances that share
+m, n and form, and the exact instances of every stack with the same m run
+through one Lawson-Hanson core on ``(B, m, m)`` arrays, each advancing
+through its own pivots and Newton steps under masks. ``solve_exact`` and
+``solve_approx`` are its one-instance case. Every result is the one the
+instance gets alone, bit for bit: each stacked product is the per-instance
+product (Gram, ``K u``, ``K_j . d`` as a 1 x m by m x 1 product, the
+direction), and the free-set systems ``K[P][:, P]`` are gathered per
+instance and solved in stacks of equal ``|P|``.
+
 Rows with squared norm below ``MIN_ROW_SQNORM`` must be dropped before
 solving (the diagonal scaling would divide by ~0); ``drop_degenerate_rows``
 does this at assembly time.
 """
 
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -45,6 +57,8 @@ log = logging.getLogger(__name__)
 BOX_FORM = "box_lower_bound"
 REGULARIZED_FORM = "linear_regularized"
 _FORMS = (BOX_FORM, REGULARIZED_FORM)
+EXACT = "exact"
+APPROX = "approx"
 
 MIN_ROW_SQNORM = 1e-12
 DEFAULT_TOL = 1e-10
@@ -54,7 +68,10 @@ _ENUM_MAX_M = 12
 
 @dataclass(eq=False)
 class QpInstance:
-    """One assembled inequality system for a single update step.
+    """One assembled inequality system for a single update step, or a
+    stack of ``B`` such systems with equal m, n and form: rows ``(B, m, n)``,
+    target ``(B, n)``, strength ``(B, m)``. A target with two axes marks a
+    stack.
 
     ``strength`` is the per-row lower bound ``q`` in the box form, or the
     per-row primal margin ``gamma`` in the regularized form; entrywise >= 0
@@ -67,35 +84,41 @@ class QpInstance:
     form: str = BOX_FORM
 
     def __post_init__(self):
-        self.constraint_rows = np.atleast_2d(
-            np.asarray(self.constraint_rows, dtype=np.float64)
-        )
         self.target = np.asarray(self.target, dtype=np.float64)
-        self.strength = np.atleast_1d(np.asarray(self.strength, dtype=np.float64))
+        if self.target.ndim not in (1, 2):
+            raise ValueError("target must be a vector or a stack of vectors")
+        lead = self.target.shape[:-1]
+        self.constraint_rows = np.asarray(self.constraint_rows, dtype=np.float64)
+        self.strength = np.asarray(self.strength, dtype=np.float64)
+        if not lead:
+            self.constraint_rows = np.atleast_2d(self.constraint_rows)
+            self.strength = np.atleast_1d(self.strength)
         if self.constraint_rows.size == 0:
-            self.constraint_rows = self.constraint_rows.reshape(0, self.target.shape[0])
-            self.strength = self.strength.reshape(0)
+            self.constraint_rows = self.constraint_rows.reshape(lead + (0, self.target.shape[-1]))
+            self.strength = self.strength.reshape(lead + (0,))
         if self.form not in _FORMS:
             raise ValueError(f"unknown form {self.form!r}")
-        if self.target.ndim != 1:
-            raise ValueError("target must be a vector")
-        if self.constraint_rows.shape[1] != self.target.shape[0]:
+        if (self.constraint_rows.ndim != len(lead) + 2
+                or self.constraint_rows.shape[:-2] != lead):
+            raise ValueError("constraint rows and target disagree on the stack size")
+        if self.constraint_rows.shape[-1] != self.target.shape[-1]:
             raise ValueError("constraint rows and target disagree on dimension")
-        if self.strength.shape[0] != self.constraint_rows.shape[0]:
+        if self.strength.shape != self.constraint_rows.shape[:-1]:
             raise ValueError("strength length must equal the number of rows")
 
     @property
     def m(self) -> int:
-        return self.constraint_rows.shape[0]
+        return self.constraint_rows.shape[-2]
 
     @property
     def n(self) -> int:
-        return self.target.shape[0]
+        return self.target.shape[-1]
 
 
 @dataclass(eq=False)
 class DualSolution:
-    """Multipliers, recovered direction, and convergence diagnostics."""
+    """Multipliers, recovered direction, and convergence diagnostics; for a
+    stacked instance each field has the stack's leading axis."""
 
     multipliers: np.ndarray
     direction: np.ndarray
@@ -123,14 +146,28 @@ def drop_degenerate_rows(rows: np.ndarray, strength: np.ndarray):
     return rows, strength, dropped
 
 
-def _check(inst: QpInstance, sqnorms: np.ndarray):
+def _stack(inst: QpInstance):
+    """``(rows, target, strength)`` with a leading stack axis; one instance
+    is a stack of one (views, so each item keeps its memory layout)."""
+    if inst.target.ndim == 2:
+        return inst.constraint_rows, inst.target, inst.strength
+    return inst.constraint_rows[None], inst.target[None], inst.strength[None]
+
+
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``A @ x`` for stacks of matrices and vectors, as the per-item
+    matrix-vector product."""
+    return np.matmul(A, x[..., None])[..., 0]
+
+
+def _check(sqnorms, target, strength):
     """Reject bad input. ``sqnorms`` are the squared row norms (the Gram
     diagonal): a row holding NaN or Inf has a non-finite norm."""
     if not (np.isfinite(sqnorms).all()
-            and np.isfinite(inst.target).all()
-            and np.isfinite(inst.strength).all()):
+            and np.isfinite(target).all()
+            and np.isfinite(strength).all()):
         raise ValueError("QP instance contains NaN or Inf")
-    if (inst.strength < 0.0).any():
+    if (strength < 0.0).any():
         raise ValueError("strength must be entrywise >= 0")
     if (sqnorms < MIN_ROW_SQNORM).any():
         raise ValueError(
@@ -139,26 +176,26 @@ def _check(inst: QpInstance, sqnorms: np.ndarray):
         )
 
 
-def _gram(inst: QpInstance):
-    """Validated ``(K, h, lb)``: at ``v = lb + u`` the dual gradient is
-    ``K u + h`` (``gamma = 0`` in the box form)."""
-    rows = inst.constraint_rows
-    K = rows @ rows.T
-    _check(inst, np.diag(K))
-    lb = lower_bounds(inst)
-    h = rows @ inst.target + K @ lb
-    if inst.form == REGULARIZED_FORM:
-        h -= inst.strength
+def _gram(rows, target, strength, form):
+    """Validated stacked ``(K, h, lb)``: at ``v = lb + u`` the dual gradient
+    is ``K u + h`` (``gamma = 0`` in the box form)."""
+    K = rows @ np.swapaxes(rows, -1, -2)
+    _check(np.diagonal(K, axis1=-2, axis2=-1), target, strength)
+    lb = strength if form == BOX_FORM else np.zeros_like(strength)
+    h = _matvec(rows, target) + _matvec(K, lb)
+    if form == REGULARIZED_FORM:
+        h -= strength
     return K, h, lb
 
 
-def _kkt(u: np.ndarray, grad: np.ndarray) -> float:
-    """``max_k |min(u_k, grad_k)|`` for ``u = v - lb``; 0 when ``m = 0``."""
-    return float(np.abs(np.minimum(u, grad)).max(initial=0.0))
+def _kkt(u: np.ndarray, grad: np.ndarray):
+    """``max_k |min(u_k, grad_k)|`` over the last axis for ``u = v - lb``;
+    0 when ``m = 0``."""
+    return np.maximum.reduce(np.abs(np.minimum(u, grad)), axis=-1, initial=0.0)
 
 
 def lower_bounds(inst: QpInstance) -> np.ndarray:
-    return inst.strength if inst.form == BOX_FORM else np.zeros(inst.m)
+    return inst.strength if inst.form == BOX_FORM else np.zeros_like(inst.strength)
 
 
 def dual_objective(inst: QpInstance, v: np.ndarray) -> float:
@@ -180,100 +217,208 @@ def kkt_residual(inst: QpInstance, v: np.ndarray) -> float:
     grad = inst.constraint_rows @ (inst.constraint_rows.T @ v + inst.target)
     if inst.form == REGULARIZED_FORM:
         grad = grad - inst.strength
-    return _kkt(v - lower_bounds(inst), grad)
+    return float(_kkt(v - lower_bounds(inst), grad))
 
 
-def _solution(inst, v, iterations, residual, converged=True) -> DualSolution:
-    return DualSolution(v, inst.target + inst.constraint_rows.T @ v, iterations,
-                        residual, converged)
+def _solve_stack(A: np.ndarray, y: np.ndarray):
+    """``solve(A_i, y_i)`` for a stack; returns the solutions and a mask of
+    the singular systems (``None`` if there are none), whose solutions are
+    left as zeros."""
+    try:
+        return np.linalg.solve(A, y[..., None])[..., 0], None
+    except np.linalg.LinAlgError:
+        x = np.zeros_like(y)
+        singular = np.zeros(len(A), dtype=bool)
+        for i in range(len(A)):
+            try:
+                x[i] = np.linalg.solve(A[i], y[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return x, singular
 
 
-def _step(u, free, d, limit):
-    """Move ``u += t * d`` in place with ``t = min(limit, first bound hit)``
-    and pin the free coordinates that reach 0. Returns ``t``, ``inf`` (no
-    move) when nothing bounds an unlimited step."""
-    down = (free & (d < 0.0)).nonzero()[0]
-    ratio = u[down] / -d[down]
-    t = min(limit, ratio.min(initial=np.inf))
-    if t < np.inf:
-        u += t * d
-        if t < limit:
-            u[down[np.argmin(ratio)]] = 0.0
+def _lawson_hanson(K: np.ndarray, h: np.ndarray, tol: float, max_iter: int):
+    """Lawson-Hanson active-set method on a stack of Gram-space duals.
+
+    Solves ``min 0.5 u^T K_b u + h_b^T u, u >= 0`` for every ``b`` of
+    ``K (B, m, m)`` and ``h (B, m)``, from ``u = 0``. Each pivot frees the
+    pinned coordinate with the most negative gradient and moves it to the
+    minimum along the direction that keeps the other free coordinates
+    stationary. A free coordinate that reaches its bound first is pinned
+    again, and Newton steps on the smaller free set follow until one is not
+    cut short (Lawson & Hanson, *Solving Least Squares Problems*, 1974).
+    The free rows stay independent: a row in their span enters only by
+    pinning one of them.
+
+    An instance stops when its KKT residual drops to ``tol``, when it has
+    made ``max_iter`` active-set solves (one per pivot, one per Newton
+    step), on a round-off stall, on an unbounded dual (margins no direction
+    meets), or when its free rows turn singular; it keeps its feasible
+    iterate. Each round takes every running instance one solve further:
+    those at the top of the loop test KKT and pick their pivot, then every
+    pivot and Newton step solves on its free set, in stacks of equal size,
+    and all move at once. A stopped instance moves by ``0 * d`` and stays
+    where it is. Returns ``u``, the solve counts and the KKT residuals.
+    """
+    B, m = h.shape
+    u = np.zeros((B, m))
+    free = np.zeros((B, m), dtype=bool)
+    solves = np.zeros(B, dtype=np.int64)
+    refined = np.zeros(B, dtype=bool)
+    newton = np.zeros(B, dtype=bool)    # on a face, taking Newton steps
+    running = np.full(B, m > 0)         # with no rows, u = 0 is optimal
+    every = np.arange(B)
+    for rounds in itertools.count():
+        if rounds >= max_iter:  # no instance has more solves than rounds
+            running &= solves < max_iter
+        pivot = running & ~newton
+        if pivot.any():
+            # the top of the loop: stop at KKT, else pivot on the most
+            # negative gradient
+            grad = _matvec(K, u) + h
+            done = pivot & (_kkt(u, grad) <= tol)
+            pivot ^= done
+            running ^= done
+            w = np.where(free, 0.0, -grad)
+            j = w.argmax(axis=1)
+            wj = w[every, j]
+            stalled = pivot & (wj <= tol)
+            if stalled.any():  # no pivot left: polish the face once, then stop
+                pivot ^= stalled
+                running ^= stalled & refined
+                newton |= stalled
+                refined |= stalled
+        if not running.any():
+            break
+        solves += running
+        pj = pivot.nonzero()[0]
+        # a pivot frees j along d (d_j = 1, K_PP d_P = -K_Pj), a Newton step
+        # solves K_PP d_P = -(K u + h)_P on the free set P; a stopped
+        # instance keeps d = 0 and stays where it is
+        d = np.zeros((B, m))
+        sizes = free.sum(axis=1) * running
+        for k in np.bincount(sizes).nonzero()[0]:
+            if not k:
+                continue
+            b = (sizes == k).nonzero()[0]
+            bc = b[:, None]
+            P = free[b].nonzero()[1].reshape(b.size, k)
+            p = pivot[b]
+            if p.all():
+                y = K[bc, P, j[bc]]
+            else:
+                y = _matvec(K[bc, P], u[b]) + h[bc, P]
+                if p.any():
+                    y = np.where(p[:, None], K[bc, P, j[bc]], y)
+            x, singular = _solve_stack(K[bc[:, :, None], P[:, :, None], P[:, None, :]], y)
+            d[bc, P] = -x
+            if singular is not None:  # stopped before the move: d stays 0
+                running[b[singular]] = pivot[b[singular]] = False
+                pj = pivot.nonzero()[0]
+        if pj.size:
+            # slope -w_j, curvature d^T K d: 0 for a row in the free span;
+            # with none, only a bound stops the ray
+            jp = j[pj]
+            d[pj, jp] = 1.0
+            curv = np.matmul(K[every, j][:, None, :], d[:, :, None])[:, 0, 0]
+            bent = pivot & (curv > 0.0)
+            limit = np.divide(wj, curv, out=np.where(pivot, np.inf, 1.0), where=bent)
+            ray = (bent ^ pivot).any()
+            free[pj, jp] = True
+            refined[pj] = False
+        else:
+            limit, ray = np.ones(B), False
+        # move by t = min(limit, first bound hit) along d and pin the free
+        # coordinates that reach 0 (only free ones have d < 0); t = inf:
+        # the dual is unbounded, no move
+        down = d < 0.0
+        ratio = np.where(down, u / np.where(down, -d, 1.0), np.inf)
+        first = np.minimum.reduce(ratio, axis=1)
+        t = np.minimum(first, limit)
+        if ray:
+            running &= t < np.inf
+            u += np.where(t < np.inf, t, 0.0)[:, None] * d
+        else:
+            u += t[:, None] * d
+        cut = (t < limit).nonzero()[0]
+        if cut.size:
+            u[cut, ratio[cut].argmin(axis=1)] = 0.0
         out = free & (u <= 0.0)
         u[out] = 0.0
         free[out] = False
-    return t
+        newton = t != limit
+    return u, solves, _kkt(u, _matvec(K, u) + h)
+
+
+def solve_batch(insts, solvers, tol: float = DEFAULT_TOL,
+                max_iter: int = DEFAULT_MAX_ITER) -> list:
+    """Solve every instance of ``insts`` (each one instance or a stack),
+    by the route ``solvers[i]`` names: ``EXACT`` or ``APPROX``.
+
+    Returns one ``DualSolution`` per entry, stacked like it. The exact
+    instances of every entry with the same m share one Lawson-Hanson core
+    (``tol``, ``max_iter`` as in ``solve_exact``); the approximate ones are
+    one closed form per entry. Each result equals the one its instance gets
+    alone, bit for bit.
+    """
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    insts, solvers = list(insts), list(solvers)
+    if len(solvers) != len(insts):
+        raise ValueError(f"got {len(solvers)} solvers for {len(insts)} instances")
+    stacks = [_stack(inst) for inst in insts]
+    v, solves, residual = [None] * len(insts), [None] * len(insts), [None] * len(insts)
+    exact = {}   # m -> [(entry, K, h, lb)]
+    for i, (inst, solver, (rows, target, strength)) in enumerate(zip(insts, solvers, stacks)):
+        if solver == EXACT:
+            exact.setdefault(inst.m, []).append((i, *_gram(rows, target, strength, inst.form)))
+        elif solver == APPROX:
+            if inst.form != BOX_FORM:
+                raise ValueError("approximate solver handles the box_lower_bound form only")
+            sq = np.einsum("bij,bij->bi", rows, rows)
+            _check(sq, target, strength)
+            v[i] = np.maximum(-_matvec(rows, target) / sq, strength)
+            solves[i] = np.zeros(len(rows), dtype=np.int64)
+        else:
+            raise ValueError(f"unknown solver {solver!r}")
+    for group in exact.values():
+        u, n_solves, res = _lawson_hanson(np.concatenate([g[1] for g in group]),
+                                          np.concatenate([g[2] for g in group]),
+                                          tol, max_iter)
+        at = 0
+        for i, _, _, lb in group:
+            end = at + len(lb)
+            v[i], solves[i], residual[i] = lb + u[at:end], n_solves[at:end], res[at:end]
+            at = end
+
+    out = []
+    for i, (inst, (rows, target, strength)) in enumerate(zip(insts, stacks)):
+        direction = target + _matvec(np.swapaxes(rows, -1, -2), v[i])
+        if residual[i] is None:   # approximate: the box form's KKT residual at v
+            residual[i] = _kkt(v[i] - strength, _matvec(rows, direction))
+            converged = np.ones(len(rows), dtype=bool)
+        else:
+            converged = residual[i] <= tol
+        if inst.target.ndim == 2:
+            out.append(DualSolution(v[i], direction, solves[i], residual[i], converged))
+        else:
+            out.append(DualSolution(v[i][0], direction[0], int(solves[i][0]),
+                                    float(residual[i][0]), bool(converged[0])))
+    return out
 
 
 def solve_exact(inst: QpInstance, tol: float = DEFAULT_TOL,
                 max_iter: int = DEFAULT_MAX_ITER) -> DualSolution:
-    """Lawson-Hanson active-set method on the dual in Gram space.
+    """Lawson-Hanson active-set method on the dual in Gram space
+    (``_lawson_hanson``); the one-instance case of ``solve_batch``.
 
-    Solves ``min 0.5 u^T K u + h^T u, u >= 0`` from ``u = 0``. Each pivot
-    frees the pinned coordinate with the most negative gradient and moves
-    it to the minimum along the direction that keeps the other free
-    coordinates stationary. A free coordinate that reaches its bound first
-    is pinned again, and Newton steps on the smaller free set follow until
-    one is not cut short (Lawson & Hanson, *Solving Least Squares
-    Problems*, 1974). The free rows stay independent: a row in their span
-    enters only by pinning one of them. Past the Gram product, all work up
-    to ``direction = g + C^T v`` is on m-sized arrays.
-
-    Stops when the KKT residual drops to ``tol``. ``iterations`` counts the
-    active-set solves (one per pivot, one per Newton step) and ``max_iter``
-    caps them. On the cap, a round-off stall or an unbounded dual (margins
-    no direction meets), the feasible iterate is returned with
-    ``converged=False``.
+    Past the Gram product, all work up to ``direction = g + C^T v`` is on
+    m-sized arrays. Stops when the KKT residual drops to ``tol``.
+    ``iterations`` counts the active-set solves and ``max_iter`` caps them.
+    On the cap, a round-off stall or an unbounded dual (margins no direction
+    meets), the feasible iterate is returned with ``converged=False``.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    K, h, lb = _gram(inst)
-    m = inst.m
-    u = np.zeros(m)
-    free = np.zeros(m, dtype=bool)
-    solves = 0
-    refined = False
-    try:
-        while solves < max_iter:
-            grad = K @ u + h
-            if _kkt(u, grad) <= tol:
-                break
-            w = np.where(free, 0.0, -grad)
-            j = int(np.argmax(w))
-            if w[j] > tol:
-                # free j along d (d_j = 1, K_PP d_P = -K_Pj): slope -w_j,
-                # curvature d^T K d, which is 0 for a row in the free span
-                solves += 1
-                P = free.nonzero()[0]
-                d = np.zeros(m)
-                d[j] = 1.0
-                if P.size:
-                    d[P] = -np.linalg.solve(K[P][:, P], K[P, j])
-                curv = float(K[j] @ d)
-                limit = w[j] / curv if curv > 0.0 else np.inf
-                free[j] = True
-                t = _step(u, free, d, limit)
-                if t == np.inf:
-                    break  # nothing stops the ray: the dual is unbounded
-                refined = False
-                if t == limit:
-                    continue
-            elif refined:
-                break  # the face is as solved as round-off allows
-            else:
-                refined = True
-            # Newton steps on the free face until one is not cut short
-            while solves < max_iter:
-                solves += 1
-                P = free.nonzero()[0]
-                d = np.zeros(m)
-                d[P] = -np.linalg.solve(K[P][:, P], K[P] @ u + h[P])
-                if _step(u, free, d, 1.0) == 1.0:
-                    break
-    except np.linalg.LinAlgError:
-        pass  # round-off made the free rows singular; u is still feasible
-    residual = _kkt(u, K @ u + h)
-    return _solution(inst, lb + u, solves, residual, residual <= tol)
+    return solve_batch([inst], [EXACT], tol, max_iter)[0]
 
 
 def solve_enumerate(inst: QpInstance) -> DualSolution:
@@ -285,7 +430,8 @@ def solve_enumerate(inst: QpInstance) -> DualSolution:
     and the pinned coordinates have non-negative dual gradient. Singular
     subsystems are skipped. Ties go to the first enumerated optimal set.
     """
-    K, h, lb = _gram(inst)
+    rows, target, strength = _stack(inst)
+    K, h, lb = (a[0] for a in _gram(rows, target, strength, inst.form))
     m = inst.m
     if m > _ENUM_MAX_M:
         raise ValueError(f"enumeration supports m <= {_ENUM_MAX_M}, got {m}")
@@ -315,11 +461,14 @@ def solve_enumerate(inst: QpInstance) -> DualSolution:
             best_u = u
     if best_u is None:
         raise RuntimeError("no active set satisfied the KKT conditions")
-    return _solution(inst, lb + best_u, tried, _kkt(best_u, K @ best_u + h))
+    v = lb + best_u
+    return DualSolution(v, inst.target + inst.constraint_rows.T @ v, tried,
+                        float(_kkt(best_u, K @ best_u + h)), True)
 
 
 def solve_approx(inst: QpInstance) -> DualSolution:
-    """Two-stage approximate dual solve (box form only).
+    """Two-stage approximate dual solve (box form only); the one-instance
+    case of ``solve_batch``.
 
     Stage one solves the unconstrained problem with the Gram matrix
     ``C C^T`` replaced by its diagonal: ``nu_k = -<c_k, g> / ||c_k||^2``.
@@ -328,11 +477,4 @@ def solve_approx(inst: QpInstance) -> DualSolution:
     the diagonal approximation is the true Gram matrix, so the result
     matches the exact solver for any ``q``.
     """
-    if inst.form != BOX_FORM:
-        raise ValueError("approximate solver handles the box_lower_bound form only")
-    rows = inst.constraint_rows
-    sq = np.einsum("ij,ij->i", rows, rows)
-    _check(inst, sq)
-    nu = -(rows @ inst.target) / sq
-    v = np.maximum(nu, inst.strength)
-    return _solution(inst, v, 0, kkt_residual(inst, v))
+    return solve_batch([inst], [APPROX])[0]

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from mgem.cli import main
 
@@ -120,6 +121,27 @@ def test_threads_flag_and_env(tmp_path, monkeypatch):
     assert main(["pareto", "--config", cfg]) == 0
     monkeypatch.setenv("MGEM_THREADS", "lots")
     assert main(["pareto", "--config", cfg]) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "pareto"])
+@pytest.mark.parametrize("flag,value", [("--seeds", "0"), ("--seeds", "-1"),
+                                        ("--threads", "0"), ("--threads", "-2")])
+def test_counts_below_one_are_usage_errors(tmp_path, capsys, command, flag, value):
+    cfg = write_cfg(tmp_path, PARETO_CFG + f"output.dir = {tmp_path / 'o'}\n")
+    assert main([command, "--config", cfg, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert flag in err and ">= 1" in err
+    assert not (tmp_path / "o").exists()  # rejected before anything runs
+
+
+@pytest.mark.parametrize("command", ["run", "pareto"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_threads_env_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, command, value):
+    cfg = write_cfg(tmp_path, PARETO_CFG + f"output.dir = {tmp_path / 'o'}\n")
+    monkeypatch.setenv("MGEM_THREADS", value)
+    assert main([command, "--config", cfg]) == 1
+    assert "MGEM_THREADS must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_degraded_run_exits_two(tmp_path, monkeypatch):

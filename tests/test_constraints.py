@@ -5,7 +5,9 @@ from mgem import qp
 from mgem.constraints import (
     MethodSpec,
     assemble_direction,
+    assemble_step,
     build_instances,
+    memory_grads,
     memory_groups,
     resolve_partition,
     split_memory,
@@ -265,6 +267,60 @@ def test_degenerate_rows_dropped_and_counted():
     rows[0] = 1e-8
     kept, _, dropped = qp.drop_degenerate_rows(rows, np.zeros(2))
     assert dropped == 1 and kept.shape[0] == 1
+
+
+def test_assembled_stacks_equal_each_job_alone():
+    # jobs of one stack with different partitions, strengths and solvers,
+    # some with degenerate rows: each stack item is laid out, and solved,
+    # as that job's own instance
+    rng = rng_from(9, "stack")
+    mems = make_memories(3, 1)
+    methods = [MethodSpec("gem", strength=0.1), MethodSpec("p_mgem", d_param=2, strength=0.5),
+               MethodSpec("gem", solver="approx", strength=0.5), MethodSpec("p_mgem", d_param=3),
+               MethodSpec("gem", strength=0.5), MethodSpec("p_mgem", d_param=2)]
+    spans = [resolve_partition(MLP, mode, m.d_param)
+             for m, mode in zip(methods, ["by_layer", "by_layer", "by_layer", "equal_flat",
+                                          "by_layer", "by_layer"])]
+    g_t = rng.standard_normal((len(methods), n_params(MLP)))
+    rows = rng.standard_normal((len(methods), 3, n_params(MLP)))
+    rows[1, 0] *= 1e-8       # job 1 drops row 0 in both modules
+    rows[3, 2, :20] = 0.0    # job 3 drops row 2 in its first module only
+    rows[4] *= 1e-8          # job 4 drops every row
+    jobs = [0, 1, 3, 4, 5]   # job 2 is left out, as a failed job would be
+    stacks, dropped = assemble_step(methods, spans, g_t, rows, jobs)
+    sols = qp.solve_batch([s.inst for s in stacks], [s.solver for s in stacks])
+    seen = set()
+    for stack, sol in zip(stacks, sols):
+        for k, r in enumerate(stack.jobs):
+            alone = build_instances(methods[r], mems, g_t[r], rows[r], spans[r])
+            assert dropped[r] == alone.rows_dropped
+            i = spans[r].index(stack.span)
+            inst = alone.instances[i]
+            for got, want in ((stack.inst.constraint_rows[k], inst.constraint_rows),
+                              (stack.inst.target[k], inst.target),
+                              (stack.inst.strength[k], inst.strength)):
+                assert np.array_equal(got, want) and got.strides == want.strides
+            ref = (qp.solve_approx(inst) if stack.solver == "approx"
+                   else qp.solve_exact(inst))
+            assert np.array_equal(sol.multipliers[k], ref.multipliers)
+            assert np.array_equal(sol.direction[k], ref.direction)
+            seen.add((int(r), i))
+    assert seen == {(r, i) for r in jobs for i in range(len(spans[r]))}
+    assert dropped.tolist() == [0, 2, 0, 1, 3, 0]
+
+
+def test_memory_grads_of_a_stack_equal_each_job_alone():
+    # split memories: the size-weighted mean of each memory's split rows
+    mems = make_memories(2, 3)
+    rows = rng_from(10, "splitrows").standard_normal((4, 6, n_params(MLP)))
+    grads = memory_grads(mems, rows)
+    assert grads.shape == (4, 2, n_params(MLP))
+    for r in range(4):
+        for k, mem in enumerate(mems):
+            w = np.asarray([len(idx) for idx in mem.splits], dtype=np.float64)
+            assert np.array_equal(grads[r, k], (w / w.sum()) @ rows[r, 3 * k:3 * k + 3])
+    one_split = rows[:, :2]
+    assert memory_grads(make_memories(2, 1), one_split) is one_split  # one row per memory
 
 
 def test_fully_fit_memory_degenerates_to_unconstrained():

@@ -95,9 +95,9 @@ def test_equal_flat_partition_runs_and_is_deterministic():
 def test_memories_never_change_after_storage(monkeypatch):
     import mgem.engine as engine_mod
     seen = {}
-    original = engine_mod.build_instances
+    original = engine_mod.memory_grads
 
-    def spying(method, memories, *args):
+    def spying(memories, *args):
         for mem in memories:
             snapshot = (mem.data.features.tobytes(), mem.data.labels.tobytes(),
                         tuple(s.tobytes() for s in mem.splits))
@@ -105,9 +105,9 @@ def test_memories_never_change_after_storage(monkeypatch):
                 assert seen[mem.task] == snapshot, f"memory for task {mem.task} changed"
             else:
                 seen[mem.task] = snapshot
-        return original(method, memories, *args)
+        return original(memories, *args)
 
-    monkeypatch.setattr(engine_mod, "build_instances", spying)
+    monkeypatch.setattr(engine_mod, "memory_grads", spying)
     run(rotated_stream(n_tasks=3, n_train=60), MLP, cfg(MethodSpec("gem"), iters=15))
     assert set(seen) == {1, 2}  # task 3 stores a memory but nothing consumes it
 
@@ -155,14 +155,15 @@ def test_memory_too_large_rejected():
 
 def test_unconverged_steps_flag_degraded(monkeypatch):
     stream = rotated_stream()
-    original = qp.solve_exact
+    original = qp.solve_batch
 
-    def flaky(inst, tol=qp.DEFAULT_TOL, max_iter=qp.DEFAULT_MAX_ITER):
-        sol = original(inst, tol=tol, max_iter=max_iter)
-        sol.converged = False
-        return sol
+    def flaky(insts, solvers, **kwargs):
+        sols = original(insts, solvers, **kwargs)
+        for sol in sols:
+            sol.converged = np.zeros_like(sol.converged)
+        return sols
 
-    monkeypatch.setattr(qp, "solve_exact", flaky)
+    monkeypatch.setattr(qp, "solve_batch", flaky)
     result = run(stream, MLP, cfg(MethodSpec("gem")))
     assert result.unconverged_steps == result.constrained_steps > 0
     assert result.degraded
@@ -231,17 +232,60 @@ def test_overflowing_forward_pass_stops_at_its_step(method):
 def test_nonfinite_memory_gradient_stops_at_its_step(monkeypatch):
     # a NaN memory row would otherwise be dropped as degenerate
     import mgem.engine as engine_mod
-    original = engine_mod.build_instances
+    original = engine_mod.memory_grads
 
-    def poisoned(method, memories, g_t, rows, spans):
+    def poisoned(memories, rows):
         rows = rows.copy()
-        rows[0, 0] = np.nan
-        return original(method, memories, g_t, rows, spans)
+        rows[:, 0, 0] = np.nan
+        return original(memories, rows)
 
-    monkeypatch.setattr(engine_mod, "build_instances", poisoned)
+    monkeypatch.setattr(engine_mod, "memory_grads", poisoned)
     with pytest.raises(FloatingPointError,
                        match=r"^memory gradients became non-finite at task 2, iteration 0;"):
         run(rotated_stream(), MLP, cfg(MethodSpec("gem")))
+
+
+def test_every_exact_instance_of_a_run_is_certified_by_enumeration(monkeypatch):
+    # a short rotated5-shaped run (its stream, model and six methods at
+    # q = 0.5): record each exact instance the engine solves, then check
+    # the solver's multipliers against exhaustive enumeration
+    stream = generate(StreamSpec(family="rotated", n_tasks=5, n_train=120, n_test=80,
+                                 n_features=2, n_classes=4, noise=0.4, seed=1))
+    methods = (MethodSpec("single"), MethodSpec("gem", strength=0.5),
+               MethodSpec("p_mgem", d_param=2, strength=0.5),
+               MethodSpec("d_mgem", d_data=2, strength=0.5),
+               MethodSpec("md_mgem", d_param=2, d_data=2, strength=0.5),
+               MethodSpec("gem", solver="approx", strength=0.5))
+    iters = 6
+    cfgs = [TrainConfig(lr=0.05, iters_per_task=iters, batch_size=16, memory_per_task=32,
+                        method=m, seed=0) for m in methods]
+    seen = []
+    original = qp.solve_batch
+
+    def recording(insts, solvers, **kwargs):
+        sols = original(insts, solvers, **kwargs)
+        seen.extend((inst, sol) for inst, solver, sol in zip(insts, solvers, sols)
+                    if solver == qp.EXACT)
+        return sols
+
+    monkeypatch.setattr(qp, "solve_batch", recording)
+    run_jobs(run_group, stream, MlpSpec((2, 16, 4)), cfgs, threads=1)
+
+    sizes = []
+    for inst, sol in seen:
+        for i in range(len(inst.target)):
+            single = qp.QpInstance(inst.constraint_rows[i], inst.target[i],
+                                   inst.strength[i], inst.form)
+            v, ref = sol.multipliers[i], qp.solve_enumerate(single)
+            assert sol.converged[i]
+            assert np.max(np.abs(v - ref.multipliers), initial=0.0) <= 1e-6
+            assert abs(qp.dual_objective(single, v)
+                       - qp.dual_objective(single, ref.multipliers)) <= 1e-6
+            sizes.append(single.m)
+    # gem, p_mgem (2 modules), d_mgem, md_mgem (2 modules): six exact
+    # instances per step of tasks 2-5, with up to 4 memories x 2 splits
+    assert len(sizes) == 6 * 4 * iters
+    assert max(sizes) == 8
 
 
 def test_accuracy_matrix_shape_and_range():

@@ -279,3 +279,113 @@ def test_exact_solver_properties(seed, q):
     # dual objective at the solution never exceeds the objective at the start
     assert qp.dual_objective(inst, sol.multipliers) <= qp.dual_objective(
         inst, np.full(m, q)) + 1e-12
+
+
+# --- batched solve -----------------------------------------------------------
+
+def _same(a, b):
+    return (np.array_equal(a.multipliers, b.multipliers)
+            and np.array_equal(a.direction, b.direction)
+            and a.iterations == b.iterations
+            and a.kkt_residual == b.kkt_residual
+            and a.converged == b.converged)
+
+
+def _item(inst, i):
+    return qp.QpInstance(inst.constraint_rows[i], inst.target[i], inst.strength[i], inst.form)
+
+
+def _random_batch(rng):
+    """Entries ``(instance or stack, solver, the instances to solve alone)``."""
+    entries = []
+    for _ in range(int(rng.integers(1, 10))):
+        m, n = int(rng.integers(0, 13)), int(rng.integers(1, 16))
+        rows = rng.standard_normal((m, n)) * rng.choice([1e-3, 1.0, 1e3], size=(m, 1))
+        if rng.random() < 0.3:  # a module slice of wider rows
+            rows = np.hstack([rows, rng.standard_normal((m, 5))])[:, :n]
+        g = rng.standard_normal(n)
+        if rng.random() < 0.5:
+            inst = box(rows, g, np.full(m, float(rng.choice([0.0, 0.1, 0.5]))))
+            solver = qp.APPROX if rng.random() < 0.4 else qp.EXACT
+        else:
+            inst = reg(rows, g, rng.uniform(0.0, 1.0, size=m))
+            solver = qp.EXACT
+        entries.append((inst, solver, [inst]))
+    # a stack of instances with one m and n
+    B, m, n = int(rng.integers(1, 6)), int(rng.integers(0, 5)), int(rng.integers(1, 8))
+    stack = qp.QpInstance(rng.standard_normal((B, m, n)), rng.standard_normal((B, n)),
+                          np.full((B, m), 0.1))
+    solver = qp.EXACT if rng.random() < 0.7 else qp.APPROX
+    entries.append((stack, solver, [_item(stack, i) for i in range(B)]))
+    # an unbounded dual: margins no direction meets
+    unbounded = reg([[1.0, 0.0], [-1.0, 0.0]], rng.standard_normal(2), [1.0, 1.0])
+    entries.append((unbounded, qp.EXACT, [unbounded]))
+    # a dropped row: must solve like the instance built without it
+    rows = rng.standard_normal((4, 6))
+    rows[1] *= 1e-8
+    kept, strength, dropped = qp.drop_degenerate_rows(rows, np.full(4, 0.5))
+    assert dropped == 1
+    g = rng.standard_normal(6)
+    without = box(np.delete(rows, 1, axis=0), g, np.full(3, 0.5))
+    for solver in (qp.EXACT, qp.APPROX):
+        entries.append((box(kept, g, strength), solver, [without]))
+    return entries
+
+
+def _alone(inst, solver, max_iter):
+    if solver == qp.APPROX:
+        return qp.solve_approx(inst)
+    return qp.solve_exact(inst, max_iter=max_iter)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, qp.DEFAULT_MAX_ITER]))
+def test_batched_solve_equals_each_instance_alone(seed, max_iter):
+    rng = np.random.default_rng(seed)
+    entries = _random_batch(rng)
+    order = rng.permutation(len(entries))
+    for batch in (entries, [entries[k] for k in order]):
+        sols = qp.solve_batch([e[0] for e in batch], [e[1] for e in batch], max_iter=max_iter)
+        for (inst, solver, alone), sol in zip(batch, sols):
+            if inst.target.ndim == 1:
+                assert _same(sol, _alone(alone[0], solver, max_iter))
+                continue
+            for i, single in enumerate(alone):
+                item = qp.DualSolution(sol.multipliers[i], sol.direction[i],
+                                       int(sol.iterations[i]), float(sol.kkt_residual[i]),
+                                       bool(sol.converged[i]))
+                assert _same(item, _alone(single, solver, max_iter))
+
+
+def test_batched_solve_rejects_bad_input():
+    inst = box([[1.0, 0.0]], [1.0, 1.0], [0.0])
+    with pytest.raises(ValueError):
+        qp.solve_batch([inst], [qp.EXACT, qp.EXACT])
+    with pytest.raises(ValueError):
+        qp.solve_batch([inst], ["newton"])
+    with pytest.raises(ValueError):
+        qp.solve_batch([reg([[1.0, 0.0]], [1.0, 1.0], [0.5])], [qp.APPROX])
+    with pytest.raises(ValueError):
+        qp.QpInstance(np.zeros((2, 1, 3)), np.zeros((3, 3)), np.zeros((2, 1)))
+
+
+def test_singular_system_in_a_stack_fails_only_its_own_solve():
+    A = np.array([2.0 * np.eye(2), [[1.0, 1.0], [1.0, 1.0]], [[3.0, 1.0], [1.0, 2.0]]])
+    y = np.array([[1.0, 2.0], [1.0, 1.0], [0.5, -1.0]])
+    x, singular = qp._solve_stack(A, y)
+    assert singular.tolist() == [False, True, False]
+    for i in (0, 2):
+        assert np.array_equal(x[i], np.linalg.solve(A[i], y[i]))
+    assert np.array_equal(x[1], [0.0, 0.0])
+    x, singular = qp._solve_stack(A[[0, 2]], y[[0, 2]])
+    assert singular is None
+
+
+def test_empty_and_rowless_batches():
+    assert qp.solve_batch([], []) == []
+    stack = qp.QpInstance(np.zeros((3, 0, 4)), np.ones((3, 4)), np.zeros((3, 0)))
+    for solver in (qp.EXACT, qp.APPROX):
+        sol = qp.solve_batch([stack], [solver])[0]
+        assert sol.multipliers.shape == (3, 0)
+        assert np.array_equal(sol.direction, np.ones((3, 4)))
+        assert sol.converged.all() and not sol.iterations.any()
