@@ -26,7 +26,8 @@ A config's ``output.dir`` is created with its parents; an ``--out``
 directory is created only if its parent exists.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime or solver-budget
-failure (a failing job is named in the message).
+failure (a failing job is named in the message). Settings that no job can
+train with are config errors, raised before any job starts.
 """
 
 import argparse
@@ -35,10 +36,11 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfigFile, default_pareto_methods, parse_config
-from .engine import TrainConfig, pareto_sweep, run_group, run_jobs
+from .engine import TrainConfig, check_memory, pareto_sweep, run_group, run_jobs
 from .metrics import summarize, write_pareto_csv, write_rmatrix_csv, write_summary_csv
+from .mlp import check_data
 from .selfcheck import run_all
-from .taskgen import generate
+from .taskgen import TaskStream, generate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -104,13 +106,37 @@ def _train_config(cfg: RunConfigFile, method, seed) -> TrainConfig:
     )
 
 
+def _check_jobs(cfg: RunConfigFile, stream, methods):
+    """Raise ConfigError for settings that no job of ``methods`` can train
+    with: bad ``[train]`` fields, a memory larger than a task's training
+    set, or a model that does not fit the stream."""
+    for method in methods:
+        try:
+            _train_config(cfg, method, cfg.train_seed)
+        except ValueError as exc:
+            raise ConfigError(f"[train] {exc} ({method.label})") from None
+    try:
+        check_memory(stream, cfg.memory_per_task)
+    except ValueError as exc:
+        raise ConfigError(f"[train] {exc}") from None
+    sizes = ",".join(str(k) for k in cfg.model.layer_sizes)
+    for task in stream.tasks:
+        for data in (task.train, task.test):
+            try:
+                check_data(cfg.model, data)
+            except ValueError as exc:
+                raise ConfigError(f"[model] layer_sizes {sizes} do not fit task "
+                                  f"{task.descriptor}: {exc}") from None
+
+
 def cmd_run(args) -> int:
     threads = _threads(args)
     cfg = _load_config(args.config)
     if not cfg.methods:
         raise ConfigError("[method.1] at least one method entry is required for run")
-    out = _resolve_out_dir(cfg, args.out)
     stream = generate(cfg.stream)
+    _check_jobs(cfg, stream, cfg.methods)
+    out = _resolve_out_dir(cfg, args.out)
     seeds = [cfg.train_seed + i for i in range(args.seeds)]
     cfgs = [_train_config(cfg, method, seed) for method in cfg.methods for seed in seeds]
     results = run_jobs(run_group, stream, cfg.model, cfgs, threads)
@@ -133,11 +159,12 @@ def cmd_run(args) -> int:
 def cmd_pareto(args) -> int:
     threads = _threads(args)
     cfg = _load_config(args.config)
-    out = _resolve_out_dir(cfg, args.out)
     stream = generate(cfg.stream)
     if stream.n_tasks < 2:
         raise ConfigError("pareto requires >= 2 tasks")
     methods = cfg.methods if cfg.methods else default_pareto_methods()
+    _check_jobs(cfg, TaskStream(stream.tasks[:2]), methods)
+    out = _resolve_out_dir(cfg, args.out)
     grid = [(m, q) for m in methods for q in cfg.q_grid]
     seeds = [cfg.train_seed + i for i in range(args.seeds)]
     base = _train_config(cfg, methods[0], cfg.train_seed)

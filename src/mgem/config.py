@@ -5,6 +5,7 @@ pair per line, ``#`` comments, keys like ``train.lr`` or ``method.1.kind``.
 Unknown keys are rejected with a diagnostic naming the section and key.
 """
 
+import math
 from dataclasses import dataclass
 
 from .constraints import METHOD_KINDS, PARTITION_MODES, SOLVERS, MethodSpec
@@ -66,9 +67,12 @@ def _to_int(section, key, value):
 
 def _to_float(section, key, value):
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: expected number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"[{section}] {key}: expected a finite number, got {value!r}")
+    return number
 
 
 def _to_enum(section, key, value, allowed):
@@ -143,6 +147,8 @@ def parse_config(text: str) -> RunConfigFile:
                 entry[parts[2]] = _to_int(sec, parts[2], value)
         elif section == "pareto" and len(parts) == 2 and parts[1] == "q_grid":
             q_grid = tuple(_to_float("pareto", "q_grid", s) for s in value.split(","))
+            if min(q_grid) < 0.0:
+                raise ConfigError(f"[pareto] q_grid: strengths must be >= 0, got {value!r}")
         elif section == "output" and len(parts) == 2 and parts[1] == "dir":
             out_dir = value
         else:

@@ -21,10 +21,10 @@ slices them per module.
 Per-module problems are independent (the joint QP is block-diagonal), so
 solving them separately and concatenating the directions equals the joint
 solve. The engine assembles the instances of every job of a lockstep stack
-at once (``assemble_step``): per module span and solver, one einsum finds
-the degenerate rows of all the jobs, and the jobs that keep the same number
-of rows form one stacked ``QpInstance`` for ``qp.solve_batch``.
-``build_instances`` is its one-job case, with one instance per module, and
+at once (``assemble_step``): per module span and solver, the module views
+of all the jobs' rows form one stacked ``QpInstance`` for
+``qp.solve_batch``, which leaves degenerate rows out. ``build_instances``
+is its one-job case, with one instance per module, and
 ``assemble_direction`` concatenates the per-module directions.
 """
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from .layout import layer_slices, n_params
 from .mlp import Dataset, MlpSpec
-from .qp import APPROX, BOX_FORM, EXACT, MIN_ROW_SQNORM, QpInstance
+from .qp import APPROX, BOX_FORM, EXACT, QpInstance
 from .seeds import rng_from
 
 METHOD_KINDS = ("single", "gem", "p_mgem", "d_mgem", "md_mgem")
@@ -139,14 +139,13 @@ class ConstraintBatch:
 
     instances: list
     memory_grads: list
-    rows_dropped: int
 
 
 @dataclass(eq=False)
 class ModuleStack:
-    """The instances of one step that share a module span, a kept row count
-    and a solver, as one stacked ``QpInstance``: item k belongs to the job
-    in stack row ``jobs[k]``."""
+    """The instances of one step that share a module span and a solver, as
+    one stacked ``QpInstance``: item k belongs to the job in stack row
+    ``jobs[k]``."""
 
     jobs: np.ndarray
     span: slice
@@ -180,51 +179,36 @@ def memory_grads(memories, rows: np.ndarray) -> np.ndarray:
     return np.matmul(w[:, None, :], rows.reshape(J, len(memories), d, P))[:, :, 0]
 
 
-def assemble_step(methods, spans, g_t: np.ndarray, rows: np.ndarray, jobs) -> tuple:
+def assemble_step(methods, spans, g_t: np.ndarray, rows: np.ndarray, jobs) -> list:
     """Assemble the box-form instances of one step for the jobs of a stack.
 
     ``methods[r]`` and ``spans[r]`` are the method and partition of stack
     row ``r``, ``g_t`` the ``(J, P)`` minibatch gradients and ``rows`` the
     ``(J, G, P)`` memory gradient rows (``memory_groups`` order); ``jobs``
-    lists the stack rows to assemble, in order. For every module span and
-    solver, one einsum finds each job's degenerate rows, and the jobs that
-    keep the same number of rows form one ``ModuleStack``; an instance whose
-    rows all drop degenerates to the unconstrained problem. Returns the
-    stacks and the rows dropped per stack row.
-
-    Each item is laid out as its job's instance alone would be: a module
-    slice of the job's rows, or a copy of the kept rows once one drops, so
-    the solvers give each job its own result bit for bit.
+    lists the stack rows to assemble, in order. Returns one ``ModuleStack``
+    per module span and solver: the module slices of all its jobs' rows,
+    every row kept (the solver leaves degenerate ones out). Each item is
+    laid out as its job's instance alone would be, so the solvers give each
+    job its own result bit for bit.
     """
     members = {}
     for r in jobs:
         for span in spans[r]:
             members.setdefault((span.start, span.stop, methods[r].solver), []).append(r)
     stacks = []
-    dropped = np.zeros(len(rows), dtype=np.int64)
     G = rows.shape[1]
     for (a, b, solver), group in members.items():
         lo, hi = group[0], group[-1] + 1
         block = rows[lo:hi] if hi - lo == len(group) else rows[group]
-        module = block[:, :, a:b]
-        keep = np.einsum("jgn,jgn->jg", module, module) >= MIN_ROW_SQNORM
-        kept = keep.sum(axis=1)
         group = np.asarray(group)
-        dropped[group] += G - kept
         strength = np.array([methods[r].strength for r in group])
-        for m in np.bincount(kept).nonzero()[0]:
-            at = (kept == m).nonzero()[0]
-            if m == G:
-                c = module if at.size == group.size else block[at][:, :, a:b]
-            else:
-                c = block[at[:, None], keep[at].nonzero()[1].reshape(at.size, m), a:b]
-            stacks.append(ModuleStack(group[at], slice(a, b), solver, QpInstance(
-                constraint_rows=c,
-                target=g_t[group[at], a:b],
-                strength=np.repeat(strength[at, None], m, axis=1),
-                form=BOX_FORM,
-            )))
-    return stacks, dropped
+        stacks.append(ModuleStack(group, slice(a, b), solver, QpInstance(
+            constraint_rows=block[:, :, a:b],
+            target=g_t[group, a:b],
+            strength=np.repeat(strength[:, None], G, axis=1),
+            form=BOX_FORM,
+        )))
+    return stacks
 
 
 def build_instances(method: MethodSpec, memories, g_t: np.ndarray,
@@ -235,14 +219,13 @@ def build_instances(method: MethodSpec, memories, g_t: np.ndarray,
     each cut into ``method.d_data`` splits, and ``rows`` holds this step's
     gradient of every split, in ``memory_groups`` order. An empty list
     yields an empty batch (first task: the caller uses the plain gradient).
-    Degenerate rows are dropped per the solver policy; an instance whose
-    rows all drop degenerates to the unconstrained problem. This is the
+    Every row is kept; the solver leaves degenerate ones out. This is the
     one-job case of ``assemble_step``.
     """
     if method.kind == "single":
         raise ValueError("the single baseline does not assemble constraints")
     if not memories:
-        return ConstraintBatch([], [], 0)
+        return ConstraintBatch([], [])
     d = method.d_data
     for mem in memories:
         if mem.data.n_samples < 1:
@@ -256,15 +239,14 @@ def build_instances(method: MethodSpec, memories, g_t: np.ndarray,
         raise ValueError(f"got {rows.shape[0]} gradient rows for {len(memories)} "
                          f"memories of {d} splits")
 
-    stacks, dropped = assemble_step([method], [spans], g_t[None], rows[None], [0])
+    stacks = assemble_step([method], [spans], g_t[None], rows[None], [0])
     by_span = {(s.span.start, s.span.stop): s.inst for s in stacks}
     instances = []
     for span in spans:
         inst = by_span[(span.start, span.stop)]
         instances.append(QpInstance(inst.constraint_rows[0], inst.target[0],
                                     inst.strength[0], inst.form))
-    return ConstraintBatch(instances, list(memory_grads(memories, rows[None])[0]),
-                           int(dropped[0]))
+    return ConstraintBatch(instances, list(memory_grads(memories, rows[None])[0]))
 
 
 def assemble_direction(solutions, spans) -> np.ndarray:

@@ -128,6 +128,17 @@ def _group_key(cfg: TrainConfig) -> tuple:
     return (cfg.seed, cfg.lr, cfg.iters_per_task, cfg.batch_size, cfg.memory_per_task, rows)
 
 
+def check_memory(stream: TaskStream, memory_per_task: int):
+    """Raise ValueError if a task of ``stream`` has fewer training samples
+    than ``memory_per_task``."""
+    for task in stream.tasks:
+        if memory_per_task > task.train.n_samples:
+            raise ValueError(
+                f"memory_per_task {memory_per_task} exceeds task "
+                f"{task.descriptor} training size {task.train.n_samples}"
+            )
+
+
 def run(stream: TaskStream, mlp: MlpSpec, cfg: TrainConfig, trace: bool = False) -> RunResult:
     """Train through the stream; returns the R matrix and step traces.
 
@@ -164,12 +175,7 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
     if any(_group_key(cfg) != _group_key(lead) for cfg in cfgs):
         raise ValueError("jobs of a group must share seed, lr, iters_per_task, batch_size, "
                          "memory_per_task and memory rows")
-    for task in stream.tasks:
-        if lead.memory_per_task > task.train.n_samples:
-            raise ValueError(
-                f"memory_per_task {lead.memory_per_task} exceeds task "
-                f"{task.descriptor} training size {task.train.n_samples}"
-            )
+    check_memory(stream, lead.memory_per_task)
 
     constrained_kind = lead.method.kind != "single"
     spans = [resolve_partition(mlp, cfg.partition_mode, cfg.method.d_param) for cfg in cfgs]
@@ -225,13 +231,15 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
                                               task.descriptor, it).items():
                     failed.setdefault(r, exc)
                 todo = [r for r in range(len(live)) if r not in failed]
-                stacks, dropped = assemble_step([cfgs[j].method for j in live],
-                                                [spans[j] for j in live], g_t, mem_rows, todo)
+                stacks = assemble_step([cfgs[j].method for j in live],
+                                       [spans[j] for j in live], g_t, mem_rows, todo)
                 unsolved = np.zeros(len(live), dtype=bool)
+                dropped = np.zeros(len(live), dtype=np.int64)
                 for stack, sol in zip(stacks, qp.solve_batch([s.inst for s in stacks],
                                                              [s.solver for s in stacks])):
                     z[stack.jobs, stack.span] = sol.direction
                     unsolved[stack.jobs[~sol.converged]] = True
+                    dropped[stack.jobs] += sol.rows_dropped
                 for r in todo:
                     j = live[r]
                     constrained[j] += 1

@@ -130,6 +130,14 @@ def _check_features(spec: MlpSpec, features: np.ndarray):
         )
 
 
+def check_data(spec: MlpSpec, data: Dataset):
+    """Raise ValueError unless ``spec`` takes the features of ``data`` and
+    has an output for each of its labels."""
+    _check_features(spec, data.features)
+    if data.labels.max() >= spec.n_out:
+        raise ValueError(f"label out of range for {spec.n_out} classes")
+
+
 def _forward(weights, spec: MlpSpec, X: np.ndarray):
     """Logits plus each layer's input, which is all backprop needs: the
     activation derivative is read off the activation's output."""
@@ -172,10 +180,8 @@ def _backprop(params: np.ndarray, spec: MlpSpec, data: Dataset, sizes):
     ``(J, n)``, ``grads`` of shape ``(G, P)`` or ``(J, G, P)`` for
     ``G = len(sizes)``.
     """
+    check_data(spec, data)
     X, y = data.features, data.labels
-    _check_features(spec, X)
-    if y.max() >= spec.n_out:
-        raise ValueError(f"label out of range for {spec.n_out} classes")
     n = X.shape[0]
     sizes = [int(k) for k in sizes]
     if not sizes or min(sizes) < 1 or sum(sizes) != n:

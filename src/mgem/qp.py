@@ -38,21 +38,20 @@ through its own pivots and Newton steps under masks. ``solve_exact`` and
 ``solve_approx`` are its one-instance case. Every result is the one the
 instance gets alone, bit for bit: each stacked product is the per-instance
 product (Gram, ``K u``, ``K_j . d`` as a 1 x m by m x 1 product, the
-direction), and the free-set systems ``K[P][:, P]`` are gathered per
-instance and solved in stacks of equal ``|P|``.
+direction), and each round solves every free-set system as one ``(B, m, m)``
+stack, ``K`` on the free block and the identity elsewhere.
 
-Rows with squared norm below ``MIN_ROW_SQNORM`` must be dropped before
-solving (the diagonal scaling would divide by ~0); ``drop_degenerate_rows``
-does this at assembly time.
+A row whose squared norm is below ``MIN_ROW_SQNORM`` carries no direction
+(e.g. the gradient of a fully fit memory) and is left out of its instance:
+its multiplier is 0 and it adds no constraint. ``rows_dropped`` of a
+``DualSolution`` counts such rows; ``lower_bounds`` and ``kkt_residual``
+apply the same rule.
 """
 
 import itertools
-import logging
 from dataclasses import dataclass
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 BOX_FORM = "box_lower_bound"
 REGULARIZED_FORM = "linear_regularized"
@@ -117,33 +116,16 @@ class QpInstance:
 
 @dataclass(eq=False)
 class DualSolution:
-    """Multipliers, recovered direction, and convergence diagnostics; for a
-    stacked instance each field has the stack's leading axis."""
+    """Multipliers, recovered direction, and convergence diagnostics, and
+    the number of rows left out (below ``MIN_ROW_SQNORM``); for a stacked
+    instance each field has the stack's leading axis."""
 
     multipliers: np.ndarray
     direction: np.ndarray
     iterations: int
     kkt_residual: float
     converged: bool
-
-
-def drop_degenerate_rows(rows: np.ndarray, strength: np.ndarray):
-    """Remove rows with squared norm below MIN_ROW_SQNORM.
-
-    Returns ``(rows, strength, n_dropped)``. Near-zero constraint gradients
-    (e.g. a fully-fit past task) carry no directional information and would
-    break the diagonal scaling in the approximate solver.
-    """
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    strength = np.atleast_1d(np.asarray(strength, dtype=np.float64))
-    if rows.shape[0] == 0:
-        return rows, strength, 0
-    keep = np.einsum("ij,ij->i", rows, rows) >= MIN_ROW_SQNORM
-    dropped = int(np.sum(~keep))
-    if dropped:
-        log.debug("dropped %d degenerate constraint rows", dropped)
-        rows, strength = rows[keep], strength[keep]
-    return rows, strength, dropped
+    rows_dropped: int = 0
 
 
 def _stack(inst: QpInstance):
@@ -161,31 +143,37 @@ def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _check(sqnorms, target, strength):
-    """Reject bad input. ``sqnorms`` are the squared row norms (the Gram
-    diagonal): a row holding NaN or Inf has a non-finite norm."""
+    """Reject bad input and mark the rows left out. ``sqnorms`` are the
+    squared row norms: a row holding NaN or Inf has a non-finite norm."""
     if not (np.isfinite(sqnorms).all()
             and np.isfinite(target).all()
             and np.isfinite(strength).all()):
         raise ValueError("QP instance contains NaN or Inf")
     if (strength < 0.0).any():
         raise ValueError("strength must be entrywise >= 0")
-    if (sqnorms < MIN_ROW_SQNORM).any():
-        raise ValueError(
-            "degenerate constraint row reached the solver; "
-            "drop_degenerate_rows must run at assembly time"
-        )
+    return sqnorms < MIN_ROW_SQNORM
+
+
+def _bounds(out, strength, form):
+    """The lower bounds of ``v``: the strength in the box form, else 0; 0
+    for a row left out (``out``)."""
+    return np.where(out | (form != BOX_FORM), 0.0, strength)
 
 
 def _gram(rows, target, strength, form):
-    """Validated stacked ``(K, h, lb)``: at ``v = lb + u`` the dual gradient
-    is ``K u + h`` (``gamma = 0`` in the box form)."""
+    """Validated stacked ``(K, h, lb, out)``: at ``v = lb + u`` the dual
+    gradient is ``K u + h`` (``gamma = 0`` in the box form). A row left out
+    (``out``) has 0 for its Gram row and column, its ``h`` entry and its
+    lower bound, so no solver ever frees it."""
     K = rows @ np.swapaxes(rows, -1, -2)
-    _check(np.diagonal(K, axis1=-2, axis2=-1), target, strength)
-    lb = strength if form == BOX_FORM else np.zeros_like(strength)
+    out = _check(np.diagonal(K, axis1=-2, axis2=-1), target, strength)
+    K = np.where(out[..., :, None] | out[..., None, :], 0.0, K)
+    lb = _bounds(out, strength, form)
     h = _matvec(rows, target) + _matvec(K, lb)
     if form == REGULARIZED_FORM:
         h -= strength
-    return K, h, lb
+    h[out] = 0.0
+    return K, h, lb, out
 
 
 def _kkt(u: np.ndarray, grad: np.ndarray):
@@ -194,8 +182,12 @@ def _kkt(u: np.ndarray, grad: np.ndarray):
     return np.maximum.reduce(np.abs(np.minimum(u, grad)), axis=-1, initial=0.0)
 
 
+def _left_out(rows: np.ndarray) -> np.ndarray:
+    return np.einsum("...ij,...ij->...i", rows, rows) < MIN_ROW_SQNORM
+
+
 def lower_bounds(inst: QpInstance) -> np.ndarray:
-    return inst.strength if inst.form == BOX_FORM else np.zeros_like(inst.strength)
+    return _bounds(_left_out(inst.constraint_rows), inst.strength, inst.form)
 
 
 def dual_objective(inst: QpInstance, v: np.ndarray) -> float:
@@ -211,13 +203,15 @@ def kkt_residual(inst: QpInstance, v: np.ndarray) -> float:
 
     Per coordinate the residual is ``|min(v_k - lb_k, grad_k)|``: zero iff
     ``v`` is feasible and each coordinate is either at its bound with a
-    non-negative dual gradient, or stationary.
+    non-negative dual gradient, or stationary. A row left out adds nothing:
+    its multiplier is taken as 0 and its residual is 0.
     """
-    v = np.asarray(v, dtype=np.float64)
+    out = _left_out(inst.constraint_rows)
+    v = np.where(out, 0.0, np.asarray(v, dtype=np.float64))
     grad = inst.constraint_rows @ (inst.constraint_rows.T @ v + inst.target)
     if inst.form == REGULARIZED_FORM:
         grad = grad - inst.strength
-    return float(_kkt(v - lower_bounds(inst), grad))
+    return float(_kkt(v - _bounds(out, inst.strength, inst.form), np.where(out, 0.0, grad)))
 
 
 def _solve_stack(A: np.ndarray, y: np.ndarray):
@@ -256,9 +250,10 @@ def _lawson_hanson(K: np.ndarray, h: np.ndarray, tol: float, max_iter: int):
     meets), or when its free rows turn singular; it keeps its feasible
     iterate. Each round takes every running instance one solve further:
     those at the top of the loop test KKT and pick their pivot, then every
-    pivot and Newton step solves on its free set, in stacks of equal size,
-    and all move at once. A stopped instance moves by ``0 * d`` and stays
-    where it is. Returns ``u``, the solve counts and the KKT residuals.
+    pivot and Newton step solves on its free set, all in one ``(B, m, m)``
+    stack (``K`` on the free block, the identity elsewhere), and all move
+    at once. A stopped instance moves by ``0 * d`` and stays where it is.
+    Returns ``u``, the solve counts and the KKT residuals.
     """
     B, m = h.shape
     u = np.zeros((B, m))
@@ -268,14 +263,15 @@ def _lawson_hanson(K: np.ndarray, h: np.ndarray, tol: float, max_iter: int):
     newton = np.zeros(B, dtype=bool)    # on a face, taking Newton steps
     running = np.full(B, m > 0)         # with no rows, u = 0 is optimal
     every = np.arange(B)
+    eye = np.eye(m)
     for rounds in itertools.count():
         if rounds >= max_iter:  # no instance has more solves than rounds
             running &= solves < max_iter
+        grad = _matvec(K, u) + h
         pivot = running & ~newton
         if pivot.any():
             # the top of the loop: stop at KKT, else pivot on the most
             # negative gradient
-            grad = _matvec(K, u) + h
             done = pivot & (_kkt(u, grad) <= tol)
             pivot ^= done
             running ^= done
@@ -291,30 +287,21 @@ def _lawson_hanson(K: np.ndarray, h: np.ndarray, tol: float, max_iter: int):
         if not running.any():
             break
         solves += running
-        pj = pivot.nonzero()[0]
         # a pivot frees j along d (d_j = 1, K_PP d_P = -K_Pj), a Newton step
         # solves K_PP d_P = -(K u + h)_P on the free set P; a stopped
         # instance keeps d = 0 and stays where it is
-        d = np.zeros((B, m))
-        sizes = free.sum(axis=1) * running
-        for k in np.bincount(sizes).nonzero()[0]:
-            if not k:
-                continue
-            b = (sizes == k).nonzero()[0]
-            bc = b[:, None]
-            P = free[b].nonzero()[1].reshape(b.size, k)
-            p = pivot[b]
-            if p.all():
-                y = K[bc, P, j[bc]]
-            else:
-                y = _matvec(K[bc, P], u[b]) + h[bc, P]
-                if p.any():
-                    y = np.where(p[:, None], K[bc, P, j[bc]], y)
-            x, singular = _solve_stack(K[bc[:, :, None], P[:, :, None], P[:, None, :]], y)
-            d[bc, P] = -x
+        P = free & running[:, None]
+        if P.any():
+            y = np.where(pivot[:, None], K[every, :, j], grad)
+            x, singular = _solve_stack(np.where(P[:, :, None] & P[:, None, :], K, eye),
+                                       np.where(P, y, 0.0))
+            d = np.where(P, -x, 0.0)
             if singular is not None:  # stopped before the move: d stays 0
-                running[b[singular]] = pivot[b[singular]] = False
-                pj = pivot.nonzero()[0]
+                running &= ~singular
+                pivot &= ~singular
+        else:
+            d = np.zeros((B, m))
+        pj = pivot.nonzero()[0]
         if pj.size:
             # slope -w_j, curvature d^T K d: 0 for a row in the free span;
             # with none, only a bound stops the ray
@@ -367,17 +354,20 @@ def solve_batch(insts, solvers, tol: float = DEFAULT_TOL,
     if len(solvers) != len(insts):
         raise ValueError(f"got {len(solvers)} solvers for {len(insts)} instances")
     stacks = [_stack(inst) for inst in insts]
-    v, solves, residual = [None] * len(insts), [None] * len(insts), [None] * len(insts)
-    exact = {}   # m -> [(entry, K, h, lb)]
+    v, lb, out, solves, residual = ([None] * len(insts) for _ in range(5))
+    exact = {}   # m -> [(entry, K, h)]
     for i, (inst, solver, (rows, target, strength)) in enumerate(zip(insts, solvers, stacks)):
         if solver == EXACT:
-            exact.setdefault(inst.m, []).append((i, *_gram(rows, target, strength, inst.form)))
+            K, h, lb[i], out[i] = _gram(rows, target, strength, inst.form)
+            exact.setdefault(inst.m, []).append((i, K, h))
         elif solver == APPROX:
             if inst.form != BOX_FORM:
                 raise ValueError("approximate solver handles the box_lower_bound form only")
             sq = np.einsum("bij,bij->bi", rows, rows)
-            _check(sq, target, strength)
-            v[i] = np.maximum(-_matvec(rows, target) / sq, strength)
+            out[i] = _check(sq, target, strength)
+            lb[i] = _bounds(out[i], strength, BOX_FORM)
+            nu = np.divide(-_matvec(rows, target), sq, out=np.zeros_like(sq), where=~out[i])
+            v[i] = np.maximum(nu, lb[i])
             solves[i] = np.zeros(len(rows), dtype=np.int64)
         else:
             raise ValueError(f"unknown solver {solver!r}")
@@ -386,25 +376,29 @@ def solve_batch(insts, solvers, tol: float = DEFAULT_TOL,
                                           np.concatenate([g[2] for g in group]),
                                           tol, max_iter)
         at = 0
-        for i, _, _, lb in group:
-            end = at + len(lb)
-            v[i], solves[i], residual[i] = lb + u[at:end], n_solves[at:end], res[at:end]
+        for i, _, _ in group:
+            end = at + len(lb[i])
+            v[i], solves[i], residual[i] = lb[i] + u[at:end], n_solves[at:end], res[at:end]
             at = end
 
-    out = []
+    sols = []
     for i, (inst, (rows, target, strength)) in enumerate(zip(insts, stacks)):
         direction = target + _matvec(np.swapaxes(rows, -1, -2), v[i])
         if residual[i] is None:   # approximate: the box form's KKT residual at v
-            residual[i] = _kkt(v[i] - strength, _matvec(rows, direction))
+            grad = np.where(out[i], 0.0, _matvec(rows, direction))
+            residual[i] = _kkt(v[i] - lb[i], grad)
             converged = np.ones(len(rows), dtype=bool)
         else:
             converged = residual[i] <= tol
+        dropped = out[i].sum(axis=-1)
         if inst.target.ndim == 2:
-            out.append(DualSolution(v[i], direction, solves[i], residual[i], converged))
+            sols.append(DualSolution(v[i], direction, solves[i], residual[i], converged,
+                                     dropped))
         else:
-            out.append(DualSolution(v[i][0], direction[0], int(solves[i][0]),
-                                    float(residual[i][0]), bool(converged[0])))
-    return out
+            sols.append(DualSolution(v[i][0], direction[0], int(solves[i][0]),
+                                     float(residual[i][0]), bool(converged[0]),
+                                     int(dropped[0])))
+    return sols
 
 
 def solve_exact(inst: QpInstance, tol: float = DEFAULT_TOL,
@@ -431,7 +425,7 @@ def solve_enumerate(inst: QpInstance) -> DualSolution:
     subsystems are skipped. Ties go to the first enumerated optimal set.
     """
     rows, target, strength = _stack(inst)
-    K, h, lb = (a[0] for a in _gram(rows, target, strength, inst.form))
+    K, h, lb, out = (a[0] for a in _gram(rows, target, strength, inst.form))
     m = inst.m
     if m > _ENUM_MAX_M:
         raise ValueError(f"enumeration supports m <= {_ENUM_MAX_M}, got {m}")
@@ -463,7 +457,7 @@ def solve_enumerate(inst: QpInstance) -> DualSolution:
         raise RuntimeError("no active set satisfied the KKT conditions")
     v = lb + best_u
     return DualSolution(v, inst.target + inst.constraint_rows.T @ v, tried,
-                        float(_kkt(best_u, K @ best_u + h)), True)
+                        float(_kkt(best_u, K @ best_u + h)), True, int(out.sum()))
 
 
 def solve_approx(inst: QpInstance) -> DualSolution:

@@ -36,11 +36,6 @@ def random_box_instance(rng, n_max=8, m_max=3, q_choices=(0.0, 0.1, 0.5)):
     n = int(rng.integers(2, n_max + 1))
     m = int(rng.integers(1, m_max + 1))
     rows = rng.standard_normal((m, n))
-    rows, _, _ = qp.drop_degenerate_rows(rows, np.zeros(len(rows)))
-    while rows.shape[0] < m:  # essentially never for gaussian rows
-        extra = rng.standard_normal((m - rows.shape[0], n))
-        extra, _, _ = qp.drop_degenerate_rows(extra, np.zeros(len(extra)))
-        rows = np.vstack([rows, extra])
     g = rng.standard_normal(n)
     q = float(rng.choice(q_choices))
     return qp.QpInstance(rows, g, np.full(m, q), form=qp.BOX_FORM)

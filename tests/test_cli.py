@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,50 @@ def test_threads_env_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, c
     assert main([command, "--config", cfg]) == 1
     assert "MGEM_THREADS must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "pareto"])
+@pytest.mark.parametrize("edit,message", [
+    (("method.1.kind = single", "method.1.kind = gem\nmethod.1.q = nan"), r"\[method\.1\] q"),
+    (("train.lr = 0.05", "train.lr = nan"), r"\[train\] lr"),
+    (("stream.noise = 0.3", "stream.noise = nan"), r"\[stream\] noise"),
+    (("train.lr = 0.05", "train.lr = 0"), r"\[train\] lr must be positive"),
+    (("train.iters_per_task = 10", "train.iters_per_task = 0"), r"\[train\] iters_per_task"),
+    (("train.batch_size = 8", "train.batch_size = 0"), r"\[train\] .*batch_size"),
+    (("method.1.kind = single", "method.1.kind = d_mgem\nmethod.1.d_data = 9"),
+     r"\[train\] memory_per_task must be >= the method's d_data \(d_mgem\)"),
+    (("train.memory_per_task = 8", "train.memory_per_task = 41"),
+     r"\[train\] memory_per_task 41 exceeds task 1 training size 40"),
+    (("model.layer_sizes = 3,8,3", "model.layer_sizes = 3,8,2"),
+     r"\[model\] layer_sizes 3,8,2 do not fit task 1: label out of range for 2 classes"),
+    (("model.layer_sizes = 3,8,3", "model.layer_sizes = 2,8,3"),
+     r"\[model\] layer_sizes 2,8,3 do not fit task 1: features shape"),
+])
+def test_settings_no_job_can_train_with_are_config_errors(tmp_path, capsys, command, edit,
+                                                          message):
+    cfg = write_cfg(tmp_path, PARETO_CFG.replace(*edit) + f"output.dir = {tmp_path / 'o'}\n")
+    assert main([command, "--config", cfg]) == 1
+    assert re.search(r"^config error: " + message, capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()  # rejected before anything runs
+
+
+def test_pareto_checks_every_grid_method(tmp_path, capsys):
+    # one memory sample: gem trains, d_mgem(2) of the default grid cannot
+    text = "\n".join(line for line in PARETO_CFG.splitlines()
+                     if not line.startswith("method."))
+    text = text.replace("train.memory_per_task = 8", "train.memory_per_task = 1")
+    cfg = write_cfg(tmp_path, text + f"\noutput.dir = {tmp_path / 'o'}\n")
+    assert main(["pareto", "--config", cfg]) == 1
+    assert "d_data (d_mgem)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("grid", ["-0.1,0.5", "0.1,nan"])
+def test_bad_strength_grid_is_a_config_error(tmp_path, capsys, grid):
+    cfg = write_cfg(tmp_path, PARETO_CFG.replace("pareto.q_grid = 0.0,0.5",
+                                                 f"pareto.q_grid = {grid}"))
+    assert main(["pareto", "--config", cfg]) == 1
+    assert "config error: [pareto] q_grid" in capsys.readouterr().err
 
 
 def test_degraded_run_exits_two(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,18 @@ def test_bad_value_types_diagnosed():
     with pytest.raises(ConfigError, match="layer_sizes"):
         parse_config(MINIMAL.replace("model.layer_sizes = 3,8,3",
                                      "model.layer_sizes = 3;8;3"))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("method.2.q", "nan"), ("train.lr", "nan"), ("train.lr", "inf"),
+    ("stream.noise", "nan"), ("stream.noise", "1e999"), ("pareto.q_grid", "0.1,nan"),
+    ("pareto.q_grid", "-inf"), ("pareto.q_grid", "-0.1,0.5"),
+])
+def test_non_finite_and_negative_numbers_name_their_key(key, value):
+    section, _, field = key.rpartition(".")
+    text = MINIMAL + "method.2.kind = gem\n" + f"{key} = {value}\n"
+    with pytest.raises(ConfigError, match=rf"\[{re.escape(section)}\] {field}"):
+        parse_config(text)
 
 
 def test_missing_required_sections():

@@ -154,7 +154,6 @@ def test_gem_instance_rows_are_memory_gradients():
         assert np.array_equal(inst.constraint_rows[s], grad)
         assert np.array_equal(batch.memory_grads[s], grad)
     assert np.all(inst.strength == 0.3)
-    assert batch.rows_dropped == 0  # row k is memory k's gradient, checked above
 
 
 def test_pmgem_d1_identical_to_gem():
@@ -257,22 +256,27 @@ def test_split_mismatch_rejected():
 
 
 def test_degenerate_rows_dropped_and_counted():
+    # assembly keeps a near-zero row (a fully fit past task); every solver
+    # leaves it out, counts it, and solves the rest as if it were absent
     params = init_params(MLP, 0)
     spans = resolve_partition(MLP, "by_layer", 1)
     mems = make_memories(2, 1)
     g_t = batch_grad(params)
-    batch = build(MethodSpec("gem"), mems, g_t, params, MLP, spans)
-    # near-zero rows (a fully fit past task) must vanish before solving
-    rows = batch.instances[0].constraint_rows.copy()
+    rows = group_grads(params, MLP, *memory_groups(mems))
     rows[0] = 1e-8
-    kept, _, dropped = qp.drop_degenerate_rows(rows, np.zeros(2))
-    assert dropped == 1 and kept.shape[0] == 1
+    inst = build_instances(MethodSpec("gem", strength=0.5), mems, g_t, rows, spans).instances[0]
+    assert inst.m == 2 and np.array_equal(inst.constraint_rows, rows)
+    without = qp.QpInstance(rows[1:], g_t, [0.5])
+    for solve in (qp.solve_exact, qp.solve_approx, qp.solve_enumerate):
+        sol = solve(inst)
+        assert sol.rows_dropped == 1 and sol.multipliers[0] == 0.0
+        np.testing.assert_allclose(sol.direction, solve(without).direction, rtol=0, atol=1e-12)
 
 
 def test_assembled_stacks_equal_each_job_alone():
     # jobs of one stack with different partitions, strengths and solvers,
-    # some with degenerate rows: each stack item is laid out, and solved,
-    # as that job's own instance
+    # some with degenerate rows: one stack per module span and solver, and
+    # each stack item is laid out, and solved, as that job's own instance
     rng = rng_from(9, "stack")
     mems = make_memories(3, 1)
     methods = [MethodSpec("gem", strength=0.1), MethodSpec("p_mgem", d_param=2, strength=0.5),
@@ -283,17 +287,20 @@ def test_assembled_stacks_equal_each_job_alone():
                                           "by_layer", "by_layer"])]
     g_t = rng.standard_normal((len(methods), n_params(MLP)))
     rows = rng.standard_normal((len(methods), 3, n_params(MLP)))
-    rows[1, 0] *= 1e-8       # job 1 drops row 0 in both modules
-    rows[3, 2, :20] = 0.0    # job 3 drops row 2 in its first module only
-    rows[4] *= 1e-8          # job 4 drops every row
+    rows[1, 0] *= 1e-8       # job 1 leaves out row 0 in both modules
+    rows[3, 2, :20] = 0.0    # job 3 leaves out row 2 in its first module only
+    rows[4] *= 1e-8          # job 4 leaves out every row
     jobs = [0, 1, 3, 4, 5]   # job 2 is left out, as a failed job would be
-    stacks, dropped = assemble_step(methods, spans, g_t, rows, jobs)
+    stacks = assemble_step(methods, spans, g_t, rows, jobs)
+    keys = [(s.span.start, s.span.stop, s.solver) for s in stacks]
+    assert len(keys) == len(set(keys)) == len({(span.start, span.stop, methods[r].solver)
+                                               for r in jobs for span in spans[r]})
     sols = qp.solve_batch([s.inst for s in stacks], [s.solver for s in stacks])
     seen = set()
+    dropped = np.zeros(len(methods), dtype=int)
     for stack, sol in zip(stacks, sols):
         for k, r in enumerate(stack.jobs):
             alone = build_instances(methods[r], mems, g_t[r], rows[r], spans[r])
-            assert dropped[r] == alone.rows_dropped
             i = spans[r].index(stack.span)
             inst = alone.instances[i]
             for got, want in ((stack.inst.constraint_rows[k], inst.constraint_rows),
@@ -304,6 +311,8 @@ def test_assembled_stacks_equal_each_job_alone():
                    else qp.solve_exact(inst))
             assert np.array_equal(sol.multipliers[k], ref.multipliers)
             assert np.array_equal(sol.direction[k], ref.direction)
+            assert sol.rows_dropped[k] == ref.rows_dropped
+            dropped[r] += sol.rows_dropped[k]
             seen.add((int(r), i))
     assert seen == {(r, i) for r in jobs for i in range(len(spans[r]))}
     assert dropped.tolist() == [0, 2, 0, 1, 3, 0]
@@ -325,7 +334,8 @@ def test_memory_grads_of_a_stack_equal_each_job_alone():
 
 def test_fully_fit_memory_degenerates_to_unconstrained():
     # a saturated model has a ~zero gradient on a perfectly classified
-    # memory; the row drops, and the step falls back to the plain gradient
+    # memory; the solver leaves its row out, and the step falls back to the
+    # plain gradient
     spec = MlpSpec((2, 4, 2))
     params = init_params(spec, 0)
     params[:] = 0.0
@@ -339,23 +349,28 @@ def test_fully_fit_memory_degenerates_to_unconstrained():
                                          rng.integers(0, 2, size=6)),
                               tuple(split_memory(6, 1, 1)))
     g_t = rng.standard_normal(n_params(spec))
-
-    batch = build(MethodSpec("gem"), [fit_mem], g_t, params, spec, spans)
-    assert batch.rows_dropped == 1
-    assert batch.instances[0].m == 0
-    sol = qp.solve_exact(batch.instances[0])
-    assert np.array_equal(sol.direction, g_t)
-
-    both = build(MethodSpec("gem"), [fit_mem, live_mem],
-                 g_t, params, spec, spans)
-    assert both.instances[0].m == 1 and both.rows_dropped == 1
-    # the kept row is the live memory's gradient; the dropped one is the
-    # fit memory's, which is degenerate
-    _, live_grad = loss_and_grad(params, spec, live_mem.data)
-    np.testing.assert_allclose(both.instances[0].constraint_rows[0], live_grad,
-                               rtol=0, atol=1e-12)
     _, fit_grad = loss_and_grad(params, spec, fit_mem.data)
     assert fit_grad @ fit_grad < qp.MIN_ROW_SQNORM
+
+    batch = build(MethodSpec("gem", strength=0.5), [fit_mem], g_t, params, spec, spans)
+    assert batch.instances[0].m == 1
+    for solve in (qp.solve_exact, qp.solve_approx, qp.solve_enumerate):
+        sol = solve(batch.instances[0])
+        assert sol.rows_dropped == 1 and sol.multipliers.tolist() == [0.0]
+        assert np.array_equal(sol.direction, g_t)
+
+    both = build(MethodSpec("gem", strength=0.5), [fit_mem, live_mem],
+                 g_t, params, spec, spans).instances[0]
+    assert both.m == 2
+    # the kept row is the live memory's gradient, and the step is the one
+    # the live memory alone gives
+    _, live_grad = loss_and_grad(params, spec, live_mem.data)
+    np.testing.assert_allclose(both.constraint_rows[1], live_grad, rtol=0, atol=1e-12)
+    live = build(MethodSpec("gem", strength=0.5), [live_mem], g_t, params, spec, spans)
+    sol = qp.solve_exact(both)
+    assert sol.rows_dropped == 1 and sol.multipliers[0] == 0.0
+    np.testing.assert_allclose(sol.direction, qp.solve_exact(live.instances[0]).direction,
+                               rtol=0, atol=1e-12)
 
 
 # --- direction assembly ------------------------------------------------------

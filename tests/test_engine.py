@@ -384,6 +384,38 @@ def test_diverging_job_leaves_its_group():
         assert_same_run(result, run(stream, MLP, c))
 
 
+def test_degenerate_memory_rows_are_left_out_and_counted_per_job(monkeypatch):
+    # push some jobs' memory rows below MIN_ROW_SQNORM on their way to the
+    # QP: q = 0.5 jobs the first memory's row, the q = 1 job every row
+    import mgem.engine as engine_mod
+    original = engine_mod.assemble_step
+
+    def shrunk(methods, spans, g_t, rows, jobs):
+        rows = rows.copy()
+        for r, method in enumerate(methods):
+            if method.strength == 0.5:
+                rows[r, 0] *= 1e-9
+            elif method.strength == 1.0:
+                rows[r] *= 1e-9
+        return original(methods, spans, g_t, rows, jobs)
+
+    monkeypatch.setattr(engine_mod, "assemble_step", shrunk)
+    stream = rotated_stream(n_tasks=3, n_train=60)
+    iters = 12
+    cfgs = [cfg(m, iters=iters) for m in (
+        MethodSpec("gem", strength=0.1), MethodSpec("gem", strength=0.5),
+        MethodSpec("p_mgem", d_param=2, strength=0.5),
+        MethodSpec("gem", solver="approx", strength=0.5), MethodSpec("gem", strength=1.0))]
+    results = run_group(stream, MLP, cfgs, trace=True)
+    # tasks 2 and 3 hold 1 and 2 memories: one row each per module
+    assert [r.rows_dropped for r in results] == [0, 2 * iters, 4 * iters, 2 * iters, 3 * iters]
+    for c, result in zip(cfgs, results):
+        assert_same_run(result, run(stream, MLP, c, trace=True))
+    # every row left out: each step is the plain gradient
+    assert np.array_equal(results[-1].final_params,
+                          run(stream, MLP, cfg(MethodSpec("single"), iters=iters)).final_params)
+
+
 def test_chunks_halve_the_largest_until_two_per_worker():
     grid = [MethodSpec("gem"), MethodSpec("p_mgem", d_param=2),
             MethodSpec("d_mgem", d_data=2), MethodSpec("md_mgem", d_param=2, d_data=2),

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mgem import qp
@@ -138,14 +138,39 @@ def test_nonfinite_input_rejected():
         qp.solve_exact(box([[1.0, 0.0]], [np.inf, 0.0], [0.0]))
 
 
-def test_degenerate_row_rejected_and_droppable():
-    rows = np.array([[1.0, 0.0], [1e-9, 0.0]])
-    with pytest.raises(ValueError):
-        qp.solve_approx(box(rows, [1.0, 1.0], [0.0, 0.0]))
-    kept, strength, dropped = qp.drop_degenerate_rows(rows, np.array([0.1, 0.2]))
-    assert dropped == 1
-    assert kept.shape == (1, 2)
-    assert strength.tolist() == [0.1]
+@pytest.mark.parametrize("form", [qp.BOX_FORM, qp.REGULARIZED_FORM])
+def test_degenerate_row_left_out(form):
+    # a row below MIN_ROW_SQNORM adds no constraint: multiplier 0, counted,
+    # and the rest solves like the instance built without it
+    rng = rng_from(82, "leftout", form)
+    rows = rng.standard_normal((3, 4))
+    rows[1] *= 1e-7
+    g, strength = rng.standard_normal(4), np.array([0.1, 0.2, 0.3])
+    inst = qp.QpInstance(rows, g, strength, form=form)
+    without = qp.QpInstance(rows[[0, 2]], g, strength[[0, 2]], form=form)
+    routes = [qp.solve_exact, qp.solve_enumerate]
+    if form == qp.BOX_FORM:
+        routes.append(qp.solve_approx)
+        assert qp.lower_bounds(inst).tolist() == [0.1, 0.0, 0.3]
+    for solve in routes:
+        sol, ref = solve(inst), solve(without)
+        assert sol.rows_dropped == 1 and ref.rows_dropped == 0
+        assert sol.multipliers[1] == 0.0
+        np.testing.assert_allclose(sol.multipliers[[0, 2]], ref.multipliers, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sol.direction, ref.direction, rtol=0, atol=1e-12)
+        assert abs(qp.kkt_residual(inst, sol.multipliers)
+                   - qp.kkt_residual(without, ref.multipliers)) <= 1e-12
+        moved = sol.multipliers.copy()
+        moved[1] = 7.0  # the multiplier of a left-out row is not read
+        assert qp.kkt_residual(inst, moved) == qp.kkt_residual(inst, sol.multipliers)
+    # every row left out (an all-zero row among them): the target exactly
+    rows[[0, 2]] *= [[0.0], [1e-9]]
+    for solve in routes:
+        sol = solve(qp.QpInstance(rows, g, strength, form=form))
+        assert sol.rows_dropped == 3
+        assert np.array_equal(sol.multipliers, np.zeros(3))
+        assert np.array_equal(sol.direction, g)
+        assert sol.converged and sol.kkt_residual == 0.0
 
 
 def test_enumerate_rejects_large_m():
@@ -288,7 +313,8 @@ def _same(a, b):
             and np.array_equal(a.direction, b.direction)
             and a.iterations == b.iterations
             and a.kkt_residual == b.kkt_residual
-            and a.converged == b.converged)
+            and a.converged == b.converged
+            and a.rows_dropped == b.rows_dropped)
 
 
 def _item(inst, i):
@@ -296,7 +322,8 @@ def _item(inst, i):
 
 
 def _random_batch(rng):
-    """Entries ``(instance or stack, solver, the instances to solve alone)``."""
+    """Entries ``(instance or stack, solver, the instances to solve alone)``;
+    some rows are below MIN_ROW_SQNORM or all zero."""
     entries = []
     for _ in range(int(rng.integers(1, 10))):
         m, n = int(rng.integers(0, 13)), int(rng.integers(1, 16))
@@ -317,18 +344,15 @@ def _random_batch(rng):
                           np.full((B, m), 0.1))
     solver = qp.EXACT if rng.random() < 0.7 else qp.APPROX
     entries.append((stack, solver, [_item(stack, i) for i in range(B)]))
+    # rows left out on purpose, all zero or shrunk (the instances solved
+    # alone view the same rows)
+    for inst, _, _ in entries:
+        if inst.m and rng.random() < 0.3:
+            at = tuple(rng.integers(k) for k in inst.constraint_rows.shape[:-1])
+            inst.constraint_rows[at] *= rng.choice([0.0, 1e-10])
     # an unbounded dual: margins no direction meets
     unbounded = reg([[1.0, 0.0], [-1.0, 0.0]], rng.standard_normal(2), [1.0, 1.0])
     entries.append((unbounded, qp.EXACT, [unbounded]))
-    # a dropped row: must solve like the instance built without it
-    rows = rng.standard_normal((4, 6))
-    rows[1] *= 1e-8
-    kept, strength, dropped = qp.drop_degenerate_rows(rows, np.full(4, 0.5))
-    assert dropped == 1
-    g = rng.standard_normal(6)
-    without = box(np.delete(rows, 1, axis=0), g, np.full(3, 0.5))
-    for solver in (qp.EXACT, qp.APPROX):
-        entries.append((box(kept, g, strength), solver, [without]))
     return entries
 
 
@@ -340,6 +364,7 @@ def _alone(inst, solver, max_iter):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, qp.DEFAULT_MAX_ITER]))
+@example(95797, 1)  # a 1e-3-scaled row of n = 1 below MIN_ROW_SQNORM
 def test_batched_solve_equals_each_instance_alone(seed, max_iter):
     rng = np.random.default_rng(seed)
     entries = _random_batch(rng)
@@ -353,8 +378,19 @@ def test_batched_solve_equals_each_instance_alone(seed, max_iter):
             for i, single in enumerate(alone):
                 item = qp.DualSolution(sol.multipliers[i], sol.direction[i],
                                        int(sol.iterations[i]), float(sol.kkt_residual[i]),
-                                       bool(sol.converged[i]))
+                                       bool(sol.converged[i]), int(sol.rows_dropped[i]))
                 assert _same(item, _alone(single, solver, max_iter))
+    # a left-out row: multiplier 0, and the direction of the instance built
+    # without it (not bit for bit: the Gram sizes differ)
+    rows = rng.standard_normal((4, 6))
+    rows[1] *= 1e-8
+    g = rng.standard_normal(6)
+    without = box(np.delete(rows, 1, axis=0), g, np.full(3, 0.5))
+    for solver in (qp.EXACT, qp.APPROX):
+        sol = _alone(box(rows, g, np.full(4, 0.5)), solver, max_iter)
+        assert sol.multipliers[1] == 0.0 and sol.rows_dropped == 1
+        np.testing.assert_allclose(sol.direction, _alone(without, solver, max_iter).direction,
+                                   rtol=0, atol=1e-12)
 
 
 def test_batched_solve_rejects_bad_input():
