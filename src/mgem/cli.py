@@ -23,7 +23,9 @@ another in this process. ``MGEM_THREADS`` is the fallback for
 least 1.
 
 A config's ``output.dir`` is created with its parents; an ``--out``
-directory is created only if its parent exists.
+directory is created only if its parent exists. An output path that names
+something other than a directory, and a stream data file that cannot be
+read or holds a bad cell, are config errors.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime or solver-budget
 failure (a failing job is named in the message). Settings that no job can
@@ -56,16 +58,25 @@ def _load_config(path: str) -> RunConfigFile:
 
 
 def _resolve_out_dir(cfg: RunConfigFile, override) -> Path:
-    if not override:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        return out
-    out = Path(override)
-    if not out.exists():
-        if not out.parent.exists():
-            raise ConfigError(f"output directory parent {out.parent} does not exist")
-        out.mkdir()
+    out = Path(override or cfg.out_dir)
+    name = f"--out {out}" if override else f"[output] dir {out}"
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"{name} is not a directory")
+    if override and not out.parent.exists():
+        raise ConfigError(f"output directory parent {out.parent} does not exist")
+    try:
+        out.mkdir(parents=not override, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{name}: cannot create directory: {exc.strerror}") from None
     return out
+
+
+def _generate(cfg: RunConfigFile) -> TaskStream:
+    """The configured stream; a bad data file is a ConfigError."""
+    try:
+        return generate(cfg.stream)
+    except ValueError as exc:
+        raise ConfigError(f"[stream] {exc}") from None
 
 
 def _count(text: str) -> int:
@@ -134,7 +145,7 @@ def cmd_run(args) -> int:
     cfg = _load_config(args.config)
     if not cfg.methods:
         raise ConfigError("[method.1] at least one method entry is required for run")
-    stream = generate(cfg.stream)
+    stream = _generate(cfg)
     _check_jobs(cfg, stream, cfg.methods)
     out = _resolve_out_dir(cfg, args.out)
     seeds = [cfg.train_seed + i for i in range(args.seeds)]
@@ -159,7 +170,7 @@ def cmd_run(args) -> int:
 def cmd_pareto(args) -> int:
     threads = _threads(args)
     cfg = _load_config(args.config)
-    stream = generate(cfg.stream)
+    stream = _generate(cfg)
     if stream.n_tasks < 2:
         raise ConfigError("pareto requires >= 2 tasks")
     methods = cfg.methods if cfg.methods else default_pareto_methods()

@@ -44,8 +44,10 @@ stack, ``K`` on the free block and the identity elsewhere.
 A row whose squared norm is below ``MIN_ROW_SQNORM`` carries no direction
 (e.g. the gradient of a fully fit memory) and is left out of its instance:
 its multiplier is 0 and it adds no constraint. ``rows_dropped`` of a
-``DualSolution`` counts such rows; ``lower_bounds`` and ``kkt_residual``
-apply the same rule.
+``DualSolution`` counts such rows. One helper, ``_rows``, validates an
+instance and makes this decision from one pass of squared row norms, for
+every route and for ``lower_bounds`` and ``kkt_residual``, so they all
+agree on a row at the threshold.
 """
 
 import itertools
@@ -142,34 +144,32 @@ def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(A, x[..., None])[..., 0]
 
 
-def _check(sqnorms, target, strength):
-    """Reject bad input and mark the rows left out. ``sqnorms`` are the
-    squared row norms: a row holding NaN or Inf has a non-finite norm."""
-    if not (np.isfinite(sqnorms).all()
+def _rows(rows, target, strength, form):
+    """Validate a stack and decide which rows count, for every route and
+    diagnostic: ``(sq, out, lb, cg)``, the squared row norms, the rows left
+    out (``sq < MIN_ROW_SQNORM``), the lower bounds of ``v`` (the strength
+    in the box form, else 0; 0 for a row left out) and ``C g``. A row
+    holding NaN or Inf has a non-finite norm."""
+    sq = np.einsum("bij,bij->bi", rows, rows)
+    if not (np.isfinite(sq).all()
             and np.isfinite(target).all()
             and np.isfinite(strength).all()):
         raise ValueError("QP instance contains NaN or Inf")
     if (strength < 0.0).any():
         raise ValueError("strength must be entrywise >= 0")
-    return sqnorms < MIN_ROW_SQNORM
-
-
-def _bounds(out, strength, form):
-    """The lower bounds of ``v``: the strength in the box form, else 0; 0
-    for a row left out (``out``)."""
-    return np.where(out | (form != BOX_FORM), 0.0, strength)
+    out = sq < MIN_ROW_SQNORM
+    return sq, out, np.where(out | (form != BOX_FORM), 0.0, strength), _matvec(rows, target)
 
 
 def _gram(rows, target, strength, form):
-    """Validated stacked ``(K, h, lb, out)``: at ``v = lb + u`` the dual
-    gradient is ``K u + h`` (``gamma = 0`` in the box form). A row left out
-    (``out``) has 0 for its Gram row and column, its ``h`` entry and its
-    lower bound, so no solver ever frees it."""
+    """Validated stacked ``(K, h, lb, out)`` from ``_rows``: at
+    ``v = lb + u`` the dual gradient is ``K u + h`` (``gamma = 0`` in the
+    box form). A row left out (``out``) has 0 for its Gram row and column,
+    its ``h`` entry and its lower bound, so no solver ever frees it."""
+    _, out, lb, cg = _rows(rows, target, strength, form)
     K = rows @ np.swapaxes(rows, -1, -2)
-    out = _check(np.diagonal(K, axis1=-2, axis2=-1), target, strength)
     K = np.where(out[..., :, None] | out[..., None, :], 0.0, K)
-    lb = _bounds(out, strength, form)
-    h = _matvec(rows, target) + _matvec(K, lb)
+    h = cg + _matvec(K, lb)
     if form == REGULARIZED_FORM:
         h -= strength
     h[out] = 0.0
@@ -182,12 +182,10 @@ def _kkt(u: np.ndarray, grad: np.ndarray):
     return np.maximum.reduce(np.abs(np.minimum(u, grad)), axis=-1, initial=0.0)
 
 
-def _left_out(rows: np.ndarray) -> np.ndarray:
-    return np.einsum("...ij,...ij->...i", rows, rows) < MIN_ROW_SQNORM
-
-
 def lower_bounds(inst: QpInstance) -> np.ndarray:
-    return _bounds(_left_out(inst.constraint_rows), inst.strength, inst.form)
+    """The lower bounds of ``v`` (``_rows``), stacked like ``inst``."""
+    lb = _rows(*_stack(inst), inst.form)[2]
+    return lb if inst.target.ndim == 2 else lb[0]
 
 
 def dual_objective(inst: QpInstance, v: np.ndarray) -> float:
@@ -199,19 +197,20 @@ def dual_objective(inst: QpInstance, v: np.ndarray) -> float:
 
 
 def kkt_residual(inst: QpInstance, v: np.ndarray) -> float:
-    """Max violation of the bound-constrained KKT conditions at ``v``.
+    """Max violation of the bound-constrained KKT conditions at ``v``, for
+    one instance (not a stack).
 
-    Per coordinate the residual is ``|min(v_k - lb_k, grad_k)|``: zero iff
-    ``v`` is feasible and each coordinate is either at its bound with a
-    non-negative dual gradient, or stationary. A row left out adds nothing:
-    its multiplier is taken as 0 and its residual is 0.
+    Per coordinate the residual is ``|min(u_k, (K u + h)_k)|`` for
+    ``u = v - lb`` on ``_gram``'s ``(K, h)``: zero iff ``v`` is feasible and
+    each coordinate is either at its bound with a non-negative dual
+    gradient, or stationary. A row left out adds nothing: its multiplier is
+    taken as 0 and its residual is 0.
     """
-    out = _left_out(inst.constraint_rows)
-    v = np.where(out, 0.0, np.asarray(v, dtype=np.float64))
-    grad = inst.constraint_rows @ (inst.constraint_rows.T @ v + inst.target)
-    if inst.form == REGULARIZED_FORM:
-        grad = grad - inst.strength
-    return float(_kkt(v - _bounds(out, inst.strength, inst.form), np.where(out, 0.0, grad)))
+    if inst.target.ndim != 1:
+        raise ValueError("kkt_residual takes one instance, not a stack")
+    K, h, lb, out = (a[0] for a in _gram(*_stack(inst), inst.form))
+    u = np.where(out, 0.0, np.asarray(v, dtype=np.float64) - lb)
+    return float(_kkt(u, K @ u + h))
 
 
 def _solve_stack(A: np.ndarray, y: np.ndarray):
@@ -324,9 +323,7 @@ def _lawson_hanson(K: np.ndarray, h: np.ndarray, tol: float, max_iter: int):
         t = np.minimum(first, limit)
         if ray:
             running &= t < np.inf
-            u += np.where(t < np.inf, t, 0.0)[:, None] * d
-        else:
-            u += t[:, None] * d
+        u += np.where(t < np.inf, t, 0.0)[:, None] * d
         cut = (t < limit).nonzero()[0]
         if cut.size:
             u[cut, ratio[cut].argmin(axis=1)] = 0.0
@@ -363,10 +360,8 @@ def solve_batch(insts, solvers, tol: float = DEFAULT_TOL,
         elif solver == APPROX:
             if inst.form != BOX_FORM:
                 raise ValueError("approximate solver handles the box_lower_bound form only")
-            sq = np.einsum("bij,bij->bi", rows, rows)
-            out[i] = _check(sq, target, strength)
-            lb[i] = _bounds(out[i], strength, BOX_FORM)
-            nu = np.divide(-_matvec(rows, target), sq, out=np.zeros_like(sq), where=~out[i])
+            sq, out[i], lb[i], cg = _rows(rows, target, strength, BOX_FORM)
+            nu = np.divide(-cg, sq, out=np.zeros_like(sq), where=~out[i])
             v[i] = np.maximum(nu, lb[i])
             solves[i] = np.zeros(len(rows), dtype=np.int64)
         else:

@@ -7,6 +7,7 @@ These stand in for the image benchmarks at desk scale -- the gradient-space
 methods under test never look at what the features mean.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,11 +170,16 @@ def _parse_csv_file(path: str):
         row = []
         for col, cell in enumerate(cells, start=1):
             try:
-                row.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise ValueError(
                     f"{path} line {line_no} column {col}: could not parse {cell.strip()!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{path} line {line_no} column {col}: {cell.strip()!r} is not finite"
+                )
+            row.append(value)
         label = row[-1]
         if label < 0 or label != int(label):
             raise ValueError(
@@ -191,6 +197,8 @@ def load_csv(paths, seed: int = 0, train_frac: float = 0.8) -> TaskStream:
 
     Files must be UTF-8, comma-separated, with a header row whose last
     column is named ``label``; all other columns are numeric features.
+    Every cell must be a finite number; a bad cell is a ``ValueError``
+    naming its file, line and column.
     """
     if not paths:
         raise ValueError("no csv paths given")

@@ -77,6 +77,34 @@ def test_out_dir_missing_parent_exits_one(tmp_path, capsys):
     assert "parent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "pareto"])
+@pytest.mark.parametrize("how", ["--out", "output.dir", "below a file"])
+def test_out_path_that_is_not_a_directory_exits_one(tmp_path, capsys, monkeypatch,
+                                                    command, how):
+    import mgem.cli as cli_mod
+
+    def no_jobs(*args, **kwargs):
+        raise AssertionError("a job started")
+
+    monkeypatch.setattr(cli_mod, "run_jobs", no_jobs)
+    monkeypatch.setattr(cli_mod, "pareto_sweep", no_jobs)
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n", encoding="utf-8")
+    text = PARETO_CFG if command == "pareto" else RUN_CFG
+    argv = [command, "--config"]
+    if how == "--out":
+        argv += [write_cfg(tmp_path, text), "--out", str(taken)]
+    else:
+        out = taken if how == "output.dir" else taken / "sub"
+        argv.append(write_cfg(tmp_path, text + f"output.dir = {out}\n"))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert str(taken) in err
+    assert how != "output.dir" or "[output] dir" in err
+    assert taken.read_text(encoding="utf-8") == "keep\n"
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_config_out_dir_created_with_its_parents(tmp_path):
     cfg = write_cfg(tmp_path, RUN_CFG + f"output.dir = {tmp_path / 'a' / 'b'}\n")
     assert main(["run", "--config", cfg]) == 0
@@ -226,6 +254,32 @@ output.dir = {tmp_path / 'o'}
     cfg = write_cfg(tmp_path, text)
     assert main(["run", "--config", cfg]) == 0
     assert (tmp_path / "o" / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "pareto"])
+@pytest.mark.parametrize("bad", ["2.0,8.0,inf", "2.0,8.0,nan", "nan,8.0,0", None])
+def test_bad_stream_data_file_exits_one(tmp_path, capsys, command, bad):
+    # a label or feature that is not finite, or no file at all (None)
+    data = tmp_path / "task.csv"
+    if bad is not None:
+        rows = ["x0,x1,label"] + [f"{i}.0,{10 - i}.0,{i % 2}" for i in range(10)]
+        rows[3] = bad
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    text = f"""
+stream.family = csv
+stream.csv_paths = {data},{data}
+model.layer_sizes = 2,6,2
+train.iters_per_task = 5
+train.batch_size = 4
+train.memory_per_task = 4
+method.1.kind = single
+output.dir = {tmp_path / 'o'}
+"""
+    assert main([command, "--config", write_cfg(tmp_path, text)]) == 1
+    err = capsys.readouterr().err
+    assert "[stream]" in err and str(data) in err
+    assert bad is None or "line 4 column" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_selfcheck_quick(capsys):

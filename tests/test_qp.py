@@ -173,6 +173,28 @@ def test_degenerate_row_left_out(form):
         assert sol.converged and sol.kkt_residual == 0.0
 
 
+def test_routes_agree_on_a_row_at_the_threshold():
+    # row 0's squared norm sits on MIN_ROW_SQNORM: summed row by row it is
+    # just above, read off the Gram diagonal just below; every route and
+    # diagnostic must make the same call on it
+    rng = np.random.default_rng(1)
+    while True:
+        n = int(rng.integers(2, 60))
+        row = rng.standard_normal(n)
+        row *= np.sqrt(qp.MIN_ROW_SQNORM / (row @ row))
+        rows = np.vstack([row, rng.standard_normal(n)])
+        above = np.einsum("ij,ij->i", rows, rows)[0] >= qp.MIN_ROW_SQNORM
+        if above != ((rows @ rows.T)[0, 0] >= qp.MIN_ROW_SQNORM):
+            break
+    assert n == 44
+    inst = box(rows, rng.standard_normal(n), [0.5, 0.5])
+    exact = qp.solve_exact(inst)
+    dropped = {solve(inst).rows_dropped for solve in (qp.solve_approx, qp.solve_enumerate)}
+    assert dropped == {exact.rows_dropped}
+    assert (qp.lower_bounds(inst) == 0.0).sum() == exact.rows_dropped
+    assert qp.kkt_residual(inst, exact.multipliers) <= qp.DEFAULT_TOL
+
+
 def test_enumerate_rejects_large_m():
     rng = rng_from(83, "toolarge")
     rows = rng.standard_normal((13, 4))
@@ -205,6 +227,12 @@ def test_kkt_residual_positive_off_optimum():
 def test_kkt_residual_empty_instance():
     inst = box(np.zeros((0, 2)), [1.0, 2.0], np.zeros(0))
     assert qp.kkt_residual(inst, np.zeros(0)) == 0.0
+
+
+def test_kkt_residual_rejects_a_stack():
+    stack = qp.QpInstance(np.ones((2, 1, 3)), np.ones((2, 3)), np.zeros((2, 1)))
+    with pytest.raises(ValueError):
+        qp.kkt_residual(stack, np.zeros((2, 1)))
 
 
 # --- oracle equivalence ------------------------------------------------------
@@ -323,7 +351,7 @@ def _item(inst, i):
 
 def _random_batch(rng):
     """Entries ``(instance or stack, solver, the instances to solve alone)``;
-    some rows are below MIN_ROW_SQNORM or all zero."""
+    some rows are below MIN_ROW_SQNORM, all zero, or at the threshold."""
     entries = []
     for _ in range(int(rng.integers(1, 10))):
         m, n = int(rng.integers(0, 13)), int(rng.integers(1, 16))
@@ -350,6 +378,13 @@ def _random_batch(rng):
         if inst.m and rng.random() < 0.3:
             at = tuple(rng.integers(k) for k in inst.constraint_rows.shape[:-1])
             inst.constraint_rows[at] *= rng.choice([0.0, 1e-10])
+    # rows scaled onto the threshold itself, where rounding decides
+    for inst, _, _ in entries:
+        if inst.m and rng.random() < 0.3:
+            at = tuple(rng.integers(k) for k in inst.constraint_rows.shape[:-1])
+            row = inst.constraint_rows[at]
+            if row.any():
+                row *= np.sqrt(qp.MIN_ROW_SQNORM / (row @ row))
     # an unbounded dual: margins no direction meets
     unbounded = reg([[1.0, 0.0], [-1.0, 0.0]], rng.standard_normal(2), [1.0, 1.0])
     entries.append((unbounded, qp.EXACT, [unbounded]))

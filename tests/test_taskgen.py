@@ -134,6 +134,16 @@ def test_load_csv_reports_bad_cell(tmp_path):
         load_csv([str(f)])
 
 
+@pytest.mark.parametrize("cells, col", [("nan,2.0,0", 1), ("1.0,-inf,0", 2),
+                                         ("1.0,2.0,inf", 3), ("1.0,2.0,nan", 3)])
+def test_load_csv_rejects_non_finite_cells(tmp_path, cells, col):
+    # a feature or a label that is not a finite number names its file and cell
+    f = tmp_path / "nonfinite.csv"
+    write_csv(f, ["1.0,2.0,0", cells])
+    with pytest.raises(ValueError, match=rf"nonfinite\.csv line 3 column {col}: .* not finite"):
+        load_csv([str(f)])
+
+
 def test_load_csv_rejects_ragged_rows(tmp_path):
     f = tmp_path / "ragged.csv"
     write_csv(f, ["1.0,2.0,0", "1.0,1"])
