@@ -20,14 +20,7 @@ from .qp import (
     solve_enumerate,
     solve_exact,
 )
-from .constraints import (
-    ConstraintBatch,
-    MethodSpec,
-    assemble_direction,
-    build_instances,
-    resolve_partition,
-    split_memory,
-)
+from .constraints import MethodSpec, resolve_partition, split_memory
 from .taskgen import StreamSpec, Task, TaskStream, generate, load_csv
 from .engine import (
     EpisodicMemory,

@@ -2,7 +2,8 @@
 
 The format is deliberately dependency-free: UTF-8 text, one ``key = value``
 pair per line, ``#`` comments, keys like ``train.lr`` or ``method.1.kind``.
-Unknown keys are rejected with a diagnostic naming the section and key.
+Unknown and repeated keys are rejected with a diagnostic naming the key
+(``method.01.q`` and ``method.1.q`` are the same key).
 """
 
 import math
@@ -115,10 +116,17 @@ def parse_config(text: str) -> RunConfigFile:
     method_kv = {}
     q_grid = None
     out_dir = None
+    seen = {}  # each key (method index as a number) -> the line that set it
 
     for key, value, line_no in _parse_pairs(text):
         parts = key.split(".")
         section = parts[0]
+        if section == "method" and len(parts) == 3 and parts[2] in _METHOD_FIELDS:
+            parts[1] = str(_to_int("method", "index", parts[1]))
+        name = ".".join(parts)
+        if name in seen:
+            raise ConfigError(f"line {line_no}: key {name!r} repeats line {seen[name]}")
+        seen[name] = line_no
         if section == "stream" and len(parts) == 2 and parts[1] in _STREAM_FIELDS:
             stream_kv[parts[1]] = _STREAM_FIELDS[parts[1]](value)
         elif section == "model" and len(parts) == 2 and parts[1] == "layer_sizes":
@@ -134,7 +142,7 @@ def parse_config(text: str) -> RunConfigFile:
             attr, conv = _TRAIN_FIELDS[parts[1]]
             train_kv[attr] = conv(value)
         elif section == "method" and len(parts) == 3 and parts[2] in _METHOD_FIELDS:
-            idx = _to_int("method", "index", parts[1])
+            idx = int(parts[1])
             entry = method_kv.setdefault(idx, {})
             sec = f"method.{idx}"
             if parts[2] == "kind":

@@ -18,7 +18,10 @@ size and memory rows per step, e.g. the methods and strengths of one sweep
 stack, and each step makes one stacked minibatch, memory and trace pass for
 all of them, assembles the per-module QPs of every job at once
 (``constraints.assemble_step``) and solves them in one ``qp.solve_batch``
-call. ``run`` is the one-job case.
+call. Row ``j`` of the stack is job ``j`` for the whole run: a job whose
+values stop being finite keeps its row, zeroed, takes no further steps and
+is not evaluated, and the other jobs' results stay bit-identical to their
+runs alone. ``run`` is the one-job case.
 
 ``run_jobs`` runs independent jobs (one ``TrainConfig`` each, over a shared
 stream and model spec): it groups them by the data they draw, cuts the
@@ -106,19 +109,6 @@ class RunResult:
     final_params: np.ndarray  # parameters after the last task
 
 
-def _nonfinite(what: str, task: int, it: int) -> FloatingPointError:
-    return FloatingPointError(f"{what} became non-finite at task {task}, iteration {it}; lower lr")
-
-
-def _nonfinite_rows(stack: np.ndarray, what: str, task: int, it: int) -> dict:
-    """Each job (first index of ``stack``) whose values stop being finite at
-    this step, with the error that stops it there."""
-    finite = np.isfinite(stack).all(axis=tuple(range(1, stack.ndim)))
-    if finite.all():
-        return {}
-    return {int(r): _nonfinite(what, task, it) for r in np.flatnonzero(~finite)}
-
-
 def _group_key(cfg: TrainConfig) -> tuple:
     """Jobs with equal keys draw the same data and train in lockstep: the
     same initial parameters, minibatches and memories (all seeded from
@@ -158,15 +148,17 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
     parameter stack; returns one entry per config, in order: its
     ``RunResult``, or the ``FloatingPointError`` that stopped that job.
 
-    All configs must share one ``_group_key``. Each step makes one stacked
-    minibatch pass, one stacked memory pass and (when tracing) one stacked
-    trace pass for all jobs; the memory and trace rows are cut once per
-    task. The per-module QPs of every job are assembled together and solved
+    All configs must share one ``_group_key``. Row ``j`` of every stack is
+    job ``j`` for the whole run. Each step makes one stacked minibatch
+    pass, one stacked memory pass and (when tracing) one stacked trace pass
+    for all jobs; the memory and trace rows are cut once per task. The
+    per-module QPs of every running job are assembled together and solved
     in one batched call, and each direction ``g + C^T v`` is written into
     its job's module span of the update stack; the trace inner products stay
     per job. Each job's result is the one it gets alone, bit for bit. A job
-    whose values stop being finite leaves the stack at that step; the other
-    jobs train on.
+    whose values stop being finite stops at that step: it keeps its row,
+    zeroed, takes no further steps and is not evaluated, and the other jobs
+    train on.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -177,29 +169,34 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
                          "memory_per_task and memory rows")
     check_memory(stream, lead.memory_per_task)
 
+    J, T = len(cfgs), stream.n_tasks
     constrained_kind = lead.method.kind != "single"
+    methods = [cfg.method for cfg in cfgs]
     spans = [resolve_partition(mlp, cfg.partition_mode, cfg.method.d_param) for cfg in cfgs]
-    params = np.tile(init_params(mlp, lead.seed), (len(cfgs), 1))
-    live = list(range(len(cfgs)))  # the job of each stack row
-    results = [None] * len(cfgs)
+    params = np.tile(init_params(mlp, lead.seed), (J, 1))
+    running = np.ones(J, dtype=bool)
+    results = [None] * J
 
-    T = stream.n_tasks
-    R = [np.zeros((T, T)) for _ in cfgs]
+    R = np.zeros((J, T, T))
     traces = [[] for _ in cfgs]
-    constrained = [0] * len(cfgs)
-    unconverged = [0] * len(cfgs)
-    rows_dropped = [0] * len(cfgs)
+    constrained, unconverged, rows_dropped = np.zeros((3, J), dtype=np.int64)
     memories = []
 
-    def leave(failed: dict) -> list:
-        """Take the jobs of the stack rows in ``failed`` out of the stack,
-        each keeping its exception; returns the rows that stay."""
-        nonlocal params, live
-        for r, exc in failed.items():
-            results[live[r]] = exc
-        keep = [r for r in range(len(live)) if r not in failed]
-        params, live = params[keep], [live[r] for r in keep]
-        return keep
+    def stop(stack, what, task, it):
+        """Stop each running job whose row of ``stack`` is not finite, with
+        the error it raises alone, and zero its rows of ``stack`` and
+        ``params``: it takes no further steps, and its later passes stay
+        finite."""
+        bad = ~np.isfinite(stack).all(axis=tuple(range(1, stack.ndim)))
+        if not bad.any():
+            return
+        bad &= running
+        for j in np.flatnonzero(bad).tolist():
+            results[j] = FloatingPointError(
+                f"{what} became non-finite at task {task}, iteration {it}; lower lr")
+        running[bad] = False
+        stack[bad] = 0.0
+        params[bad] = 0.0
 
     for t_pos, task in enumerate(stream.tasks, start=1):
         batch_rng = rng_from(lead.seed, "batch", t_pos)
@@ -215,7 +212,7 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
             trace_data = Dataset.concat(trace_sets)
             trace_sizes = [d.n_samples for d in trace_sets]
         for it in range(lead.iters_per_task):
-            if not live:
+            if not running.any():
                 break
             idx = batch_rng.integers(0, n_train, size=lead.batch_size)
             g_t = _backprop(params, mlp, task.train.take(idx), (lead.batch_size,))[1][:, 0]
@@ -223,47 +220,37 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
                 mem_rows = _backprop(params, mlp, *memory_rows)[1]
             if traced:
                 trace_rows = _backprop(params, mlp, trace_data, trace_sizes)[1]
-            z = g_t if memory_rows is None else np.empty_like(g_t)
-            failed = _nonfinite_rows(g_t, "minibatch gradient", task.descriptor, it)
+            # stopped jobs' rows of z stay zero: assembly writes only running
+            # rows, and the single jobs of a group train alike, so stop together
+            z = g_t if memory_rows is None else np.zeros_like(g_t)
+            stop(g_t, "minibatch gradient", task.descriptor, it)
             if memory_rows is not None:
                 grads = memory_grads(memories, mem_rows)
-                for r, exc in _nonfinite_rows(grads, "memory gradients",
-                                              task.descriptor, it).items():
-                    failed.setdefault(r, exc)
-                todo = [r for r in range(len(live)) if r not in failed]
-                stacks = assemble_step([cfgs[j].method for j in live],
-                                       [spans[j] for j in live], g_t, mem_rows, todo)
-                unsolved = np.zeros(len(live), dtype=bool)
-                dropped = np.zeros(len(live), dtype=np.int64)
+                stop(grads, "memory gradients", task.descriptor, it)
+            jobs = np.flatnonzero(running).tolist()
+            if memory_rows is not None:
+                stacks = assemble_step(methods, spans, g_t, mem_rows, jobs)
+                unsolved = np.zeros(J, dtype=bool)
                 for stack, sol in zip(stacks, qp.solve_batch([s.inst for s in stacks],
                                                              [s.solver for s in stacks])):
                     z[stack.jobs, stack.span] = sol.direction
                     unsolved[stack.jobs[~sol.converged]] = True
-                    dropped[stack.jobs] += sol.rows_dropped
-                for r in todo:
-                    j = live[r]
-                    constrained[j] += 1
-                    unconverged[j] += int(unsolved[r])
-                    rows_dropped[j] += int(dropped[r])
+                    rows_dropped[stack.jobs] += sol.rows_dropped
+                constrained += running
+                unconverged += unsolved
             if traced:
-                for r, j in enumerate(live):
-                    if r in failed:
-                        continue
+                for r in jobs:
                     rows = trace_rows[r]
                     mem_grads = rows[t_pos:] if memory_rows is None else grads[r]
-                    traces[j].append(StepTrace(
+                    traces[r].append(StepTrace(
                         task=t_pos,
                         iteration=it,
                         fwd_inner=float(rows[0] @ z[r]),
                         bwd_inners=tuple(float(rows[s] @ z[r]) for s in range(1, t_pos)),
                         min_memory_inner=min(float(g @ z[r]) for g in mem_grads),
                     ))
-            if failed:
-                z = z[leave(failed)]
             params -= lead.lr * z
-            failed = _nonfinite_rows(params, "parameters", task.descriptor, it)
-            if failed:
-                leave(failed)
+            stop(params, "parameters", task.descriptor, it)
 
         mem_rng = rng_from(lead.seed, "memory", t_pos)
         sel = np.sort(mem_rng.choice(n_train, size=lead.memory_per_task, replace=False))
@@ -274,19 +261,18 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
                                       derive_seed(lead.seed, "memsplit", t_pos))),
         ))
 
-        for r, j in enumerate(live):
+        for r in np.flatnonzero(running).tolist():
             for k, other in enumerate(stream.tasks):
-                R[j][t_pos - 1, k] = accuracy(params[r], mlp, other.test)
+                R[r, t_pos - 1, k] = accuracy(params[r], mlp, other.test)
 
-    for r, j in enumerate(live):
-        results[j] = RunResult(
-            accuracy=R[j],
-            traces=traces[j],
-            constrained_steps=constrained[j],
-            unconverged_steps=unconverged[j],
-            rows_dropped=rows_dropped[j],
-            degraded=(constrained[j] > 0
-                      and unconverged[j] > DEGRADED_BUDGET * constrained[j]),
+    for r in np.flatnonzero(running).tolist():
+        results[r] = RunResult(
+            accuracy=R[r],
+            traces=traces[r],
+            constrained_steps=int(constrained[r]),
+            unconverged_steps=int(unconverged[r]),
+            rows_dropped=int(rows_dropped[r]),
+            degraded=bool(unconverged[r] > DEGRADED_BUDGET * constrained[r]),
             final_params=params[r].copy(),
         )
     return results

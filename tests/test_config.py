@@ -68,9 +68,24 @@ def test_bad_value_types_diagnosed():
 ])
 def test_non_finite_and_negative_numbers_name_their_key(key, value):
     section, _, field = key.rpartition(".")
-    text = MINIMAL + "method.2.kind = gem\n" + f"{key} = {value}\n"
+    # the bad value replaces the key's line where MINIMAL sets it
+    text, found = re.subn(rf"(?m)^{re.escape(key)} = .*$", f"{key} = {value}",
+                          MINIMAL + "method.2.kind = gem\n")
+    if not found:
+        text += f"{key} = {value}\n"
     with pytest.raises(ConfigError, match=rf"\[{re.escape(section)}\] {field}"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("line,key,first", [
+    ("method.1.kind = d_mgem", "method.1.kind", 15),
+    ("method.01.kind = single", "method.1.kind", 15),
+    ("train.lr = 0.05", "train.lr", 11),
+])
+def test_repeated_key_names_the_key_and_both_lines(line, key, first):
+    # MINIMAL sets train.lr on line 11 and method.1.kind on line 15
+    with pytest.raises(ConfigError, match=rf"^line 17: key '{re.escape(key)}' repeats line {first}$"):
+        parse_config(MINIMAL + "train.seed = 3\n" + line + "\n")
 
 
 def test_missing_required_sections():

@@ -128,7 +128,8 @@ def test_diverging_job_exits_two_naming_job_task_and_iteration(tmp_path, capsys,
                                                                command, job):
     cfg = write_cfg(tmp_path, CFG.replace("train.lr = 0.05", "train.lr = 1e300"))
     argv = [command, "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "2"]
-    assert main(argv) == 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"{job} failed: " in err
     assert re.search(r"non-finite at task 1, iteration \d+", err)
