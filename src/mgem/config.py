@@ -3,7 +3,8 @@
 The format is deliberately dependency-free: UTF-8 text, one ``key = value``
 pair per line, ``#`` comments, keys like ``train.lr`` or ``method.1.kind``.
 Unknown and repeated keys are rejected with a diagnostic naming the key
-(``method.01.q`` and ``method.1.q`` are the same key).
+(``method.01.q`` and ``method.1.q`` are the same key). A number holding
+Python's digit separator ``_`` is a bad value, like any other non-number.
 """
 
 import math
@@ -59,16 +60,24 @@ def _parse_pairs(text: str):
     return pairs
 
 
+def _number(kind, value):
+    """``kind(value)``, except that Python's digit separator ``_`` is not a
+    config number: ``1_0`` raises ValueError rather than reading as 10."""
+    if "_" in value:
+        raise ValueError(value)
+    return kind(value)
+
+
 def _to_int(section, key, value):
     try:
-        return int(value)
+        return _number(int, value)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: expected integer, got {value!r}") from None
 
 
 def _to_float(section, key, value):
     try:
-        number = float(value)
+        number = _number(float, value)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: expected number, got {value!r}") from None
     if not math.isfinite(number):
@@ -131,7 +140,7 @@ def parse_config(text: str) -> RunConfigFile:
             stream_kv[parts[1]] = _STREAM_FIELDS[parts[1]](value)
         elif section == "model" and len(parts) == 2 and parts[1] == "layer_sizes":
             try:
-                model_kv["layer_sizes"] = tuple(int(s) for s in value.split(","))
+                model_kv["layer_sizes"] = tuple(_number(int, s) for s in value.split(","))
             except ValueError:
                 raise ConfigError(
                     f"[model] layer_sizes: expected comma-separated integers, got {value!r}"

@@ -154,8 +154,8 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
     for all jobs; the memory and trace rows are cut once per task. The
     per-module QPs of every running job are assembled together and solved
     in one batched call, and each direction ``g + C^T v`` is written into
-    its job's module span of the update stack; the trace inner products stay
-    per job. Each job's result is the one it gets alone, bit for bit. A job
+    its job's module span of the update stack; one stacked product gives
+    every running job's trace inner products. Each job's result is the one it gets alone, bit for bit. A job
     whose values stop being finite stops at that step: it keeps its row,
     zeroed, takes no further steps and is not evaluated, and the other jobs
     train on.
@@ -239,15 +239,21 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
                 constrained += running
                 unconverged += unsolved
             if traced:
-                for r in jobs:
-                    rows = trace_rows[r]
-                    mem_grads = rows[t_pos:] if memory_rows is None else grads[r]
+                # one (1, P) @ (P, 1) product per row: numpy's dot routine, as
+                # ``row @ z`` alone, so each inner product is that float bit for bit
+                zj = z[jobs][:, None, :, None]
+                inner = np.matmul(trace_rows[jobs][:, :, None, :], zj)[..., 0, 0]
+                if memory_rows is None:
+                    mem_inner = inner[:, t_pos:]
+                else:
+                    mem_inner = np.matmul(grads[jobs][:, :, None, :], zj)[..., 0, 0]
+                for r, row, mem in zip(jobs, inner.tolist(), mem_inner.tolist()):
                     traces[r].append(StepTrace(
                         task=t_pos,
                         iteration=it,
-                        fwd_inner=float(rows[0] @ z[r]),
-                        bwd_inners=tuple(float(rows[s] @ z[r]) for s in range(1, t_pos)),
-                        min_memory_inner=min(float(g @ z[r]) for g in mem_grads),
+                        fwd_inner=row[0],
+                        bwd_inners=tuple(row[1:t_pos]),
+                        min_memory_inner=min(mem),
                     ))
             params -= lead.lr * z
             stop(params, "parameters", task.descriptor, it)
@@ -307,23 +313,22 @@ def _pool_job(cfgs):
 
 
 def _chunks(cfgs, threads: int) -> list:
-    """Job indices of each chunk: one chunk per ``_group_key`` group, in
-    order of first job; for more than one worker, the largest chunk is
-    halved until there are at least two chunks per worker (or every chunk
-    holds one job), and the chunks are ordered largest first."""
+    """Job indices of each chunk, largest first: one chunk per
+    ``_group_key`` group, with the largest chunk halved until there is one
+    chunk per worker (or every chunk holds one job). A lockstep chunk pays
+    a per-step cost that its job count does not change, so a worker runs
+    one chunk where it can."""
     groups = {}
     for i, cfg in enumerate(cfgs):
         groups.setdefault(_group_key(cfg), []).append(i)
     chunks = list(groups.values())
-    if threads > 1:
-        while len(chunks) < 2 * threads:
-            k = max(range(len(chunks)), key=lambda c: len(chunks[c]))
-            if len(chunks[k]) < 2:
-                break
-            half = (len(chunks[k]) + 1) // 2
-            chunks[k:k + 1] = [chunks[k][:half], chunks[k][half:]]
-        chunks.sort(key=len, reverse=True)
-    return chunks
+    while 0 < len(chunks) < threads:
+        k = max(range(len(chunks)), key=lambda c: len(chunks[c]))
+        if len(chunks[k]) < 2:
+            break
+        half = (len(chunks[k]) + 1) // 2
+        chunks[k:k + 1] = [chunks[k][:half], chunks[k][half:]]
+    return sorted(chunks, key=len, reverse=True)
 
 
 def run_jobs(job, stream: TaskStream, mlp: MlpSpec, cfgs, threads: int = 1) -> list:
@@ -333,10 +338,9 @@ def run_jobs(job, stream: TaskStream, mlp: MlpSpec, cfgs, threads: int = 1) -> l
     ``job(stream, mlp, chunk)`` trains a chunk of configs that share one
     ``_group_key`` (``run_group`` is such a job) and returns one entry per
     config: its result, or the exception that stopped that config alone.
-    Configs are grouped by the data they draw; at one worker each group is
-    one chunk, and at more the largest chunk is halved until there are at
-    least two chunks per worker, submitted largest first. Results do not
-    depend on the chunking.
+    Configs are grouped by the data they draw, one chunk per group, and
+    the largest chunk is halved until there is one chunk per worker; chunks
+    are submitted largest first. Results do not depend on the chunking.
 
     The pool is fork-started and lives only for this call: ``stream``,
     ``mlp`` and ``job`` reach each worker once, inherited through the pool

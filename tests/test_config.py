@@ -77,6 +77,22 @@ def test_non_finite_and_negative_numbers_name_their_key(key, value):
         parse_config(text)
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("train.iters_per_task", "1_0", "[train] iters_per_task: expected integer, got '1_0'"),
+    ("stream.noise", "1_0.5", "[stream] noise: expected number, got '1_0.5'"),
+    ("pareto.q_grid", "0.1,0_5", "[pareto] q_grid: expected number, got '0_5'"),
+    ("method.1_0.kind", "gem", "[method] index: expected integer, got '1_0'"),
+    ("model.layer_sizes", "3,8_0,3",
+     "[model] layer_sizes: expected comma-separated integers, got '3,8_0,3'"),
+])
+def test_numbers_with_underscores_are_config_errors(key, value, message):
+    text, found = re.subn(rf"(?m)^{re.escape(key)} = .*$", f"{key} = {value}", MINIMAL)
+    if not found:
+        text += f"{key} = {value}\n"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(text)
+
+
 @pytest.mark.parametrize("line,key,first", [
     ("method.1.kind = d_mgem", "method.1.kind", 15),
     ("method.01.kind = single", "method.1.kind", 15),

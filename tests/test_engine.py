@@ -209,6 +209,60 @@ def test_traced_inner_products_match_per_set_gradients():
     assert next(traces, None) is None
 
 
+@pytest.mark.parametrize("methods", [
+    [MethodSpec("single")] * 3,
+    [MethodSpec("gem"), MethodSpec("p_mgem", d_param=2, strength=0.5),
+     MethodSpec("gem", solver="approx", strength=0.2)],
+], ids=["single", "constrained"])
+def test_group_trace_inner_products_are_each_row_dot_z(methods, monkeypatch):
+    # every traced inner product of a 3-job group is float(row @ z) for its
+    # job's trace or memory row and update direction, bit for bit
+    import mgem.engine as engine_mod
+    seen = {}
+
+    def spy(module, name, keep=lambda out: out):
+        fn = getattr(module, name)
+
+        def spying(*args):
+            out = fn(*args)
+            seen.setdefault(name, []).append(keep(out))
+            return out
+        monkeypatch.setattr(module, name, spying)
+
+    spy(engine_mod, "_backprop", lambda out: out[1].copy())
+    spy(engine_mod, "memory_grads", np.copy)
+    spy(engine_mod, "assemble_step")
+    spy(qp, "solve_batch")
+    iters, single = 5, methods[0].kind == "single"
+    stream = rotated_stream(n_tasks=3, n_train=60)
+    results = run_group(stream, MLP, [cfg(m, iters=iters, memory=20) for m in methods],
+                        trace=True)
+
+    # task 1 makes one pass per step; a traced step makes a minibatch pass,
+    # a memory pass (constrained only) and a trace pass
+    passes = iter(seen["_backprop"][iters:])
+    per_step = 2 if single else 3
+    want = [[] for _ in methods]
+    for step in range(2 * iters):
+        t_pos = 2 + step // iters
+        minibatch, *_, rows = (next(passes) for _ in range(per_step))
+        if single:
+            z, mem = minibatch[:, 0], rows[:, t_pos:]
+        else:
+            z = np.zeros_like(minibatch[:, 0])
+            for stack, sol in zip(seen["assemble_step"][step], seen["solve_batch"][step]):
+                z[stack.jobs, stack.span] = sol.direction
+            mem = seen["memory_grads"][step]
+        for r in range(len(methods)):
+            want[r].append((float(rows[r, 0] @ z[r]),
+                            tuple(float(rows[r, s] @ z[r]) for s in range(1, t_pos)),
+                            min(float(g @ z[r]) for g in mem[r])))
+    assert next(passes, None) is None
+    for result, expect in zip(results, want):
+        assert [(t.fwd_inner, t.bwd_inners, t.min_memory_inner)
+                for t in result.traces] == expect
+
+
 @pytest.mark.parametrize("method", [MethodSpec("single"), MethodSpec("gem")])
 def test_divergence_stops_at_the_step_that_overflows(method):
     with np.errstate(over="ignore", invalid="ignore"), \
@@ -439,18 +493,21 @@ def test_degenerate_memory_rows_are_left_out_and_counted_per_job(monkeypatch):
                           run(stream, MLP, cfg(MethodSpec("single"), iters=iters)).final_params)
 
 
-def test_chunks_halve_the_largest_until_two_per_worker():
+def test_chunks_halve_the_largest_until_one_per_worker():
     grid = [MethodSpec("gem"), MethodSpec("p_mgem", d_param=2),
             MethodSpec("d_mgem", d_data=2), MethodSpec("md_mgem", d_param=2, d_data=2),
             MethodSpec("gem", solver="approx")]
     cfgs = [cfg(replace(m, strength=q)) for m in grid for q in range(8)]
     assert [len(c) for c in _chunks(cfgs, 1)] == [24, 16]
-    assert [len(c) for c in _chunks(cfgs, 2)] == [12, 12, 8, 8]
-    assert [len(c) for c in _chunks(cfgs, 3)] == [8, 8, 6, 6, 6, 6]
-    assert sorted(i for c in _chunks(cfgs, 3) for i in c) == list(range(40))
+    assert [len(c) for c in _chunks(cfgs, 2)] == [24, 16]
+    assert [len(c) for c in _chunks(cfgs, 3)] == [16, 12, 12]
     assert [len(c) for c in _chunks(cfgs[:2], 4)] == [1, 1]  # one job per chunk at most
-    for chunk in _chunks(cfgs, 3):
-        assert len({_group_key(cfgs[i]) for i in chunk}) == 1
+    assert _chunks([], 2) == []
+    for threads in (1, 2, 3):
+        chunks = _chunks(cfgs, threads)
+        assert sorted(i for c in chunks for i in c) == list(range(40))
+        for chunk in chunks:
+            assert len({_group_key(cfgs[i]) for i in chunk}) == 1
 
 
 # --- pareto sweep ------------------------------------------------------------
