@@ -18,9 +18,8 @@ method x seed jobs over them, ``pareto`` its grid x seed jobs
 lockstep as one parameter stack (``engine.run_group``); each group is a
 chunk, and the largest chunk is halved until there are N chunks, run
 largest first. Output is identical for any N; where ``os.fork`` does not
-exist, the chunks run one after another in this process. ``MGEM_THREADS``
-is the fallback for ``--threads``. ``--seeds``, ``--threads`` and
-``MGEM_THREADS`` must be at least 1.
+exist, the chunks run one after another in this process. ``--threads``
+defaults to 1; ``--seeds`` and ``--threads`` must be at least 1.
 
 A config's ``output.dir`` is created with its parents; an ``--out``
 directory is created only if its parent exists. An output path that names
@@ -37,7 +36,6 @@ train with are config errors, raised before any job starts.
 
 import argparse
 import functools
-import os
 import sys
 from pathlib import Path
 
@@ -115,21 +113,6 @@ def _count(text: str) -> int:
     return value
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("MGEM_THREADS")
-    if not env:
-        return 1
-    try:
-        threads = int(env)
-    except ValueError:
-        raise ConfigError(f"MGEM_THREADS must be an integer, got {env!r}") from None
-    if threads < 1:
-        raise ConfigError(f"MGEM_THREADS must be >= 1, got {threads}")
-    return threads
-
-
 def _train_config(cfg: RunConfigFile, method, seed) -> TrainConfig:
     return TrainConfig(
         lr=cfg.lr,
@@ -166,7 +149,6 @@ def _check_jobs(cfg: RunConfigFile, stream, methods):
 
 
 def cmd_run(args) -> int:
-    threads = _threads(args)
     cfg = _load_config(args.config)
     if not cfg.methods:
         raise ConfigError("[method.1] at least one method entry is required for run")
@@ -175,7 +157,7 @@ def cmd_run(args) -> int:
     out = _resolve_out_dir(cfg, args.out)
     seeds = [cfg.train_seed + i for i in range(args.seeds)]
     cfgs = [_train_config(cfg, method, seed) for method in cfg.methods for seed in seeds]
-    results = run_jobs(run_group, stream, cfg.model, cfgs, threads)
+    results = run_jobs(run_group, stream, cfg.model, cfgs, args.threads)
 
     entries = []
     for run_idx, (tcfg, result) in enumerate(zip(cfgs, results), start=1):
@@ -193,7 +175,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_pareto(args) -> int:
-    threads = _threads(args)
     cfg = _load_config(args.config)
     stream = _generate(cfg)
     if stream.n_tasks < 2:
@@ -204,7 +185,7 @@ def cmd_pareto(args) -> int:
     grid = [(m, q) for m in methods for q in cfg.q_grid]
     seeds = [cfg.train_seed + i for i in range(args.seeds)]
     base = _train_config(cfg, methods[0], cfg.train_seed)
-    points = pareto_sweep(stream, cfg.model, base, grid, seeds=seeds, threads=threads)
+    points = pareto_sweep(stream, cfg.model, base, grid, seeds=seeds, threads=args.threads)
     write_pareto_csv(out / "pareto.csv", points)
     print(f"wrote {out / 'pareto.csv'} ({len(points)} rows)")
     if any(p.degraded for p in points):
@@ -233,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="path to a run config file")
     p_run.add_argument("--out", default=None, help="output directory (overrides config)")
     p_run.add_argument("--seeds", type=_count, default=1, help="number of seeds per method")
-    p_run.add_argument("--threads", type=_count, default=None,
+    p_run.add_argument("--threads", type=_count, default=1,
                        help="worker processes for the method x seed jobs")
     p_run.set_defaults(fn=cmd_run)
 
@@ -241,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_par.add_argument("--config", required=True)
     p_par.add_argument("--out", default=None)
     p_par.add_argument("--seeds", type=_count, default=1)
-    p_par.add_argument("--threads", type=_count, default=None,
+    p_par.add_argument("--threads", type=_count, default=1,
                        help="worker processes for the grid x seed jobs")
     p_par.set_defaults(fn=cmd_pareto)
 

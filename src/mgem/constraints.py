@@ -14,9 +14,10 @@ A partition is a tuple of contiguous ``slice``s that tile the flat
 parameter vector, one per module (``resolve_partition``).
 
 Every variant reads its rows from one stacked forward/backward pass per
-step over every split of every stored memory (``memory_groups`` cuts those
-samples once per task; a memory of ``gem`` or ``p_mgem`` is one split), then
-slices them per module.
+step over every split of every stored memory, then slices them per module.
+A memory stores its samples split by split, so ``memory_groups`` only
+concatenates the memories, once per task; a memory of ``gem`` or ``p_mgem``
+is one split. The engine's traced inner products read the same pass.
 
 Per-module problems are independent (the joint QP is block-diagonal), so
 solving them separately and concatenating the directions equals the joint
@@ -130,18 +131,6 @@ def split_memory(n_samples: int, d_data: int, seed: int):
 
 
 @dataclass(eq=False)
-class ConstraintBatch:
-    """Instances for one update step plus gradient bookkeeping.
-
-    ``memory_grads`` holds each past task's full-length memory gradient
-    (see ``memory_grads``).
-    """
-
-    instances: list
-    memory_grads: list
-
-
-@dataclass(eq=False)
 class ModuleStack:
     """The instances of one step that share a module span and a solver, as
     one stacked ``QpInstance``: item k belongs to the job in stack row
@@ -154,11 +143,12 @@ class ModuleStack:
 
 
 def memory_groups(memories):
-    """The samples of every memory, split by split in split order, and the
-    split sizes: the rows and groups of the stacked pass whose gradients
-    ``assemble_step`` reads, one gradient row per split."""
-    data = Dataset.concat([mem.split_data for mem in memories])
-    return data, [len(idx) for mem in memories for idx in mem.splits]
+    """The samples of every memory, each already split by split in split
+    order, and the split sizes: the rows and groups of the stacked memory
+    pass, one gradient row per split, which ``assemble_step`` and
+    ``memory_grads`` read."""
+    data = Dataset.concat([mem.data for mem in memories])
+    return data, [k for mem in memories for k in mem.sizes]
 
 
 def memory_grads(memories, rows: np.ndarray) -> np.ndarray:
@@ -170,10 +160,10 @@ def memory_grads(memories, rows: np.ndarray) -> np.ndarray:
     its split rows, which equals the full-memory gradient under the
     mean-loss convention.
     """
-    d = len(memories[0].splits)
+    d = len(memories[0].sizes)
     if d == 1:
         return rows
-    w = np.array([[len(idx) for idx in mem.splits] for mem in memories], dtype=np.float64)
+    w = np.array([mem.sizes for mem in memories], dtype=np.float64)
     w /= w.sum(axis=1, keepdims=True)
     J, _, P = rows.shape
     return np.matmul(w[:, None, :], rows.reshape(J, len(memories), d, P))[:, :, 0]
@@ -212,27 +202,27 @@ def assemble_step(methods, spans, g_t: np.ndarray, rows: np.ndarray, jobs) -> li
 
 
 def build_instances(method: MethodSpec, memories, g_t: np.ndarray,
-                    rows: np.ndarray, spans) -> ConstraintBatch:
-    """Assemble one QpInstance per parameter module (``spans``) for this step.
+                    rows: np.ndarray, spans) -> list:
+    """One QpInstance per parameter module (``spans``) for this step.
 
     ``memories`` is the ordered list of past-task EpisodicMemory objects,
-    each cut into ``method.d_data`` splits, and ``rows`` holds this step's
-    gradient of every split, in ``memory_groups`` order. An empty list
-    yields an empty batch (first task: the caller uses the plain gradient).
-    Every row is kept; the solver leaves degenerate ones out. This is the
-    one-job case of ``assemble_step``.
+    each of ``method.d_data`` splits (``mem.sizes``), and ``rows`` holds
+    this step's gradient of every split, in ``memory_groups`` order. No
+    memories give no instances (first task: the caller uses the plain
+    gradient). Every row is kept; the solver leaves degenerate ones out.
+    This is the one-job case of ``assemble_step``.
     """
     if method.kind == "single":
         raise ValueError("the single baseline does not assemble constraints")
     if not memories:
-        return ConstraintBatch([], [])
+        return []
     d = method.d_data
     for mem in memories:
         if mem.data.n_samples < 1:
             raise ValueError("episodic memory is empty")
-        if len(mem.splits) != d:
+        if len(mem.sizes) != d:
             raise ValueError(
-                f"memory for task {mem.task} has {len(mem.splits)} splits, "
+                f"memory for task {mem.task} has {len(mem.sizes)} splits, "
                 f"method wants {d}"
             )
     if rows.shape[0] != d * len(memories):
@@ -241,12 +231,8 @@ def build_instances(method: MethodSpec, memories, g_t: np.ndarray,
 
     stacks = assemble_step([method], [spans], g_t[None], rows[None], [0])
     by_span = {(s.span.start, s.span.stop): s.inst for s in stacks}
-    instances = []
-    for span in spans:
-        inst = by_span[(span.start, span.stop)]
-        instances.append(QpInstance(inst.constraint_rows[0], inst.target[0],
-                                    inst.strength[0], inst.form))
-    return ConstraintBatch(instances, list(memory_grads(memories, rows[None])[0]))
+    insts = [by_span[(span.start, span.stop)] for span in spans]
+    return [QpInstance(i.constraint_rows[0], i.target[0], i.strength[0], i.form) for i in insts]
 
 
 def assemble_direction(solutions, spans) -> np.ndarray:

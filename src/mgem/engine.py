@@ -35,7 +35,6 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -76,17 +75,12 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class EpisodicMemory:
-    """Stored samples for one finished task, with fixed split assignment."""
+    """Stored samples for one finished task, split by split in split order
+    (the layout of the memory pass), and the split sizes."""
 
     task: int
     data: Dataset
-    splits: tuple
-
-    @cached_property
-    def split_data(self) -> Dataset:
-        """The samples split by split, in split order: cut on first use and
-        kept, since a memory never changes once stored."""
-        return self.data.take(np.concatenate(self.splits))
+    sizes: tuple
 
 
 @dataclass(eq=False)
@@ -112,8 +106,9 @@ class RunResult:
 def _group_key(cfg: TrainConfig) -> tuple:
     """Jobs with equal keys draw the same data and train in lockstep: the
     same initial parameters, minibatches and memories (all seeded from
-    ``seed``), the same step size, and the same memory rows per step (none
-    for ``single``, else one per split of each memory)."""
+    ``seed``), the same step size, and the same memory rows per step (for
+    ``single``, one per memory on traced steps and none otherwise; else one
+    per split of each memory)."""
     rows = 0 if cfg.method.kind == "single" else cfg.method.d_data
     return (cfg.seed, cfg.lr, cfg.iters_per_task, cfg.batch_size, cfg.memory_per_task, rows)
 
@@ -150,15 +145,19 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
 
     All configs must share one ``_group_key``. Row ``j`` of every stack is
     job ``j`` for the whole run. Each step makes one stacked minibatch
-    pass, one stacked memory pass and (when tracing) one stacked trace pass
-    for all jobs; the memory and trace rows are cut once per task. The
-    per-module QPs of every running job are assembled together and solved
-    in one batched call, and each direction ``g + C^T v`` is written into
-    its job's module span of the update stack; one stacked product gives
-    every running job's trace inner products. Each job's result is the one it gets alone, bit for bit. A job
-    whose values stop being finite stops at that step: it keeps its row,
-    zeroed, takes no further steps and is not evaluated, and the other jobs
-    train on.
+    pass for all jobs, one stacked memory pass when it solves QPs or is
+    traced, and one stacked trace pass over the current and past training
+    sets when it is traced; the memory and trace rows are cut once per task.
+    The memory pass is the one source of memory rows: the QP rows and the
+    traced memory inner products of every method read it. The per-module
+    QPs of every running job are assembled together and solved in one
+    batched call, and each direction ``g + C^T v`` is written into its
+    job's module span of the update stack; stacked products give every
+    running job's trace inner products, and one stacked evaluation per
+    task fills the accuracy rows. Each job's result is the one it gets
+    alone, bit for bit. A job whose values stop being finite stops at that
+    step: it keeps its row, zeroed, takes no further steps and is not
+    evaluated, and the other jobs train on.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -201,14 +200,11 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
     for t_pos, task in enumerate(stream.tasks, start=1):
         batch_rng = rng_from(lead.seed, "batch", t_pos)
         n_train = task.train.n_samples
-        memory_rows = memory_groups(memories) if constrained_kind and memories else None
+        solved = constrained_kind and bool(memories)
         traced = trace and t_pos >= 2
+        memory_rows = memory_groups(memories) if solved or traced else None
         if traced:
-            # the current and every past training set, then (single only)
-            # every memory; constrained jobs take those from their memory rows
             trace_sets = [task.train] + [stream.tasks[s].train for s in range(t_pos - 1)]
-            if not constrained_kind:
-                trace_sets += [mem.data for mem in memories]
             trace_data = Dataset.concat(trace_sets)
             trace_sizes = [d.n_samples for d in trace_sets]
         for it in range(lead.iters_per_task):
@@ -222,13 +218,13 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
                 trace_rows = _backprop(params, mlp, trace_data, trace_sizes)[1]
             # stopped jobs' rows of z stay zero: assembly writes only running
             # rows, and the single jobs of a group train alike, so stop together
-            z = g_t if memory_rows is None else np.zeros_like(g_t)
+            z = np.zeros_like(g_t) if solved else g_t
             stop(g_t, "minibatch gradient", task.descriptor, it)
             if memory_rows is not None:
                 grads = memory_grads(memories, mem_rows)
                 stop(grads, "memory gradients", task.descriptor, it)
             jobs = np.flatnonzero(running).tolist()
-            if memory_rows is not None:
+            if solved:
                 stacks = assemble_step(methods, spans, g_t, mem_rows, jobs)
                 unsolved = np.zeros(J, dtype=bool)
                 for stack, sol in zip(stacks, qp.solve_batch([s.inst for s in stacks],
@@ -243,16 +239,13 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
                 # ``row @ z`` alone, so each inner product is that float bit for bit
                 zj = z[jobs][:, None, :, None]
                 inner = np.matmul(trace_rows[jobs][:, :, None, :], zj)[..., 0, 0]
-                if memory_rows is None:
-                    mem_inner = inner[:, t_pos:]
-                else:
-                    mem_inner = np.matmul(grads[jobs][:, :, None, :], zj)[..., 0, 0]
+                mem_inner = np.matmul(grads[jobs][:, :, None, :], zj)[..., 0, 0]
                 for r, row, mem in zip(jobs, inner.tolist(), mem_inner.tolist()):
                     traces[r].append(StepTrace(
                         task=t_pos,
                         iteration=it,
                         fwd_inner=row[0],
-                        bwd_inners=tuple(row[1:t_pos]),
+                        bwd_inners=tuple(row[1:]),
                         min_memory_inner=min(mem),
                     ))
             params -= lead.lr * z
@@ -260,16 +253,17 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
 
         mem_rng = rng_from(lead.seed, "memory", t_pos)
         sel = np.sort(mem_rng.choice(n_train, size=lead.memory_per_task, replace=False))
+        splits = split_memory(lead.memory_per_task, lead.method.d_data,
+                              derive_seed(lead.seed, "memsplit", t_pos))
         memories.append(EpisodicMemory(
             task=task.descriptor,
-            data=task.train.take(sel),
-            splits=tuple(split_memory(lead.memory_per_task, lead.method.d_data,
-                                      derive_seed(lead.seed, "memsplit", t_pos))),
+            data=task.train.take(sel[np.concatenate(splits)]),
+            sizes=tuple(len(idx) for idx in splits),
         ))
 
-        for r in np.flatnonzero(running).tolist():
-            for k, other in enumerate(stream.tasks):
-                R[r, t_pos - 1, k] = accuracy(params[r], mlp, other.test)
+        live = np.flatnonzero(running)
+        for k, other in enumerate(stream.tasks):
+            R[live, t_pos - 1, k] = accuracy(params[live], mlp, other.test)
 
     for r in np.flatnonzero(running).tolist():
         results[r] = RunResult(

@@ -6,7 +6,8 @@ contiguous row groups from one forward/backward pass; ``loss_and_grad`` is
 its one-group case. Parameters and gradients are 1-D float64 arrays laid
 out by ``layout.layer_slices``. The pass behind both, ``_backprop``, also
 takes a ``(J, P)`` stack of parameter vectors over the same rows, which is
-how the engine trains jobs in lockstep.
+how the engine trains jobs in lockstep; ``predict`` and ``accuracy`` take a
+stack too.
 """
 
 import itertools
@@ -37,10 +38,6 @@ class MlpSpec:
             raise ValueError("output size must be >= 2")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layer_sizes) - 1
 
     @property
     def n_in(self) -> int:
@@ -75,10 +72,6 @@ class Dataset:
     @property
     def n_samples(self) -> int:
         return self.features.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
 
     @classmethod
     def _from_checked(cls, features: np.ndarray, labels: np.ndarray) -> "Dataset":
@@ -153,15 +146,20 @@ def _forward(weights, spec: MlpSpec, X: np.ndarray):
 
 
 def predict(params: np.ndarray, spec: MlpSpec, features) -> np.ndarray:
-    """Argmax class per sample; ties break to the lowest class index."""
+    """Argmax class per sample; ties break to the lowest class index. A
+    ``(J, P)`` stack of parameter vectors gives a ``(J, n)`` array."""
     X = np.asarray(features, dtype=np.float64)
     _check_features(spec, X)
     logits, _ = _forward(_weights(params, spec), spec, X)
-    return np.argmax(logits, axis=1).astype(np.int64)
+    return np.argmax(logits, axis=-1).astype(np.int64)
 
 
-def accuracy(params: np.ndarray, spec: MlpSpec, data: Dataset) -> float:
-    return float(np.mean(predict(params, spec, data.features) == data.labels))
+def accuracy(params: np.ndarray, spec: MlpSpec, data: Dataset):
+    """Fraction of ``data`` classified right: a float for one parameter
+    vector, a ``(J,)`` array for a ``(J, P)`` stack, each entry the float
+    its row gives alone."""
+    hits = np.mean(predict(params, spec, data.features) == data.labels, axis=-1)
+    return float(hits) if hits.ndim == 0 else hits
 
 
 def _backprop(params: np.ndarray, spec: MlpSpec, data: Dataset, sizes):

@@ -111,10 +111,6 @@ class QpInstance:
     def m(self) -> int:
         return self.constraint_rows.shape[-2]
 
-    @property
-    def n(self) -> int:
-        return self.target.shape[-1]
-
 
 @dataclass(eq=False)
 class DualSolution:

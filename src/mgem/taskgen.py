@@ -18,6 +18,7 @@ from .seeds import rng_from
 FAMILIES = ("permuted", "rotated", "split_classes", "csv")
 
 _MEAN_RADIUS = 2.0  # class-mean norm; >> default noise so tasks stay learnable
+_CSV_TRAIN_FRAC = 0.8  # share of each CSV file's rows that train; the rest test
 
 
 @dataclass(frozen=True)
@@ -181,9 +182,10 @@ def _parse_csv_file(path: str):
                 )
             row.append(value)
         label = row[-1]
-        if label < 0 or label != int(label):
+        if not 0 <= label < 2 ** 63 or label != int(label):  # labels are stored as int64
             raise ValueError(
-                f"{path} line {line_no}: label must be a non-negative integer, got {cells[-1].strip()!r}"
+                f"{path} line {line_no} column {n_cols}: label must be an integer in "
+                f"[0, 2**63), got {cells[-1].strip()!r}"
             )
         feats.append(row[:-1])
         labels.append(int(label))
@@ -192,8 +194,9 @@ def _parse_csv_file(path: str):
     return np.asarray(feats), np.asarray(labels)
 
 
-def load_csv(paths, seed: int = 0, train_frac: float = 0.8) -> TaskStream:
-    """One task per CSV file, with a seeded train/test split (default 80/20).
+def load_csv(paths, seed: int = 0) -> TaskStream:
+    """One task per CSV file, with a seeded 80/20 train/test split
+    (``_CSV_TRAIN_FRAC``).
 
     Files must be UTF-8, comma-separated, with a header row whose last
     column is named ``label``; all other columns are numeric features.
@@ -216,7 +219,7 @@ def load_csv(paths, seed: int = 0, train_frac: float = 0.8) -> TaskStream:
         if n < 2:
             raise ValueError(f"{path}: need at least 2 rows to split train/test")
         perm = rng_from(seed, "csv-split", i).permutation(n)
-        n_train = max(1, min(n - 1, int(n * train_frac)))
+        n_train = max(1, min(n - 1, int(n * _CSV_TRAIN_FRAC)))
         tr, te = perm[:n_train], perm[n_train:]
         tasks.append(Task(
             Dataset(feats[tr], labels[tr]),

@@ -22,19 +22,32 @@ MLP = MlpSpec((3, 5, 3))
 
 
 def make_memories(n_tasks, d_data, n_per=8, seed=0):
+    """Memories laid out as the engine stores them: split by split."""
     rng = rng_from(seed, "mem")
     mems = []
     for t in range(1, n_tasks + 1):
         data = Dataset(rng.standard_normal((n_per, 3)), rng.integers(0, 3, size=n_per))
-        splits = tuple(split_memory(n_per, d_data, derive_seed(seed, "memsplit", t)))
-        mems.append(EpisodicMemory(task=t, data=data, splits=splits))
+        splits = split_memory(n_per, d_data, derive_seed(seed, "memsplit", t))
+        mems.append(EpisodicMemory(task=t, data=data.take(np.concatenate(splits)),
+                                   sizes=tuple(len(idx) for idx in splits)))
     return mems
+
+
+def split_runs(mem):
+    """The samples of each split of ``mem``: contiguous runs of ``mem.data``."""
+    ends = np.cumsum(mem.sizes)
+    return [mem.data.take(slice(end - k, end)) for end, k in zip(ends, mem.sizes)]
 
 
 def build(method, memories, g_t, params, spec, spans):
     """``build_instances`` on the memory rows of one stacked pass at ``params``."""
     rows = group_grads(params, spec, *memory_groups(memories)) if memories else None
     return build_instances(method, memories, g_t, rows, spans)
+
+
+def full_grads(memories, params, spec=MLP):
+    """``memory_grads`` on the memory rows of one stacked pass at ``params``."""
+    return memory_grads(memories, group_grads(params, spec, *memory_groups(memories))[None])[0]
 
 
 def batch_grad(params, seed=1):
@@ -128,8 +141,7 @@ def test_split_memory_rejects_too_small():
 def test_no_past_tasks_yields_empty_batch():
     params = init_params(MLP, 0)
     spans = resolve_partition(MLP, "by_layer", 1)
-    batch = build(MethodSpec("gem"), [], batch_grad(params), params, MLP, spans)
-    assert batch.instances == [] and batch.memory_grads == []
+    assert build(MethodSpec("gem"), [], batch_grad(params), params, MLP, spans) == []
 
 
 def test_single_method_refuses_assembly():
@@ -146,13 +158,14 @@ def test_gem_instance_rows_are_memory_gradients():
     mems = make_memories(2, 1)
     g_t = batch_grad(params)
     batch = build(MethodSpec("gem", strength=0.3), mems, g_t, params, MLP, spans)
-    assert len(batch.instances) == 1
-    inst = batch.instances[0]
+    assert len(batch) == 1
+    inst = batch[0]
     assert inst.m == 2 and inst.form == qp.BOX_FORM
+    grads = full_grads(mems, params)
     for s, mem in enumerate(mems):
         _, grad = loss_and_grad(params, MLP, mem.data)
         assert np.array_equal(inst.constraint_rows[s], grad)
-        assert np.array_equal(batch.memory_grads[s], grad)
+        assert np.array_equal(grads[s], grad)
     assert np.all(inst.strength == 0.3)
 
 
@@ -164,8 +177,8 @@ def test_pmgem_d1_identical_to_gem():
     a = build(MethodSpec("gem", strength=0.1), mems, g_t, params, MLP, spans)
     b = build(MethodSpec("p_mgem", d_param=1, strength=0.1),
               mems, g_t, params, MLP, spans)
-    assert np.array_equal(a.instances[0].constraint_rows, b.instances[0].constraint_rows)
-    assert np.array_equal(a.instances[0].target, b.instances[0].target)
+    assert np.array_equal(a[0].constraint_rows, b[0].constraint_rows)
+    assert np.array_equal(a[0].target, b[0].target)
 
 
 def test_pmgem_slices_one_backprop_per_task():
@@ -174,10 +187,10 @@ def test_pmgem_slices_one_backprop_per_task():
     mems = make_memories(2, 1)
     g_t = batch_grad(params)
     batch = build(MethodSpec("p_mgem", d_param=2), mems, g_t, params, MLP, spans)
-    assert len(batch.instances) == 2
+    assert len(batch) == 2
     full = build(MethodSpec("gem"), mems, g_t, params, MLP,
-                 resolve_partition(MLP, "by_layer", 1)).instances[0]
-    for inst, span in zip(batch.instances, spans):
+                 resolve_partition(MLP, "by_layer", 1))[0]
+    for inst, span in zip(batch, spans):
         assert np.array_equal(inst.constraint_rows, full.constraint_rows[:, span])
         assert np.array_equal(inst.target, g_t[span])
 
@@ -188,12 +201,11 @@ def test_dmgem_row_count():
     mems = make_memories(3, 2)
     batch = build(MethodSpec("d_mgem", d_data=2), mems,
                   batch_grad(params), params, MLP, spans)
-    assert len(batch.instances) == 1
-    assert batch.instances[0].m == 6
+    assert len(batch) == 1
+    assert batch[0].m == 6
     # row 2s + d is the gradient of split d of memory s
-    for k, row in enumerate(batch.instances[0].constraint_rows):
-        mem = mems[k // 2]
-        _, grad = loss_and_grad(params, MLP, mem.data.take(mem.splits[k % 2]))
+    for k, row in enumerate(batch[0].constraint_rows):
+        _, grad = loss_and_grad(params, MLP, split_runs(mems[k // 2])[k % 2])
         np.testing.assert_allclose(row, grad, rtol=0, atol=1e-12)
 
 
@@ -201,10 +213,8 @@ def test_dmgem_memory_grad_is_weighted_split_mean():
     params = init_params(MLP, 0)
     spans = resolve_partition(MLP, "by_layer", 1)
     mems = make_memories(1, 2)
-    batch = build(MethodSpec("d_mgem", d_data=2), mems,
-                  batch_grad(params), params, MLP, spans)
     _, full = loss_and_grad(params, MLP, mems[0].data)
-    np.testing.assert_allclose(batch.memory_grads[0], full, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(full_grads(mems, params)[0], full, rtol=1e-12, atol=1e-15)
 
 
 def test_mdmgem_instance_grid():
@@ -213,8 +223,8 @@ def test_mdmgem_instance_grid():
     mems = make_memories(2, 2)
     batch = build(MethodSpec("md_mgem", d_param=2, d_data=2), mems,
                   batch_grad(params), params, MLP, spans)
-    assert len(batch.instances) == 2
-    assert all(inst.m == 4 for inst in batch.instances)
+    assert len(batch) == 2
+    assert all(inst.m == 4 for inst in batch)
 
 
 @pytest.mark.parametrize("method", [
@@ -230,18 +240,13 @@ def test_stacked_rows_match_per_group_gradients(method):
     mems = make_memories(3, method.d_data, n_per=32, seed=3)
     g_t = batch_grad(params)
     batch = build(method, mems, g_t, params, MLP, spans)
-    expected = []
-    for mem in mems:
-        groups = mem.splits if method.d_data > 1 else (slice(None),)
-        expected.extend(loss_and_grad(params, MLP, mem.data.take(idx))[1]
-                        for idx in groups)
-    expected = np.vstack(expected)
-    assert sorted(len(idx) for idx in mems[0].splits) == (
-        [10, 11, 11] if method.d_data == 3 else [32])
-    for inst, span in zip(batch.instances, spans):
+    expected = np.vstack([loss_and_grad(params, MLP, split)[1]
+                          for mem in mems for split in split_runs(mem)])
+    assert sorted(mems[0].sizes) == ([10, 11, 11] if method.d_data == 3 else [32])
+    for inst, span in zip(batch, spans):
         np.testing.assert_allclose(inst.constraint_rows, expected[:, span],
                                    rtol=0.0, atol=1e-12)
-    for mem, got in zip(mems, batch.memory_grads):
+    for mem, got in zip(mems, full_grads(mems, params)):
         _, full = loss_and_grad(params, MLP, mem.data)
         np.testing.assert_allclose(got, full, rtol=0.0, atol=1e-12)
 
@@ -264,7 +269,7 @@ def test_degenerate_rows_dropped_and_counted():
     g_t = batch_grad(params)
     rows = group_grads(params, MLP, *memory_groups(mems))
     rows[0] = 1e-8
-    inst = build_instances(MethodSpec("gem", strength=0.5), mems, g_t, rows, spans).instances[0]
+    inst = build_instances(MethodSpec("gem", strength=0.5), mems, g_t, rows, spans)[0]
     assert inst.m == 2 and np.array_equal(inst.constraint_rows, rows)
     without = qp.QpInstance(rows[1:], g_t, [0.5])
     for solve in (qp.solve_exact, qp.solve_approx, qp.solve_enumerate):
@@ -302,7 +307,7 @@ def test_assembled_stacks_equal_each_job_alone():
         for k, r in enumerate(stack.jobs):
             alone = build_instances(methods[r], mems, g_t[r], rows[r], spans[r])
             i = spans[r].index(stack.span)
-            inst = alone.instances[i]
+            inst = alone[i]
             for got, want in ((stack.inst.constraint_rows[k], inst.constraint_rows),
                               (stack.inst.target[k], inst.target),
                               (stack.inst.strength[k], inst.strength)):
@@ -326,7 +331,7 @@ def test_memory_grads_of_a_stack_equal_each_job_alone():
     assert grads.shape == (4, 2, n_params(MLP))
     for r in range(4):
         for k, mem in enumerate(mems):
-            w = np.asarray([len(idx) for idx in mem.splits], dtype=np.float64)
+            w = np.asarray(mem.sizes, dtype=np.float64)
             assert np.array_equal(grads[r, k], (w / w.sum()) @ rows[r, 3 * k:3 * k + 3])
     one_split = rows[:, :2]
     assert memory_grads(make_memories(2, 1), one_split) is one_split  # one row per memory
@@ -343,24 +348,22 @@ def test_fully_fit_memory_degenerates_to_unconstrained():
     spans = resolve_partition(spec, "by_layer", 1)
     rng = rng_from(6, "fit")
     fit_mem = EpisodicMemory(1, Dataset(rng.standard_normal((6, 2)),
-                                        np.zeros(6, dtype=int)),
-                             tuple(split_memory(6, 1, 0)))
+                                        np.zeros(6, dtype=int)), (6,))
     live_mem = EpisodicMemory(2, Dataset(rng.standard_normal((6, 2)),
-                                         rng.integers(0, 2, size=6)),
-                              tuple(split_memory(6, 1, 1)))
+                                         rng.integers(0, 2, size=6)), (6,))
     g_t = rng.standard_normal(n_params(spec))
     _, fit_grad = loss_and_grad(params, spec, fit_mem.data)
     assert fit_grad @ fit_grad < qp.MIN_ROW_SQNORM
 
     batch = build(MethodSpec("gem", strength=0.5), [fit_mem], g_t, params, spec, spans)
-    assert batch.instances[0].m == 1
+    assert batch[0].m == 1
     for solve in (qp.solve_exact, qp.solve_approx, qp.solve_enumerate):
-        sol = solve(batch.instances[0])
+        sol = solve(batch[0])
         assert sol.rows_dropped == 1 and sol.multipliers.tolist() == [0.0]
         assert np.array_equal(sol.direction, g_t)
 
     both = build(MethodSpec("gem", strength=0.5), [fit_mem, live_mem],
-                 g_t, params, spec, spans).instances[0]
+                 g_t, params, spec, spans)[0]
     assert both.m == 2
     # the kept row is the live memory's gradient, and the step is the one
     # the live memory alone gives
@@ -369,7 +372,7 @@ def test_fully_fit_memory_degenerates_to_unconstrained():
     live = build(MethodSpec("gem", strength=0.5), [live_mem], g_t, params, spec, spans)
     sol = qp.solve_exact(both)
     assert sol.rows_dropped == 1 and sol.multipliers[0] == 0.0
-    np.testing.assert_allclose(sol.direction, qp.solve_exact(live.instances[0]).direction,
+    np.testing.assert_allclose(sol.direction, qp.solve_exact(live[0]).direction,
                                rtol=0, atol=1e-12)
 
 
@@ -414,12 +417,12 @@ def test_per_module_solve_equals_joint_solve():
     batch = build(MethodSpec("p_mgem", d_param=2, strength=0.2),
                   mems, g_t, params, MLP, spans)
     z_blocks = assemble_direction(
-        [qp.solve_exact(inst, tol=1e-12) for inst in batch.instances], spans)
+        [qp.solve_exact(inst, tol=1e-12) for inst in batch], spans)
 
     joint_rows = []
     joint_strength = []
     n = n_params(MLP)
-    for inst, span in zip(batch.instances, spans):
+    for inst, span in zip(batch, spans):
         for r in range(inst.m):
             row = np.zeros(n)
             row[span] = inst.constraint_rows[r]
@@ -459,6 +462,6 @@ def test_pipeline_determinism():
     g_t = batch_grad(params)
     a = build(MethodSpec("p_mgem", d_param=2), mems, g_t, params, MLP, spans)
     b = build(MethodSpec("p_mgem", d_param=2), mems, g_t, params, MLP, spans)
-    for x, y in zip(a.instances, b.instances):
+    for x, y in zip(a, b):
         assert np.array_equal(x.constraint_rows, y.constraint_rows)
         assert np.array_equal(x.target, y.target)

@@ -99,8 +99,7 @@ def test_memories_never_change_after_storage(monkeypatch):
 
     def spying(memories, *args):
         for mem in memories:
-            snapshot = (mem.data.features.tobytes(), mem.data.labels.tobytes(),
-                        tuple(s.tobytes() for s in mem.splits))
+            snapshot = (mem.data.features.tobytes(), mem.data.labels.tobytes(), mem.sizes)
             if mem.task in seen:
                 assert seen[mem.task] == snapshot, f"memory for task {mem.task} changed"
             else:
@@ -239,20 +238,19 @@ def test_group_trace_inner_products_are_each_row_dot_z(methods, monkeypatch):
                         trace=True)
 
     # task 1 makes one pass per step; a traced step makes a minibatch pass,
-    # a memory pass (constrained only) and a trace pass
+    # a memory pass and a trace pass, whatever the method
     passes = iter(seen["_backprop"][iters:])
-    per_step = 2 if single else 3
     want = [[] for _ in methods]
     for step in range(2 * iters):
         t_pos = 2 + step // iters
-        minibatch, *_, rows = (next(passes) for _ in range(per_step))
+        minibatch, _, rows = (next(passes) for _ in range(3))
         if single:
-            z, mem = minibatch[:, 0], rows[:, t_pos:]
+            z = minibatch[:, 0]
         else:
             z = np.zeros_like(minibatch[:, 0])
             for stack, sol in zip(seen["assemble_step"][step], seen["solve_batch"][step]):
                 z[stack.jobs, stack.span] = sol.direction
-            mem = seen["memory_grads"][step]
+        mem = seen["memory_grads"][step]
         for r in range(len(methods)):
             want[r].append((float(rows[r, 0] @ z[r]),
                             tuple(float(rows[r, s] @ z[r]) for s in range(1, t_pos)),

@@ -32,7 +32,7 @@ def test_split_concat_round_trip(spec, seed):
     """The slices tile ``[0, n)`` in W, b order with lengths fan_in*fan_out
     and fan_out; the views put back together are the vector."""
     layers = layer_slices(spec)
-    assert len(layers) == spec.n_layers
+    assert len(layers) == len(spec.layer_sizes) - 1
     cursor = 0
     for i, (w, b, fan_in, fan_out) in enumerate(layers):
         assert (fan_in, fan_out) == spec.layer_sizes[i:i + 2]

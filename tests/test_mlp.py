@@ -33,7 +33,7 @@ def test_init_deterministic_and_zero_bias():
     assert a.dtype == np.float64 and a.shape == (n_params(spec),)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, init_params(spec, seed=8))
-    for i in range(spec.n_layers):
+    for i in range(len(layer_slices(spec))):
         assert np.all(block(a, spec, i, 1) == 0.0)
 
 
@@ -154,6 +154,25 @@ def test_accuracy_counts_fraction_correct():
     data = Dataset(np.array([[2.0, 0.0], [0.0, 2.0], [3.0, 0.0], [0.0, 1.0]]),
                    np.array([0, 1, 1, 1]))
     assert accuracy(params, spec, data) == 0.75
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_stacked_accuracy_equals_each_row_alone(activation):
+    # a (J, P) stack gives a (J,) array whose entries are, bit for bit, the
+    # floats each row gives alone; so do its predictions
+    spec = MlpSpec((3, 9, 7, 4), activation=activation)
+    rng = rng_from(8, "stacked-accuracy")
+    stack = np.stack([init_params(spec, seed) for seed in range(5)])
+    stack += 0.5 * rng.standard_normal(stack.shape)
+    data = Dataset(rng.standard_normal((37, 3)), rng.integers(0, 4, size=37))
+    got = accuracy(stack, spec, data)
+    assert got.shape == (5,) and len(set(got.tolist())) > 1
+    for row, acc in zip(stack, got):
+        alone = accuracy(row, spec, data)
+        assert type(alone) is float and acc == alone
+    for row, labels in zip(stack, predict(stack, spec, data.features)):
+        assert np.array_equal(labels, predict(row, spec, data.features))
+    assert accuracy(stack[:1], spec, data).shape == (1,)
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])

@@ -144,6 +144,21 @@ def test_load_csv_rejects_non_finite_cells(tmp_path, cells, col):
         load_csv([str(f)])
 
 
+@pytest.mark.parametrize("label", ["1e19", "9223372036854775808", "1e300"])
+def test_load_csv_rejects_labels_that_do_not_fit_int64(tmp_path, recwarn, label):
+    # 2**63 and above: a ValueError naming the file, line and value, with
+    # no numpy cast warning or OverflowError on the way
+    f = tmp_path / "huge.csv"
+    write_csv(f, ["1.0,2.0,0", f"1.0,2.0,{label}"])
+    with pytest.raises(ValueError, match=rf"huge\.csv line 3 column 3: label must be an "
+                                         rf"integer in \[0, 2\*\*63\), got '{label}'"):
+        load_csv([str(f)])
+    assert not recwarn.list
+    write_csv(f, ["1.0,2.0,0", "1.0,2.0,9223372036854774784"])  # largest float < 2**63
+    task = load_csv([str(f)]).tasks[0]
+    assert sorted(task.train.labels.tolist() + task.test.labels.tolist()) == [0, 2**63 - 1024]
+
+
 def test_load_csv_rejects_ragged_rows(tmp_path):
     f = tmp_path / "ragged.csv"
     write_csv(f, ["1.0,2.0,0", "1.0,1"])
