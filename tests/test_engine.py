@@ -281,8 +281,12 @@ def test_overflowing_forward_pass_stops_at_its_step(method):
         run(stream, MLP, cfg(method))
 
 
-def test_nonfinite_memory_gradient_stops_at_its_step(monkeypatch):
-    # a NaN memory row would otherwise be dropped as degenerate
+@pytest.mark.parametrize("method, trace", [(MethodSpec("gem"), False),
+                                           (MethodSpec("single"), True)],
+                         ids=["gem", "traced_single"])
+def test_nonfinite_memory_gradient_stops_at_its_step(monkeypatch, method, trace):
+    # a NaN memory row would otherwise be dropped as degenerate (gem), or
+    # make the traced memory inner product NaN (single)
     import mgem.engine as engine_mod
     original = engine_mod.memory_grads
 
@@ -294,7 +298,7 @@ def test_nonfinite_memory_gradient_stops_at_its_step(monkeypatch):
     monkeypatch.setattr(engine_mod, "memory_grads", poisoned)
     with pytest.raises(FloatingPointError,
                        match=r"^memory gradients became non-finite at task 2, iteration 0;"):
-        run(rotated_stream(), MLP, cfg(MethodSpec("gem")))
+        run(rotated_stream(), MLP, cfg(method), trace=trace)
 
 
 def test_every_exact_instance_of_a_run_is_certified_by_enumeration(monkeypatch):
