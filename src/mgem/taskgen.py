@@ -200,8 +200,9 @@ def load_csv(paths, seed: int = 0) -> TaskStream:
 
     Files must be UTF-8, comma-separated, with a header row whose last
     column is named ``label``; all other columns are numeric features.
-    Every cell must be a finite number; a bad cell is a ``ValueError``
-    naming its file, line and column.
+    Every cell must be a finite number and every label an integer in
+    ``[0, 2**63)``; a bad cell is a ``ValueError`` naming its file, line
+    and column.
     """
     if not paths:
         raise ValueError("no csv paths given")
