@@ -26,8 +26,9 @@ directory is created only if its parent exists. An output path that names
 something other than a directory, and a stream data file that cannot be
 read or holds a bad cell, are config errors.
 
-On glibc, ``main`` keeps 64 MiB of free heap top instead of returning it
-to the kernel (``_keep_heap_top``); pool workers inherit the setting.
+On glibc, ``main`` serves allocations below 32 MiB from the heap and keeps
+64 MiB of free heap top instead of returning it to the kernel
+(``_keep_heap_top``); pool workers inherit the settings.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime or solver-budget
 failure (a failing job is named in the message). Settings that no job can
@@ -50,26 +51,37 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 M_TOP_PAD = -2  # glibc mallopt parameter: extra bytes kept when the heap top moves
+M_MMAP_THRESHOLD = -3  # glibc mallopt parameter: smallest request served by mmap
 HEAP_TOP_PAD = 64 << 20
+MMAP_THRESHOLD = 32 << 20
 
 
 @functools.cache
 def _keep_heap_top():
-    """Ask glibc to keep ``HEAP_TOP_PAD`` bytes of free heap top; a no-op
-    where the C library has no ``mallopt``.
+    """Ask glibc to serve requests below ``MMAP_THRESHOLD`` from the heap
+    and to keep ``HEAP_TOP_PAD`` bytes of free heap top; a no-op where the
+    C library has no ``mallopt``.
 
     Each stacked trace pass frees a few MB of temporaries, glibc trims the
     heap top after it, and the next pass faults the same pages back in
-    (~330 minor faults per pass of a 24-job pareto2 chunk). Only the CLI
-    sets this, because it owns its process; the pad reserves address
-    space, and pages become resident only when touched.
+    (~330 minor faults per pass of a 24-job pareto2 chunk). Any ``mallopt``
+    call also freezes glibc's mmap threshold, which it otherwise raises as
+    mapped blocks are freed, at its value then; in a process whose threshold
+    is still low, the pass's temporaries would be mapped, and faulted in,
+    afresh each pass. So the threshold is set first. Only the CLI sets
+    these, because it owns its process; the pad reserves address space, and
+    pages become resident only when touched.
     """
     import ctypes  # here, not at module level: importing it costs ~3.6 ms
 
     try:
-        ctypes.CDLL(None).mallopt(M_TOP_PAD, HEAP_TOP_PAD)
-    except (OSError, AttributeError, TypeError):
-        pass
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TOP_PAD, HEAP_TOP_PAD)
 
 
 def _load_config(path: str) -> RunConfigFile:

@@ -169,36 +169,58 @@ def memory_grads(memories, rows: np.ndarray) -> np.ndarray:
     return np.matmul(w[:, None, :], rows.reshape(J, len(memories), d, P))[:, :, 0]
 
 
-def assemble_step(methods, spans, g_t: np.ndarray, rows: np.ndarray, jobs) -> list:
-    """Assemble the box-form instances of one step for the jobs of a stack.
+@dataclass(eq=False)
+class StackPlan:
+    """What one ``ModuleStack`` of a step takes from outside that step's
+    gradients: the stack rows ``jobs`` of its items, how to cut their rows
+    (``take``: a slice when they are consecutive, else ``jobs``), the module
+    span, the solver, and the ``(len(jobs), G)`` lower bounds."""
 
-    ``methods[r]`` and ``spans[r]`` are the method and partition of stack
-    row ``r``, ``g_t`` the ``(J, P)`` minibatch gradients and ``rows`` the
-    ``(J, G, P)`` memory gradient rows (``memory_groups`` order); ``jobs``
-    lists the stack rows to assemble, in order. Returns one ``ModuleStack``
-    per module span and solver: the module slices of all its jobs' rows,
-    every row kept (the solver leaves degenerate ones out). Each item is
-    laid out as its job's instance alone would be, so the solvers give each
-    job its own result bit for bit.
-    """
+    jobs: np.ndarray
+    take: object
+    span: slice
+    solver: str
+    strength: np.ndarray
+
+
+def assembly_plan(methods, spans, jobs, n_rows: int) -> list:
+    """The ``StackPlan``s of the stack rows ``jobs`` (in order), one per
+    module span and solver, for steps with ``n_rows`` memory gradient rows
+    per job. ``methods[r]`` and ``spans[r]`` are the method and partition
+    of stack row ``r``. It holds for as long as ``jobs`` and ``n_rows`` do,
+    e.g. for every step of a task until a job stops."""
     members = {}
     for r in jobs:
         for span in spans[r]:
             members.setdefault((span.start, span.stop, methods[r].solver), []).append(r)
-    stacks = []
-    G = rows.shape[1]
+    plan = []
     for (a, b, solver), group in members.items():
         lo, hi = group[0], group[-1] + 1
-        block = rows[lo:hi] if hi - lo == len(group) else rows[group]
         group = np.asarray(group)
         strength = np.array([methods[r].strength for r in group])
-        stacks.append(ModuleStack(group, slice(a, b), solver, QpInstance(
-            constraint_rows=block[:, :, a:b],
-            target=g_t[group, a:b],
-            strength=np.repeat(strength[:, None], G, axis=1),
-            form=BOX_FORM,
-        )))
-    return stacks
+        plan.append(StackPlan(group, slice(lo, hi) if hi - lo == len(group) else group,
+                              slice(a, b), solver,
+                              np.repeat(strength[:, None], n_rows, axis=1)))
+    return plan
+
+
+def assemble_step(plan, g_t: np.ndarray, rows: np.ndarray) -> list:
+    """Assemble the box-form instances of one step for the jobs of a stack.
+
+    ``plan`` comes from ``assembly_plan``, ``g_t`` holds the ``(J, P)``
+    minibatch gradients and ``rows`` the ``(J, G, P)`` memory gradient rows
+    (``memory_groups`` order). Returns one ``ModuleStack`` per entry of
+    ``plan``: the module slices of all its jobs' rows, every row kept (the
+    solver leaves degenerate ones out). Each item is laid out as its job's
+    instance alone would be, so the solvers give each job its own result
+    bit for bit.
+    """
+    return [ModuleStack(p.jobs, p.span, p.solver, QpInstance(
+                constraint_rows=rows[p.take][:, :, p.span],
+                target=g_t[p.jobs, p.span],
+                strength=p.strength,
+                form=BOX_FORM,
+            )) for p in plan]
 
 
 def build_instances(method: MethodSpec, memories, g_t: np.ndarray,
@@ -229,7 +251,8 @@ def build_instances(method: MethodSpec, memories, g_t: np.ndarray,
         raise ValueError(f"got {rows.shape[0]} gradient rows for {len(memories)} "
                          f"memories of {d} splits")
 
-    stacks = assemble_step([method], [spans], g_t[None], rows[None], [0])
+    stacks = assemble_step(assembly_plan([method], [spans], [0], rows.shape[0]),
+                           g_t[None], rows[None])
     by_span = {(s.span.start, s.span.stop): s.inst for s in stacks}
     insts = [by_span[(span.start, span.stop)] for span in spans]
     return [QpInstance(i.constraint_rows[0], i.target[0], i.strength[0], i.form) for i in insts]

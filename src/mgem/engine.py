@@ -42,6 +42,7 @@ from . import qp
 from .constraints import (
     MethodSpec,
     assemble_step,
+    assembly_plan,
     memory_grads,
     memory_groups,
     resolve_partition,
@@ -150,7 +151,8 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
     sets when it is traced; the memory and trace rows are cut once per task.
     The memory pass is the one source of memory rows: the QP rows and the
     traced memory inner products of every method read it. The per-module
-    QPs of every running job are assembled together and solved in one
+    QPs of every running job are assembled together, from an assembly plan
+    made once per task and again when a job stops, and solved in one
     batched call, and each direction ``g + C^T v`` is written into its
     job's module span of the update stack; stacked products give every
     running job's trace inner products, and one stacked evaluation per
@@ -174,6 +176,8 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
     spans = [resolve_partition(mlp, cfg.partition_mode, cfg.method.d_param) for cfg in cfgs]
     params = np.tile(init_params(mlp, lead.seed), (J, 1))
     running = np.ones(J, dtype=bool)
+    jobs = list(range(J))  # the running stack rows
+    plan = None            # assembly_plan of ``jobs`` for this task's memories
     results = [None] * J
 
     R = np.zeros((J, T, T))
@@ -184,18 +188,20 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
     def stop(stack, what, task, it):
         """Stop each running job whose row of ``stack`` is not finite, with
         the error it raises alone, and zero its rows of ``stack`` and
-        ``params``: it takes no further steps, and its later passes stay
-        finite."""
-        bad = ~np.isfinite(stack).all(axis=tuple(range(1, stack.ndim)))
+        ``params``: it takes no further steps, its later passes stay
+        finite, and the next assembly makes a plan without it."""
+        nonlocal jobs, plan
+        bad = running & ~np.isfinite(stack).all(axis=tuple(range(1, stack.ndim)))
         if not bad.any():
             return
-        bad &= running
         for j in np.flatnonzero(bad).tolist():
             results[j] = FloatingPointError(
                 f"{what} became non-finite at task {task}, iteration {it}; lower lr")
         running[bad] = False
         stack[bad] = 0.0
         params[bad] = 0.0
+        jobs = np.flatnonzero(running).tolist()
+        plan = None
 
     for t_pos, task in enumerate(stream.tasks, start=1):
         batch_rng = rng_from(lead.seed, "batch", t_pos)
@@ -203,12 +209,13 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
         solved = constrained_kind and bool(memories)
         traced = trace and t_pos >= 2
         memory_rows = memory_groups(memories) if solved or traced else None
+        plan = None
         if traced:
             trace_sets = [task.train] + [stream.tasks[s].train for s in range(t_pos - 1)]
             trace_data = Dataset.concat(trace_sets)
             trace_sizes = [d.n_samples for d in trace_sets]
         for it in range(lead.iters_per_task):
-            if not running.any():
+            if not jobs:
                 break
             idx = batch_rng.integers(0, n_train, size=lead.batch_size)
             g_t = _backprop(params, mlp, task.train.take(idx), (lead.batch_size,))[1][:, 0]
@@ -223,9 +230,10 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
             if memory_rows is not None:
                 grads = memory_grads(memories, mem_rows)
                 stop(grads, "memory gradients", task.descriptor, it)
-            jobs = np.flatnonzero(running).tolist()
             if solved:
-                stacks = assemble_step(methods, spans, g_t, mem_rows, jobs)
+                if plan is None:
+                    plan = assembly_plan(methods, spans, jobs, len(memory_rows[1]))
+                stacks = assemble_step(plan, g_t, mem_rows)
                 unsolved = np.zeros(J, dtype=bool)
                 for stack, sol in zip(stacks, qp.solve_batch([s.inst for s in stacks],
                                                              [s.solver for s in stacks])):

@@ -8,8 +8,19 @@ out by ``layout.layer_slices``. The pass behind both, ``_backprop``, also
 takes a ``(J, P)`` stack of parameter vectors over the same rows, which is
 how the engine trains jobs in lockstep; ``predict`` and ``accuracy`` take a
 stack too.
+
+The forward pass gives each layer's input a trailing column of ones. A
+layer's ``W`` and ``b`` are adjacent in the flat vector, so one matrix
+product of that input with a group's output deltas writes both the weight
+and the bias gradient, and no per-row reduction is left for the bias.
+The ones column adds a group's delta rows in row order, as a column sum
+does, so the gradients are the same floats. The softmax denominator of
+fewer than 8 classes is added class by class, in order, which is how numpy
+sums so short a row; numpy sums 8 or more pairwise, and ``.sum`` keeps
+that order there.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -50,7 +61,8 @@ class MlpSpec:
 
 @dataclass(eq=False)
 class Dataset:
-    """Feature matrix ``(n_samples, n_features)`` with integer labels."""
+    """Feature matrix ``(n_samples, n_features)`` with integer labels;
+    read-only once made."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -73,23 +85,40 @@ class Dataset:
     def n_samples(self) -> int:
         return self.features.shape[0]
 
+    @functools.cached_property
+    def inputs(self) -> np.ndarray:
+        """``features`` with a trailing column of ones, the first layer's
+        input in a gradient pass (``_forward``); made once, and cut with
+        the features by ``take`` and ``concat``."""
+        return _with_ones(self.features)
+
     @classmethod
-    def _from_checked(cls, features: np.ndarray, labels: np.ndarray) -> "Dataset":
-        """Wrap arrays cut from checked datasets without re-checking values."""
-        if features.shape[0] < 1:
+    def _from_checked(cls, inputs: np.ndarray, labels: np.ndarray) -> "Dataset":
+        """Wrap ``inputs`` and labels cut from checked datasets without
+        re-checking values; ``features`` is a view of ``inputs``."""
+        if inputs.shape[0] < 1:
             raise ValueError("dataset needs at least one sample")
         out = object.__new__(cls)
-        out.features, out.labels = features, labels
+        out.features, out.labels, out.inputs = inputs[:, :-1], labels, inputs
         return out
 
     def take(self, idx) -> "Dataset":
-        return Dataset._from_checked(self.features[idx], self.labels[idx])
+        return Dataset._from_checked(self.inputs[idx], self.labels[idx])
 
     @classmethod
     def concat(cls, parts) -> "Dataset":
         """Rows of ``parts`` stacked in order, e.g. for one ``group_grads`` pass."""
-        return cls._from_checked(np.concatenate([p.features for p in parts]),
+        return cls._from_checked(np.concatenate([p.inputs for p in parts]),
                                  np.concatenate([p.labels for p in parts]))
+
+
+def _with_ones(X: np.ndarray) -> np.ndarray:
+    """``X (n, f)`` with a trailing column of ones."""
+    n, f = X.shape
+    out = np.empty((n, f + 1))
+    out[:, :f] = X
+    out[:, f] = 1.0
+    return out
 
 
 def init_params(spec: MlpSpec, seed: int) -> np.ndarray:
@@ -106,14 +135,18 @@ def init_params(spec: MlpSpec, seed: int) -> np.ndarray:
 def _weights(params: np.ndarray, spec: MlpSpec):
     """Per-layer ``(W, b)`` views into a flat vector ``(P,)`` or a stack of
     them ``(J, P)``; a stack gives ``W`` of shape ``(J, fan_in, fan_out)``
-    and ``b`` of shape ``(J, 1, fan_out)``, which broadcast over samples."""
+    and ``b`` of shape ``(J, 1, fan_out)``, which broadcast over samples.
+    A hidden layer's ``b`` runs one entry on, into the next layer's ``W``
+    (``fan_out + 1`` entries), so that it spans the next layer's input with
+    its ones column (``_forward``)."""
     layers = layer_slices(spec)
     shape = np.shape(params)
     if len(shape) not in (1, 2) or shape[-1] != layers[-1][1].stop:
         raise ValueError(f"parameter vector of shape {shape} does not fit {spec}")
     lead = shape[:-1]
-    return [(params[..., w].reshape(lead + (fan_in, fan_out)), params[..., None, b])
-            for w, b, fan_in, fan_out in layers]
+    return [(params[..., w].reshape(lead + (fan_in, fan_out)),
+             params[..., None, b.start:b.stop + (i < len(layers) - 1)])
+            for i, (w, b, fan_in, fan_out) in enumerate(layers)]
 
 
 def _check_features(spec: MlpSpec, features: np.ndarray):
@@ -131,16 +164,34 @@ def check_data(spec: MlpSpec, data: Dataset):
         raise ValueError(f"label out of range for {spec.n_out} classes")
 
 
-def _forward(weights, spec: MlpSpec, X: np.ndarray):
+def _forward(weights, spec: MlpSpec, X1: np.ndarray):
     """Logits plus each layer's input, which is all backprop needs: the
-    activation derivative is read off the activation's output."""
-    hs = [X]
+    activation derivative is read off the activation's output.
+
+    Each input carries a trailing column of ones (``X1`` is the features
+    with it, ``Dataset.inputs``), so the weight-gradient product of
+    ``_backprop`` also gives the bias gradient. A forward product reads the
+    other columns, and ``b`` is added after it, as a separate step. A
+    hidden layer's ``b`` also adds an entry to the ones column
+    (``_weights``), which is set to 1 after the activation."""
+    n = X1.shape[0]
+    hs = [X1]
+    x = X1[:, :-1]  # the input without its ones column
     for W, b in weights[:-1]:
-        z = hs[-1] @ W
-        z += b
-        hs.append(np.maximum(z, 0.0, out=z) if spec.activation == "relu" else np.tanh(z, out=z))
+        fan_out = W.shape[-1]
+        h = np.empty(W.shape[:-2] + (n, fan_out + 1))
+        ones = h[..., fan_out]
+        ones.fill(0.0)  # np.empty leaves it unset; the bias add lands on it
+        x = np.matmul(x, W, out=h[..., :fan_out])
+        h += b
+        if spec.activation == "relu":
+            np.maximum(h, 0.0, out=h)
+        else:
+            np.tanh(h, out=h)
+        ones.fill(1.0)
+        hs.append(h)
     W, b = weights[-1]
-    logits = hs[-1] @ W
+    logits = x @ W
     logits += b
     return logits, hs
 
@@ -150,7 +201,7 @@ def predict(params: np.ndarray, spec: MlpSpec, features) -> np.ndarray:
     ``(J, P)`` stack of parameter vectors gives a ``(J, n)`` array."""
     X = np.asarray(features, dtype=np.float64)
     _check_features(spec, X)
-    logits, _ = _forward(_weights(params, spec), spec, X)
+    logits, _ = _forward(_weights(params, spec), spec, _with_ones(X))
     return np.argmax(logits, axis=-1).astype(np.int64)
 
 
@@ -168,33 +219,51 @@ def _backprop(params: np.ndarray, spec: MlpSpec, data: Dataset, sizes):
 
     The rows of ``data`` form contiguous groups of ``sizes`` rows. One
     forward and one backward pass serve every group: ``delta`` is scaled
-    by each row's own group size, so a group's weight gradient is the
-    segment sum ``h_g^T delta_g`` and its bias gradient the column sum of
-    ``delta_g`` (the per-example-gradient trick, without materialising a
-    gradient per sample). A stack puts models on a leading axis the same
-    way: every stack member sees the same rows, and the stacked
-    ``np.matmul`` computes each member's slice as the unstacked product
-    would. Returns ``(nll, grads)``: ``nll`` of shape ``(n,)`` or
-    ``(J, n)``, ``grads`` of shape ``(G, P)`` or ``(J, G, P)`` for
-    ``G = len(sizes)``.
+    by each row's own group size, so a group's weight and bias gradient is
+    the segment product ``[h_g, 1]^T delta_g`` (the per-example-gradient
+    trick, without materialising a gradient per sample). A layer stores
+    ``W`` row-major and then ``b``, so ``[g_W; g_b]`` is one
+    ``(fan_in + 1, fan_out)`` block of a gradient row, and one
+    ``np.matmul`` per layer writes both: the ones column of each layer
+    input (``_forward``) makes the last row the column sum of ``delta_g``,
+    added in row order as ``delta_g.sum(axis=0)`` adds it. A stack puts
+    models on a leading axis the same way: every stack member sees the
+    same rows, and the stacked ``np.matmul`` computes each member's slice
+    as the unstacked product would.
+
+    The softmax denominator adds the classes one by one, in order, when
+    there are fewer than 8: numpy sums a row of fewer than 8 entries in
+    order, and elementwise adds over the class views cost far less per
+    row than reducing a few entries of each row. From 8 classes on, numpy
+    sums pairwise, and ``.sum`` keeps that order.
+
+    Returns ``(nll, grads)``: ``nll`` of shape ``(n,)`` or ``(J, n)``,
+    ``grads`` of shape ``(G, P)`` or ``(J, G, P)`` for ``G = len(sizes)``.
     """
     check_data(spec, data)
-    X, y = data.features, data.labels
-    n = X.shape[0]
+    y = data.labels
+    n = y.shape[0]
     sizes = [int(k) for k in sizes]
     if not sizes or min(sizes) < 1 or sum(sizes) != n:
         raise ValueError(f"group sizes {sizes} do not split {n} samples")
 
-    ws = _weights(params, spec)
     lead = params.shape[:-1]
-    logits, hs = _forward(ws, spec, X)
+    logits, hs = _forward(_weights(params, spec), spec, data.inputs)
     # The row maximum over a class-major copy: a maximum is exact in any
     # order, and reducing a few contiguous entries per row costs far more
     # per row than reducing whole rows elementwise.
     top = logits.T.copy().max(axis=0).T[..., None]
     shifted = logits - top
-    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    log_p = shifted - log_z
+    e = np.exp(shifted)
+    if spec.n_out < 8:
+        by_class = e.reshape(-1, spec.n_out).T
+        z = by_class[0] + by_class[1]
+        for col in by_class[2:]:
+            z += col
+        z = z.reshape(e.shape[:-1] + (1,))
+    else:
+        z = e.sum(axis=-1, keepdims=True)
+    log_p = shifted - np.log(z)
     target = (..., np.arange(n), y)
     nll = -log_p[target]
 
@@ -205,27 +274,31 @@ def _backprop(params: np.ndarray, spec: MlpSpec, data: Dataset, sizes):
     delta[target] -= 1.0
     delta /= k if k else np.repeat(sizes, sizes)[:, None]
     for i, (w, b, fan_in, fan_out) in reversed(list(enumerate(layer_slices(spec)))):
-        h = hs[i]  # (n, fan_in) for the shared input, else lead + (n, fan_in)
-        # one contiguous run per gradient row, so these are views
-        g_w = grads[..., w].reshape(lead + (n_groups, fan_in, fan_out))
-        g_b = grads[..., b]
+        h = hs[i]  # (n, fan_in + 1) for the shared input, else lead + (n, fan_in + 1)
+        # one contiguous run per gradient row and per parameter vector, so
+        # these are views: [g_W; g_b] and [W; b]
+        g = grads[..., w.start:b.stop].reshape(lead + (n_groups, fan_in + 1, fan_out))
         if k:
             d = delta.reshape(lead + (n_groups, k, fan_out))
-            hg = h.reshape(h.shape[:-2] + (n_groups, k, fan_in))
-            np.matmul(hg.swapaxes(-1, -2), d, out=g_w)
-            d.sum(axis=-2, out=g_b)
+            hg = h.reshape(h.shape[:-2] + (n_groups, k, fan_in + 1))
+            np.matmul(hg.swapaxes(-1, -2), d, out=g)
         else:
-            for g, hi in enumerate(itertools.accumulate(sizes)):
-                rows = slice(hi - sizes[g], hi)
+            for j, hi in enumerate(itertools.accumulate(sizes)):
+                rows = slice(hi - sizes[j], hi)
                 np.matmul(h[..., rows, :].swapaxes(-1, -2), delta[..., rows, :],
-                          out=g_w[..., g, :, :])
-                delta[..., rows, :].sum(axis=-2, out=g_b[..., g, :])
+                          out=g[..., j, :, :])
         if i > 0:
-            delta = delta @ ws[i][0].swapaxes(-1, -2)
+            # delta for each input column, the ones column's too, from
+            # [W; b]; that one is scaled by 1, never by 0 (an overflow
+            # there cannot raise), and then dropped
+            wb = params[..., w.start:b.stop].reshape(lead + (fan_in + 1, fan_out))
+            delta = delta @ wb.swapaxes(-1, -2)
             if spec.activation == "relu":
                 delta *= h > 0.0
             else:
+                h[..., -1] = 0.0
                 delta *= 1.0 - h ** 2
+            delta = delta[..., :-1]
     return nll, grads
 
 

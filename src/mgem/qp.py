@@ -164,11 +164,14 @@ def _gram(rows, target, strength, form):
     its ``h`` entry and its lower bound, so no solver ever frees it."""
     _, out, lb, cg = _rows(rows, target, strength, form)
     K = rows @ np.swapaxes(rows, -1, -2)
-    K = np.where(out[..., :, None] | out[..., None, :], 0.0, K)
+    dropped = np.count_nonzero(out)
+    if dropped:
+        K = np.where(out[..., :, None] | out[..., None, :], 0.0, K)
     h = cg + _matvec(K, lb)
     if form == REGULARIZED_FORM:
         h -= strength
-    h[out] = 0.0
+    if dropped:
+        h[out] = 0.0
     return K, h, lb, out
 
 
@@ -264,7 +267,7 @@ def _lawson_hanson(K: np.ndarray, h: np.ndarray, tol: float, max_iter: int):
             running &= solves < max_iter
         grad = _matvec(K, u) + h
         pivot = running & ~newton
-        if pivot.any():
+        if np.count_nonzero(pivot):
             # the top of the loop: stop at KKT, else pivot on the most
             # negative gradient
             done = pivot & (_kkt(u, grad) <= tol)
@@ -274,20 +277,23 @@ def _lawson_hanson(K: np.ndarray, h: np.ndarray, tol: float, max_iter: int):
             j = w.argmax(axis=1)
             wj = w[every, j]
             stalled = pivot & (wj <= tol)
-            if stalled.any():  # no pivot left: polish the face once, then stop
+            if np.count_nonzero(stalled):  # no pivot left: polish the face once, then stop
                 pivot ^= stalled
                 running ^= stalled & refined
                 newton |= stalled
                 refined |= stalled
-        if not running.any():
+        if not np.count_nonzero(running):
             break
         solves += running
+        # column j of each K, which is row j too: the Gram product forms
+        # K_ij and K_ji from the same products in the same order
+        Kj = K[every, :, j]
         # a pivot frees j along d (d_j = 1, K_PP d_P = -K_Pj), a Newton step
         # solves K_PP d_P = -(K u + h)_P on the free set P; a stopped
         # instance keeps d = 0 and stays where it is
         P = free & running[:, None]
-        if P.any():
-            y = np.where(pivot[:, None], K[every, :, j], grad)
+        if np.count_nonzero(P):
+            y = np.where(pivot[:, None], Kj, grad)
             x, singular = _solve_stack(np.where(P[:, :, None] & P[:, None, :], K, eye),
                                        np.where(P, y, 0.0))
             d = np.where(P, -x, 0.0)
@@ -302,10 +308,10 @@ def _lawson_hanson(K: np.ndarray, h: np.ndarray, tol: float, max_iter: int):
             # with none, only a bound stops the ray
             jp = j[pj]
             d[pj, jp] = 1.0
-            curv = np.matmul(K[every, j][:, None, :], d[:, :, None])[:, 0, 0]
+            curv = np.matmul(Kj[:, None, :], d[:, :, None])[:, 0, 0]
             bent = pivot & (curv > 0.0)
             limit = np.divide(wj, curv, out=np.where(pivot, np.inf, 1.0), where=bent)
-            ray = (bent ^ pivot).any()
+            ray = np.count_nonzero(bent ^ pivot) > 0
             free[pj, jp] = True
             refined[pj] = False
         else:
@@ -314,7 +320,7 @@ def _lawson_hanson(K: np.ndarray, h: np.ndarray, tol: float, max_iter: int):
         # coordinates that reach 0 (only free ones have d < 0); t = inf:
         # the dual is unbounded, no move
         down = d < 0.0
-        ratio = np.where(down, u / np.where(down, -d, 1.0), np.inf)
+        ratio = np.divide(u, -d, out=np.full((B, m), np.inf), where=down)
         first = np.minimum.reduce(ratio, axis=1)
         t = np.minimum(first, limit)
         if ray:

@@ -6,6 +6,7 @@ from mgem.constraints import (
     MethodSpec,
     assemble_direction,
     assemble_step,
+    assembly_plan,
     build_instances,
     memory_grads,
     memory_groups,
@@ -296,7 +297,7 @@ def test_assembled_stacks_equal_each_job_alone():
     rows[3, 2, :20] = 0.0    # job 3 leaves out row 2 in its first module only
     rows[4] *= 1e-8          # job 4 leaves out every row
     jobs = [0, 1, 3, 4, 5]   # job 2 is left out, as a failed job would be
-    stacks = assemble_step(methods, spans, g_t, rows, jobs)
+    stacks = assemble_step(assembly_plan(methods, spans, jobs, rows.shape[1]), g_t, rows)
     keys = [(s.span.start, s.span.stop, s.solver) for s in stacks]
     assert len(keys) == len(set(keys)) == len({(span.start, span.stop, methods[r].solver)
                                                for r in jobs for span in spans[r]})

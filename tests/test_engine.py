@@ -463,20 +463,79 @@ def test_diverging_job_leaves_its_group(trace, monkeypatch):
         False, True, False, True, False]
 
 
+def test_a_stopped_job_leaves_the_assembly_plan(monkeypatch):
+    # job 1's minibatch gradient turns NaN at task 2, iteration 4: from that
+    # step on, every step's stacks are those of a fresh plan over the jobs
+    # still running, and each plan serves its task until a job stops
+    import mgem.engine as engine_mod
+    from mgem.constraints import assemble_step, assembly_plan, resolve_partition
+    original = engine_mod._backprop
+    iters, batch, poisoned_at = 8, 16, 4
+    minibatches = []
+
+    def poisoning(params, spec, data, sizes):
+        nll, grads = original(params, spec, data, sizes)
+        if tuple(sizes) == (batch,):
+            if len(minibatches) == iters + poisoned_at:
+                grads[1] = np.nan
+            minibatches.append(None)
+        return nll, grads
+
+    calls = []
+
+    def recording(plan, g_t, rows):
+        stacks = assemble_step(plan, g_t, rows)
+        calls.append((plan, g_t.copy(), rows.copy(), stacks))
+        return stacks
+
+    monkeypatch.setattr(engine_mod, "_backprop", poisoning)
+    monkeypatch.setattr(engine_mod, "assemble_step", recording)
+    methods = [MethodSpec("gem", strength=0.1), MethodSpec("gem", strength=0.5),
+               MethodSpec("gem", strength=1.0), MethodSpec("p_mgem", d_param=2, strength=0.5),
+               MethodSpec("gem", solver="approx", strength=0.5)]
+    cfgs = [cfg(m, iters=iters) for m in methods]
+    results = run_group(rotated_stream(n_tasks=3, n_train=60), MLP, cfgs)
+    assert str(results[1]).startswith("minibatch gradient became non-finite at task 2, "
+                                      f"iteration {poisoned_at};")
+    assert not any(isinstance(r, Exception) for k, r in enumerate(results) if k != 1)
+    assert len(calls) == 2 * iters
+    spans = [resolve_partition(MLP, c.partition_mode, c.method.d_param) for c in cfgs]
+    for step, (plan, g_t, rows, stacks) in enumerate(calls):
+        running = [r for r in range(len(cfgs)) if r != 1 or step < poisoned_at]
+        fresh = assemble_step(assembly_plan(methods, spans, running, rows.shape[1]), g_t, rows)
+        assert len(stacks) == len(fresh)
+        for got, want in zip(stacks, fresh):
+            assert (got.span, got.solver) == (want.span, want.solver)
+            assert np.array_equal(got.jobs, want.jobs)
+            for a, b in ((got.inst.constraint_rows, want.inst.constraint_rows),
+                         (got.inst.target, want.inst.target),
+                         (got.inst.strength, want.inst.strength)):
+                assert a.shape == b.shape and np.array_equal(a, b)
+        # made once per task, and again when the job stops
+        if step % iters:
+            assert (plan is calls[step - 1][0]) == (step != poisoned_at)
+        else:
+            assert step == 0 or plan is not calls[step - 1][0]
+    # the gem jobs of the first stack were consecutive, and are not after
+    assert np.array_equal(calls[0][3][0].jobs, [0, 1, 2])
+    assert np.array_equal(calls[-1][3][0].jobs, [0, 2])
+
+
 def test_degenerate_memory_rows_are_left_out_and_counted_per_job(monkeypatch):
     # push some jobs' memory rows below MIN_ROW_SQNORM on their way to the
     # QP: q = 0.5 jobs the first memory's row, the q = 1 job every row
     import mgem.engine as engine_mod
     original = engine_mod.assemble_step
 
-    def shrunk(methods, spans, g_t, rows, jobs):
+    def shrunk(plan, g_t, rows):
         rows = rows.copy()
-        for r, method in enumerate(methods):
-            if method.strength == 0.5:
+        strength = {r: q for p in plan for r, q in zip(p.jobs.tolist(), p.strength[:, 0])}
+        for r, q in strength.items():
+            if q == 0.5:
                 rows[r, 0] *= 1e-9
-            elif method.strength == 1.0:
+            elif q == 1.0:
                 rows[r] *= 1e-9
-        return original(methods, spans, g_t, rows, jobs)
+        return original(plan, g_t, rows)
 
     monkeypatch.setattr(engine_mod, "assemble_step", shrunk)
     stream = rotated_stream(n_tasks=3, n_train=60)

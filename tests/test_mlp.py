@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from mgem.layout import layer_slices, n_params
 from mgem.mlp import (
     Dataset,
     MlpSpec,
+    _backprop,
     accuracy,
     fd_gradient,
     group_grads,
@@ -208,3 +211,90 @@ def test_group_grads_rejects_sizes_that_do_not_split_the_rows(sizes):
     data = Dataset(np.zeros((10, 3)), np.zeros(10, dtype=int))
     with pytest.raises(ValueError):
         group_grads(params, spec, data, sizes)
+
+
+def reference_backprop(params, spec, data, sizes):
+    """The column-sum formulation of ``_backprop``, kept as its reference:
+    a separate bias sum per layer and ``.sum`` over the classes."""
+    X, y = data.features, data.labels
+    n = X.shape[0]
+    lead = params.shape[:-1]
+    ws = [(params[..., w].reshape(lead + (fan_in, fan_out)), params[..., None, b])
+          for w, b, fan_in, fan_out in layer_slices(spec)]
+    hs = [X]
+    for W, b in ws[:-1]:
+        z = hs[-1] @ W
+        z += b
+        hs.append(np.maximum(z, 0.0, out=z) if spec.activation == "relu" else np.tanh(z, out=z))
+    W, b = ws[-1]
+    logits = hs[-1] @ W
+    logits += b
+    top = logits.T.copy().max(axis=0).T[..., None]
+    shifted = logits - top
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    target = (..., np.arange(n), y)
+    nll = -log_p[target]
+    n_groups = len(sizes)
+    k = sizes[0] if sizes.count(sizes[0]) == n_groups else None
+    grads = np.empty(lead + (n_groups, params.shape[-1]))
+    delta = np.exp(log_p)
+    delta[target] -= 1.0
+    delta /= k if k else np.repeat(sizes, sizes)[:, None]
+    for i, (w, b, fan_in, fan_out) in reversed(list(enumerate(layer_slices(spec)))):
+        h = hs[i]
+        g_w = grads[..., w].reshape(lead + (n_groups, fan_in, fan_out))
+        g_b = grads[..., b]
+        if k:
+            d = delta.reshape(lead + (n_groups, k, fan_out))
+            hg = h.reshape(h.shape[:-2] + (n_groups, k, fan_in))
+            np.matmul(hg.swapaxes(-1, -2), d, out=g_w)
+            d.sum(axis=-2, out=g_b)
+        else:
+            for g, hi in enumerate(itertools.accumulate(sizes)):
+                rows = slice(hi - sizes[g], hi)
+                np.matmul(h[..., rows, :].swapaxes(-1, -2), delta[..., rows, :],
+                          out=g_w[..., g, :, :])
+                delta[..., rows, :].sum(axis=-2, out=g_b[..., g, :])
+        if i > 0:
+            delta = delta @ ws[i][0].swapaxes(-1, -2)
+            if spec.activation == "relu":
+                delta *= h > 0.0
+            else:
+                delta *= 1.0 - h ** 2
+    return nll, grads
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("n_classes", range(2, 13))
+def test_backprop_equals_the_column_sum_formulation_bitwise(n_classes, activation):
+    # the ones column and the ordered class sum give the floats of a
+    # separate bias sum and ``.sum`` over the classes; 7 and 8 classes
+    # straddle the ordered-sum rule, and one group is over 256 rows
+    rng = rng_from(n_classes, "ones-column", activation)
+    specs = [MlpSpec((2, 16, n_classes), activation),
+             MlpSpec((3, 9, 7, n_classes), activation)]
+    groups = [(16,), (40, 40), (16,) * 6, (300,), (3, 300, 7), (5, 1, 9)]
+    for spec, sizes, lead in itertools.product(specs, groups, [(), (1,), (3,), (24,)]):
+        n = sum(sizes)
+        data = Dataset(rng.standard_normal((n, spec.n_in)), rng.integers(0, n_classes, size=n))
+        params = 0.5 * rng.standard_normal(lead + (n_params(spec),))
+        nll, grads = _backprop(params, spec, data, sizes)
+        want_nll, want_grads = reference_backprop(params, spec, data, list(sizes))
+        assert nll.shape == want_nll.shape and grads.shape == want_grads.shape
+        assert nll.tobytes() == want_nll.tobytes(), (spec, sizes, lead)
+        assert grads.tobytes() == want_grads.tobytes(), (spec, sizes, lead)
+
+
+def test_cut_datasets_keep_features_and_inputs_together():
+    # ``take`` and ``concat`` cut the ones-column inputs with the features
+    rng = rng_from(3, "inputs")
+    a = Dataset(rng.standard_normal((9, 2)), rng.integers(0, 3, size=9))
+    b = Dataset(rng.standard_normal((4, 2)), rng.integers(0, 3, size=4))
+    idx = np.array([7, 0, 7, 3])
+    cuts = [(a, a.features, a.labels), (a.take(idx), a.features[idx], a.labels[idx]),
+            (a.take(slice(2, 6)), a.features[2:6], a.labels[2:6]),
+            (Dataset.concat([a.take(idx), b]), np.vstack([a.features[idx], b.features]),
+             np.concatenate([a.labels[idx], b.labels]))]
+    for data, features, labels in cuts:
+        assert np.array_equal(data.features, features) and np.array_equal(data.labels, labels)
+        assert np.array_equal(data.inputs, np.hstack([features, np.ones((len(labels), 1))]))
