@@ -24,8 +24,10 @@ solving them separately and concatenating the directions equals the joint
 solve. The engine assembles the instances of every job of a lockstep stack
 at once (``assemble_step``): per module span and solver, the module views
 of all the jobs' rows form one stacked ``QpInstance`` for
-``qp.solve_batch``, which leaves degenerate rows out. ``build_instances``
-is its one-job case, with one instance per module, and
+``qp.solve_batch``, which leaves degenerate rows out. The instances come
+back in the order of the task's assembly plan, whose entries (``StackPlan``)
+name the jobs, module span and solver of each. ``build_instances`` is the
+one-job case, with one instance per module in span order, and
 ``assemble_direction`` concatenates the per-module directions.
 """
 
@@ -130,18 +132,6 @@ def split_memory(n_samples: int, d_data: int, seed: int):
     return [np.sort(chunk) for chunk in _near_equal_chunks(perm, d_data)]
 
 
-@dataclass(eq=False)
-class ModuleStack:
-    """The instances of one step that share a module span and a solver, as
-    one stacked ``QpInstance``: item k belongs to the job in stack row
-    ``jobs[k]``."""
-
-    jobs: np.ndarray
-    span: slice
-    solver: str
-    inst: QpInstance
-
-
 def memory_groups(memories):
     """The samples of every memory, each already split by split in split
     order, and the split sizes: the rows and groups of the stacked memory
@@ -171,8 +161,8 @@ def memory_grads(memories, rows: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class StackPlan:
-    """What one ``ModuleStack`` of a step takes from outside that step's
-    gradients: the stack rows ``jobs`` of its items, how to cut their rows
+    """One stacked QP of every step of a task: the stack rows ``jobs`` of its
+    items (item k belongs to job ``jobs[k]``), how to cut their rows
     (``take``: a slice when they are consecutive, else ``jobs``), the module
     span, the solver, and the ``(len(jobs), G)`` lower bounds."""
 
@@ -209,30 +199,32 @@ def assemble_step(plan, g_t: np.ndarray, rows: np.ndarray) -> list:
 
     ``plan`` comes from ``assembly_plan``, ``g_t`` holds the ``(J, P)``
     minibatch gradients and ``rows`` the ``(J, G, P)`` memory gradient rows
-    (``memory_groups`` order). Returns one ``ModuleStack`` per entry of
-    ``plan``: the module slices of all its jobs' rows, every row kept (the
-    solver leaves degenerate ones out). Each item is laid out as its job's
-    instance alone would be, so the solvers give each job its own result
-    bit for bit.
+    (``memory_groups`` order). Returns one stacked ``QpInstance`` per entry
+    of ``plan``, in plan order: item k holds the module slices of job
+    ``jobs[k]``'s rows, every row kept (the solver leaves degenerate ones
+    out). Each item is laid out as its job's instance alone would be, so
+    the solvers give each job its own result bit for bit.
     """
-    return [ModuleStack(p.jobs, p.span, p.solver, QpInstance(
+    return [QpInstance(
                 constraint_rows=rows[p.take][:, :, p.span],
                 target=g_t[p.jobs, p.span],
                 strength=p.strength,
                 form=BOX_FORM,
-            )) for p in plan]
+            ) for p in plan]
 
 
 def build_instances(method: MethodSpec, memories, g_t: np.ndarray,
                     rows: np.ndarray, spans) -> list:
-    """One QpInstance per parameter module (``spans``) for this step.
+    """One QpInstance per parameter module (``spans``) for this step, in
+    span order.
 
     ``memories`` is the ordered list of past-task EpisodicMemory objects,
     each of ``method.d_data`` splits (``mem.sizes``), and ``rows`` holds
     this step's gradient of every split, in ``memory_groups`` order. No
     memories give no instances (first task: the caller uses the plain
     gradient). Every row is kept; the solver leaves degenerate ones out.
-    This is the one-job case of ``assemble_step``.
+    This is the one-job case of ``assemble_step``: one job's plan lists its
+    spans in span order.
     """
     if method.kind == "single":
         raise ValueError("the single baseline does not assemble constraints")
@@ -240,8 +232,6 @@ def build_instances(method: MethodSpec, memories, g_t: np.ndarray,
         return []
     d = method.d_data
     for mem in memories:
-        if mem.data.n_samples < 1:
-            raise ValueError("episodic memory is empty")
         if len(mem.sizes) != d:
             raise ValueError(
                 f"memory for task {mem.task} has {len(mem.sizes)} splits, "
@@ -251,11 +241,9 @@ def build_instances(method: MethodSpec, memories, g_t: np.ndarray,
         raise ValueError(f"got {rows.shape[0]} gradient rows for {len(memories)} "
                          f"memories of {d} splits")
 
-    stacks = assemble_step(assembly_plan([method], [spans], [0], rows.shape[0]),
-                           g_t[None], rows[None])
-    by_span = {(s.span.start, s.span.stop): s.inst for s in stacks}
-    insts = [by_span[(span.start, span.stop)] for span in spans]
-    return [QpInstance(i.constraint_rows[0], i.target[0], i.strength[0], i.form) for i in insts]
+    plan = assembly_plan([method], [spans], [0], rows.shape[0])
+    return [QpInstance(i.constraint_rows[0], i.target[0], i.strength[0], i.form)
+            for i in assemble_step(plan, g_t[None], rows[None])]
 
 
 def assemble_direction(solutions, spans) -> np.ndarray:

@@ -149,17 +149,19 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
     pass for all jobs, one stacked memory pass when it solves QPs or is
     traced, and one stacked trace pass over the current and past training
     sets when it is traced; the memory and trace rows are cut once per task.
-    The memory pass is the one source of memory rows: the QP rows and the
-    traced memory inner products of every method read it. The per-module
-    QPs of every running job are assembled together, from an assembly plan
-    made once per task and again when a job stops, and solved in one
-    batched call, and each direction ``g + C^T v`` is written into its
-    job's module span of the update stack; stacked products give every
-    running job's trace inner products, and one stacked evaluation per
-    task fills the accuracy rows. Each job's result is the one it gets
-    alone, bit for bit. A job whose values stop being finite stops at that
-    step: it keeps its row, zeroed, takes no further steps and is not
-    evaluated, and the other jobs train on.
+    The memory pass is the one source of memory rows: they feed the QP and
+    the finiteness check of memory gradients, and the memory means
+    (``memory_grads``) are taken only on traced steps, for the traced
+    memory inner products of every method. The per-module QPs of every
+    running job are assembled together, from an assembly plan made once per
+    task and again when a job stops, and solved in one batched call; each
+    direction ``g + C^T v`` is written into the jobs and module span of its
+    plan entry in the update stack. Stacked products give every running
+    job's trace inner products, and one stacked evaluation per task fills
+    the accuracy rows. Each job's result is the one it gets alone, bit for
+    bit. A job whose values stop being finite stops at that step: it keeps
+    its row, zeroed, takes no further steps and is not evaluated, and the
+    other jobs train on.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -228,18 +230,17 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
             z = np.zeros_like(g_t) if solved else g_t
             stop(g_t, "minibatch gradient", task.descriptor, it)
             if memory_rows is not None:
-                grads = memory_grads(memories, mem_rows)
-                stop(grads, "memory gradients", task.descriptor, it)
+                stop(mem_rows, "memory gradients", task.descriptor, it)
             if solved:
                 if plan is None:
                     plan = assembly_plan(methods, spans, jobs, len(memory_rows[1]))
-                stacks = assemble_step(plan, g_t, mem_rows)
+                sols = qp.solve_batch(assemble_step(plan, g_t, mem_rows),
+                                      [p.solver for p in plan])
                 unsolved = np.zeros(J, dtype=bool)
-                for stack, sol in zip(stacks, qp.solve_batch([s.inst for s in stacks],
-                                                             [s.solver for s in stacks])):
-                    z[stack.jobs, stack.span] = sol.direction
-                    unsolved[stack.jobs[~sol.converged]] = True
-                    rows_dropped[stack.jobs] += sol.rows_dropped
+                for p, sol in zip(plan, sols):
+                    z[p.jobs, p.span] = sol.direction
+                    unsolved[p.jobs[~sol.converged]] = True
+                    rows_dropped[p.jobs] += sol.rows_dropped
                 constrained += running
                 unconverged += unsolved
             if traced:
@@ -247,7 +248,8 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
                 # ``row @ z`` alone, so each inner product is that float bit for bit
                 zj = z[jobs][:, None, :, None]
                 inner = np.matmul(trace_rows[jobs][:, :, None, :], zj)[..., 0, 0]
-                mem_inner = np.matmul(grads[jobs][:, :, None, :], zj)[..., 0, 0]
+                grads = memory_grads(memories, mem_rows[jobs])
+                mem_inner = np.matmul(grads[:, :, None, :], zj)[..., 0, 0]
                 for r, row, mem in zip(jobs, inner.tolist(), mem_inner.tolist()):
                     traces[r].append(StepTrace(
                         task=t_pos,
@@ -269,11 +271,10 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
             sizes=tuple(len(idx) for idx in splits),
         ))
 
-        live = np.flatnonzero(running)
         for k, other in enumerate(stream.tasks):
-            R[live, t_pos - 1, k] = accuracy(params[live], mlp, other.test)
+            R[jobs, t_pos - 1, k] = accuracy(params[jobs], mlp, other.test)
 
-    for r in np.flatnonzero(running).tolist():
+    for r in jobs:
         results[r] = RunResult(
             accuracy=R[r],
             traces=traces[r],

@@ -125,20 +125,14 @@ def generate(spec: StreamSpec) -> TaskStream:
                 Dataset(base_test.features[:, perm], base_test.labels),
                 k,
             ))
-    elif spec.family == "rotated":
-        means = _class_means(spec, spec.n_classes)
+    else:
+        rotated = spec.family == "rotated"
+        means = _class_means(spec, spec.n_classes * (1 if rotated else spec.n_tasks))
         for k in range(1, spec.n_tasks + 1):
-            rot = _rotation(spec.n_features, (k - 1) * np.pi / spec.n_tasks)
-            mk = means @ rot.T
-            tasks.append(Task(
-                _blob(mk, spec.n_train, spec.noise, rng_from(spec.seed, "task", k, "train")),
-                _blob(mk, spec.n_test, spec.noise, rng_from(spec.seed, "task", k, "test")),
-                k,
-            ))
-    else:  # split_classes
-        means = _class_means(spec, spec.n_classes * spec.n_tasks)
-        for k in range(1, spec.n_tasks + 1):
-            mk = means[(k - 1) * spec.n_classes:k * spec.n_classes]
+            if rotated:
+                mk = means @ _rotation(spec.n_features, (k - 1) * np.pi / spec.n_tasks).T
+            else:  # split_classes
+                mk = means[(k - 1) * spec.n_classes:k * spec.n_classes]
             tasks.append(Task(
                 _blob(mk, spec.n_train, spec.noise, rng_from(spec.seed, "task", k, "train")),
                 _blob(mk, spec.n_test, spec.noise, rng_from(spec.seed, "task", k, "test")),

@@ -297,23 +297,24 @@ def test_assembled_stacks_equal_each_job_alone():
     rows[3, 2, :20] = 0.0    # job 3 leaves out row 2 in its first module only
     rows[4] *= 1e-8          # job 4 leaves out every row
     jobs = [0, 1, 3, 4, 5]   # job 2 is left out, as a failed job would be
-    stacks = assemble_step(assembly_plan(methods, spans, jobs, rows.shape[1]), g_t, rows)
-    keys = [(s.span.start, s.span.stop, s.solver) for s in stacks]
-    assert len(keys) == len(set(keys)) == len({(span.start, span.stop, methods[r].solver)
-                                               for r in jobs for span in spans[r]})
-    sols = qp.solve_batch([s.inst for s in stacks], [s.solver for s in stacks])
+    plan = assembly_plan(methods, spans, jobs, rows.shape[1])
+    stacks = assemble_step(plan, g_t, rows)
+    keys = [(p.span.start, p.span.stop, p.solver) for p in plan]
+    assert len(stacks) == len(keys) == len(set(keys)) == len(
+        {(span.start, span.stop, methods[r].solver) for r in jobs for span in spans[r]})
+    sols = qp.solve_batch(stacks, [p.solver for p in plan])
     seen = set()
     dropped = np.zeros(len(methods), dtype=int)
-    for stack, sol in zip(stacks, sols):
-        for k, r in enumerate(stack.jobs):
+    for p, stack, sol in zip(plan, stacks, sols):
+        for k, r in enumerate(p.jobs):
             alone = build_instances(methods[r], mems, g_t[r], rows[r], spans[r])
-            i = spans[r].index(stack.span)
+            i = spans[r].index(p.span)
             inst = alone[i]
-            for got, want in ((stack.inst.constraint_rows[k], inst.constraint_rows),
-                              (stack.inst.target[k], inst.target),
-                              (stack.inst.strength[k], inst.strength)):
+            for got, want in ((stack.constraint_rows[k], inst.constraint_rows),
+                              (stack.target[k], inst.target),
+                              (stack.strength[k], inst.strength)):
                 assert np.array_equal(got, want) and got.strides == want.strides
-            ref = (qp.solve_approx(inst) if stack.solver == "approx"
+            ref = (qp.solve_approx(inst) if p.solver == "approx"
                    else qp.solve_exact(inst))
             assert np.array_equal(sol.multipliers[k], ref.multipliers)
             assert np.array_equal(sol.direction[k], ref.direction)

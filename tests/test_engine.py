@@ -95,18 +95,18 @@ def test_equal_flat_partition_runs_and_is_deterministic():
 def test_memories_never_change_after_storage(monkeypatch):
     import mgem.engine as engine_mod
     seen = {}
-    original = engine_mod.memory_grads
+    original = engine_mod.memory_groups
 
-    def spying(memories, *args):
+    def spying(memories):
         for mem in memories:
             snapshot = (mem.data.features.tobytes(), mem.data.labels.tobytes(), mem.sizes)
             if mem.task in seen:
                 assert seen[mem.task] == snapshot, f"memory for task {mem.task} changed"
             else:
                 seen[mem.task] = snapshot
-        return original(memories, *args)
+        return original(memories)
 
-    monkeypatch.setattr(engine_mod, "memory_grads", spying)
+    monkeypatch.setattr(engine_mod, "memory_groups", spying)
     run(rotated_stream(n_tasks=3, n_train=60), MLP, cfg(MethodSpec("gem"), iters=15))
     assert set(seen) == {1, 2}  # task 3 stores a memory but nothing consumes it
 
@@ -217,21 +217,21 @@ def test_group_trace_inner_products_are_each_row_dot_z(methods, monkeypatch):
     # every traced inner product of a 3-job group is float(row @ z) for its
     # job's trace or memory row and update direction, bit for bit
     import mgem.engine as engine_mod
+    from mgem.constraints import assemble_step
     seen = {}
 
-    def spy(module, name, keep=lambda out: out):
-        fn = getattr(module, name)
+    def spy(name, keep):
+        fn = getattr(engine_mod, name)
 
         def spying(*args):
             out = fn(*args)
-            seen.setdefault(name, []).append(keep(out))
+            seen.setdefault(name, []).append(keep(args, out))
             return out
-        monkeypatch.setattr(module, name, spying)
+        monkeypatch.setattr(engine_mod, name, spying)
 
-    spy(engine_mod, "_backprop", lambda out: out[1].copy())
-    spy(engine_mod, "memory_grads", np.copy)
-    spy(engine_mod, "assemble_step")
-    spy(qp, "solve_batch")
+    spy("_backprop", lambda args, out: out[1].copy())
+    spy("memory_grads", lambda args, out: out.copy())
+    spy("assemble_step", lambda args, out: args[0])
     iters, single = 5, methods[0].kind == "single"
     stream = rotated_stream(n_tasks=3, n_train=60)
     results = run_group(stream, MLP, [cfg(m, iters=iters, memory=20) for m in methods],
@@ -243,13 +243,15 @@ def test_group_trace_inner_products_are_each_row_dot_z(methods, monkeypatch):
     want = [[] for _ in methods]
     for step in range(2 * iters):
         t_pos = 2 + step // iters
-        minibatch, _, rows = (next(passes) for _ in range(3))
+        minibatch, mem_rows, rows = (next(passes) for _ in range(3))
         if single:
             z = minibatch[:, 0]
         else:
+            # each plan entry's stack solved on its own gives its jobs' module span
             z = np.zeros_like(minibatch[:, 0])
-            for stack, sol in zip(seen["assemble_step"][step], seen["solve_batch"][step]):
-                z[stack.jobs, stack.span] = sol.direction
+            for p in seen["assemble_step"][step]:
+                sol, = qp.solve_batch(assemble_step([p], minibatch[:, 0], mem_rows), [p.solver])
+                z[p.jobs, p.span] = sol.direction
         mem = seen["memory_grads"][step]
         for r in range(len(methods)):
             want[r].append((float(rows[r, 0] @ z[r]),
@@ -288,17 +290,22 @@ def test_nonfinite_memory_gradient_stops_at_its_step(monkeypatch, method, trace)
     # a NaN memory row would otherwise be dropped as degenerate (gem), or
     # make the traced memory inner product NaN (single)
     import mgem.engine as engine_mod
-    original = engine_mod.memory_grads
+    original = engine_mod._backprop
+    c = cfg(method)
+    memory_passes = []
 
-    def poisoned(memories, rows):
-        rows = rows.copy()
-        rows[:, 0, 0] = np.nan
-        return original(memories, rows)
+    def poisoned(params, spec, data, sizes):
+        nll, grads = original(params, spec, data, sizes)
+        if list(sizes) == [c.memory_per_task]:  # the memory pass of task 2
+            grads[:, 0, 0] = np.nan
+            memory_passes.append(None)
+        return nll, grads
 
-    monkeypatch.setattr(engine_mod, "memory_grads", poisoned)
+    monkeypatch.setattr(engine_mod, "_backprop", poisoned)
     with pytest.raises(FloatingPointError,
                        match=r"^memory gradients became non-finite at task 2, iteration 0;"):
-        run(rotated_stream(), MLP, cfg(method), trace=trace)
+        run(rotated_stream(), MLP, c, trace=trace)
+    assert len(memory_passes) == 1
 
 
 def test_every_exact_instance_of_a_run_is_certified_by_enumeration(monkeypatch):
@@ -484,9 +491,9 @@ def test_a_stopped_job_leaves_the_assembly_plan(monkeypatch):
     calls = []
 
     def recording(plan, g_t, rows):
-        stacks = assemble_step(plan, g_t, rows)
-        calls.append((plan, g_t.copy(), rows.copy(), stacks))
-        return stacks
+        insts = assemble_step(plan, g_t, rows)
+        calls.append((plan, g_t.copy(), rows.copy(), insts))
+        return insts
 
     monkeypatch.setattr(engine_mod, "_backprop", poisoning)
     monkeypatch.setattr(engine_mod, "assemble_step", recording)
@@ -500,16 +507,17 @@ def test_a_stopped_job_leaves_the_assembly_plan(monkeypatch):
     assert not any(isinstance(r, Exception) for k, r in enumerate(results) if k != 1)
     assert len(calls) == 2 * iters
     spans = [resolve_partition(MLP, c.partition_mode, c.method.d_param) for c in cfgs]
-    for step, (plan, g_t, rows, stacks) in enumerate(calls):
+    for step, (plan, g_t, rows, insts) in enumerate(calls):
         running = [r for r in range(len(cfgs)) if r != 1 or step < poisoned_at]
-        fresh = assemble_step(assembly_plan(methods, spans, running, rows.shape[1]), g_t, rows)
-        assert len(stacks) == len(fresh)
-        for got, want in zip(stacks, fresh):
-            assert (got.span, got.solver) == (want.span, want.solver)
-            assert np.array_equal(got.jobs, want.jobs)
-            for a, b in ((got.inst.constraint_rows, want.inst.constraint_rows),
-                         (got.inst.target, want.inst.target),
-                         (got.inst.strength, want.inst.strength)):
+        fresh_plan = assembly_plan(methods, spans, running, rows.shape[1])
+        fresh = assemble_step(fresh_plan, g_t, rows)
+        assert len(plan) == len(insts) == len(fresh_plan) == len(fresh)
+        for got_p, got, want_p, want in zip(plan, insts, fresh_plan, fresh):
+            assert (got_p.span, got_p.solver) == (want_p.span, want_p.solver)
+            assert np.array_equal(got_p.jobs, want_p.jobs)
+            for a, b in ((got.constraint_rows, want.constraint_rows),
+                         (got.target, want.target),
+                         (got.strength, want.strength)):
                 assert a.shape == b.shape and np.array_equal(a, b)
         # made once per task, and again when the job stops
         if step % iters:
@@ -517,8 +525,30 @@ def test_a_stopped_job_leaves_the_assembly_plan(monkeypatch):
         else:
             assert step == 0 or plan is not calls[step - 1][0]
     # the gem jobs of the first stack were consecutive, and are not after
-    assert np.array_equal(calls[0][3][0].jobs, [0, 1, 2])
-    assert np.array_equal(calls[-1][3][0].jobs, [0, 2])
+    assert np.array_equal(calls[0][0][0].jobs, [0, 1, 2])
+    assert np.array_equal(calls[-1][0][0].jobs, [0, 2])
+
+
+def test_memory_means_are_taken_only_on_traced_steps(monkeypatch):
+    # the finiteness check and the QP read the memory rows; only a trace
+    # reads their size-weighted means, once per step over the running jobs
+    import mgem.engine as engine_mod
+    original = engine_mod.memory_grads
+    calls = []
+
+    def counting(memories, rows):
+        calls.append(rows.shape[0])
+        return original(memories, rows)
+
+    monkeypatch.setattr(engine_mod, "memory_grads", counting)
+    stream = rotated_stream(n_tasks=3, n_train=60)
+    iters = 6
+    cfgs = [cfg(m, iters=iters) for m in (MethodSpec("d_mgem", d_data=2, strength=0.5),
+                                          MethodSpec("md_mgem", d_param=2, d_data=2))]
+    untraced = run_group(stream, MLP, cfgs)
+    assert calls == [] and all(r.constrained_steps == 2 * iters for r in untraced)
+    run_group(stream, MLP, cfgs, trace=True)
+    assert calls == [len(cfgs)] * (2 * iters)
 
 
 def test_degenerate_memory_rows_are_left_out_and_counted_per_job(monkeypatch):
