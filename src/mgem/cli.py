@@ -62,8 +62,8 @@ def _keep_heap_top():
     and to keep ``HEAP_TOP_PAD`` bytes of free heap top; a no-op where the
     C library has no ``mallopt``.
 
-    Each stacked trace pass frees a few MB of temporaries, glibc trims the
-    heap top after it, and the next pass faults the same pages back in
+    Each stacked pass of a traced step frees a few MB of temporaries, glibc
+    trims the heap top after it, and the next pass faults the pages back in
     (~330 minor faults per pass of a 24-job pareto2 chunk). Any ``mallopt``
     call also freezes glibc's mmap threshold, which it otherwise raises as
     mapped blocks are freed, at its value then; in a process whose threshold

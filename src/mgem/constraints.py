@@ -17,7 +17,9 @@ Every variant reads its rows from one stacked forward/backward pass per
 step over every split of every stored memory, then slices them per module.
 A memory stores its samples split by split, so ``memory_groups`` only
 concatenates the memories, once per task; a memory of ``gem`` or ``p_mgem``
-is one split. The engine's traced inner products read the same pass.
+is one split. The engine's traced inner products read the same rows; on a
+traced step they are the memory groups of the step's one pass, between its
+minibatch and its training sets.
 
 Per-module problems are independent (the joint QP is block-diagonal), so
 solving them separately and concatenating the directions equals the joint

@@ -15,8 +15,9 @@ past task, and with the stored-memory gradients.
 Jobs that draw the same data -- the same seed, step size, schedule, memory
 size and memory rows per step, e.g. the methods and strengths of one sweep
 -- train in lockstep (``run_group``): their parameters form one ``(J, P)``
-stack, and each step makes one stacked minibatch, memory and trace pass for
-all of them, assembles the per-module QPs of every job at once
+stack (one row on task 1, where they are all the same model), each step's
+gradient passes are stacked over all of them (one pass on a traced step),
+and each step assembles the per-module QPs of every job at once
 (``constraints.assemble_step``) and solves them in one ``qp.solve_batch``
 call. Row ``j`` of the stack is job ``j`` for the whole run: a job whose
 values stop being finite keeps its row, zeroed, takes no further steps and
@@ -145,23 +146,39 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
     ``RunResult``, or the ``FloatingPointError`` that stopped that job.
 
     All configs must share one ``_group_key``. Row ``j`` of every stack is
-    job ``j`` for the whole run. Each step makes one stacked minibatch
-    pass for all jobs, one stacked memory pass when it solves QPs or is
-    traced, and one stacked trace pass over the current and past training
-    sets when it is traced; the memory and trace rows are cut once per task.
-    The memory pass is the one source of memory rows: they feed the QP and
-    the finiteness check of memory gradients, and the memory means
-    (``memory_grads``) are taken only on traced steps, for the traced
-    memory inner products of every method. The per-module QPs of every
-    running job are assembled together, from an assembly plan made once per
-    task and again when a job stops, and solved in one batched call; each
-    direction ``g + C^T v`` is written into the jobs and module span of its
-    plan entry in the update stack. Stacked products give every running
-    job's trace inner products, and one stacked evaluation per task fills
-    the accuracy rows. Each job's result is the one it gets alone, bit for
-    bit. A job whose values stop being finite stops at that step: it keeps
-    its row, zeroed, takes no further steps and is not evaluated, and the
-    other jobs train on.
+    job ``j`` for the whole run. On task 1 no job has a memory, so every
+    job is the same model: the group trains ``params[:1]``, copies it to
+    every running row at the end of the task and evaluates it once, and a
+    divergence there stops every job with the message it gets alone.
+
+    An untraced step makes one stacked minibatch pass for all jobs and, when
+    it solves QPs, one stacked memory pass. A traced step makes one stacked
+    pass over its minibatch, then the memory splits, then the current and
+    past training sets, and cuts the minibatch gradient, the memory rows and
+    the trace rows from it; the memory and training-set rows are cut once
+    per task. That pass gives the rows of the separate passes bit for bit
+    wherever each layer's products give the same bits for every row count:
+    as measured, one hidden layer of 16 to 100 units (``pareto2``),
+    ``3,9,7,5`` and two hidden layers of 8 or 16 units. A hidden-to-hidden
+    layer of 32 or more units (e.g. ``2,64,64,10``) gives other last bits
+    for 16 rows than for more (the backward product ``delta @ [W; b]^T``
+    from 32 units, the forward product too at 64), so the minibatch and
+    memory rows of a traced step can differ in the last bits from those of
+    an untraced step at the same parameters, and a traced run of such a net
+    can differ from the same run untraced.
+
+    The memory rows feed the QP and the finiteness check of memory
+    gradients, and the memory means (``memory_grads``) are taken only on
+    traced steps, for the traced memory inner products of every method. The
+    per-module QPs of every running job are assembled together, from an
+    assembly plan made once per task and again when a job stops, and solved
+    in one batched call; each direction ``g + C^T v`` is written into the
+    jobs and module span of its plan entry in the update stack. Stacked
+    products give every running job's trace inner products, and one stacked
+    evaluation per task fills the accuracy rows. Each job's result is the
+    one it gets alone, bit for bit. A job whose values stop being finite
+    stops at that step: it keeps its row, zeroed, takes no further steps and
+    is not evaluated, and the other jobs train on.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -191,16 +208,18 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
         """Stop each running job whose row of ``stack`` is not finite, with
         the error it raises alone, and zero its rows of ``stack`` and
         ``params``: it takes no further steps, its later passes stay
-        finite, and the next assembly makes a plan without it."""
+        finite, and the next assembly makes a plan without it. A one-row
+        stack (task 1) is the row of every job."""
         nonlocal jobs, plan
-        bad = running & ~np.isfinite(stack).all(axis=tuple(range(1, stack.ndim)))
-        if not bad.any():
+        finite = np.isfinite(stack).all(axis=tuple(range(1, stack.ndim)))
+        if finite.all():
             return
+        bad = running & ~finite
         for j in np.flatnonzero(bad).tolist():
             results[j] = FloatingPointError(
                 f"{what} became non-finite at task {task}, iteration {it}; lower lr")
         running[bad] = False
-        stack[bad] = 0.0
+        stack[~finite] = 0.0
         params[bad] = 0.0
         jobs = np.flatnonzero(running).tolist()
         plan = None
@@ -208,23 +227,33 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
     for t_pos, task in enumerate(stream.tasks, start=1):
         batch_rng = rng_from(lead.seed, "batch", t_pos)
         n_train = task.train.n_samples
+        # task 1: no job has a memory, so every job is the same model, row 0
+        one_row = not memories
+        stack = params[:1] if one_row else params
         solved = constrained_kind and bool(memories)
         traced = trace and t_pos >= 2
         memory_rows = memory_groups(memories) if solved or traced else None
         plan = None
         if traced:
+            # a traced step's one pass: its minibatch, then the memory
+            # splits, then the current and past training sets
             trace_sets = [task.train] + [stream.tasks[s].train for s in range(t_pos - 1)]
-            trace_data = Dataset.concat(trace_sets)
-            trace_sizes = [d.n_samples for d in trace_sets]
+            after_batch = Dataset.concat([memory_rows[0]] + trace_sets)
+            pass_sizes = ([lead.batch_size] + memory_rows[1]
+                          + [d.n_samples for d in trace_sets])
+            mem_groups = slice(1, 1 + len(memory_rows[1]))
         for it in range(lead.iters_per_task):
             if not jobs:
                 break
             idx = batch_rng.integers(0, n_train, size=lead.batch_size)
-            g_t = _backprop(params, mlp, task.train.take(idx), (lead.batch_size,))[1][:, 0]
-            if memory_rows is not None:
-                mem_rows = _backprop(params, mlp, *memory_rows)[1]
+            batch = task.train.take(idx)
             if traced:
-                trace_rows = _backprop(params, mlp, trace_data, trace_sizes)[1]
+                out = _backprop(stack, mlp, Dataset.concat([batch, after_batch]), pass_sizes)[1]
+                g_t, mem_rows, trace_rows = out[:, 0], out[:, mem_groups], out[:, mem_groups.stop:]
+            else:
+                g_t = _backprop(stack, mlp, batch, (lead.batch_size,))[1][:, 0]
+                if memory_rows is not None:
+                    mem_rows = _backprop(stack, mlp, *memory_rows)[1]
             # stopped jobs' rows of z stay zero: assembly writes only running
             # rows, and the single jobs of a group train alike, so stop together
             z = np.zeros_like(g_t) if solved else g_t
@@ -245,10 +274,13 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
                 unconverged += unsolved
             if traced:
                 # one (1, P) @ (P, 1) product per row: numpy's dot routine, as
-                # ``row @ z`` alone, so each inner product is that float bit for bit
-                zj = z[jobs][:, None, :, None]
-                inner = np.matmul(trace_rows[jobs][:, :, None, :], zj)[..., 0, 0]
-                grads = memory_grads(memories, mem_rows[jobs])
+                # ``row @ z`` alone, so each inner product is that float bit
+                # for bit; whole arrays while every job runs
+                zs, tr, mr = ((z, trace_rows, mem_rows) if len(jobs) == J
+                              else (z[jobs], trace_rows[jobs], mem_rows[jobs]))
+                zj = zs[:, None, :, None]
+                inner = np.matmul(tr[:, :, None, :], zj)[..., 0, 0]
+                grads = memory_grads(memories, mr)
                 mem_inner = np.matmul(grads[:, :, None, :], zj)[..., 0, 0]
                 for r, row, mem in zip(jobs, inner.tolist(), mem_inner.tolist()):
                     traces[r].append(StepTrace(
@@ -258,8 +290,8 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
                         bwd_inners=tuple(row[1:]),
                         min_memory_inner=min(mem),
                     ))
-            params -= lead.lr * z
-            stop(params, "parameters", task.descriptor, it)
+            stack -= lead.lr * z
+            stop(stack, "parameters", task.descriptor, it)
 
         mem_rng = rng_from(lead.seed, "memory", t_pos)
         sel = np.sort(mem_rng.choice(n_train, size=lead.memory_per_task, replace=False))
@@ -271,8 +303,11 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
             sizes=tuple(len(idx) for idx in splits),
         ))
 
+        if one_row:
+            params[jobs] = stack
+        evaluated = stack if one_row else params[jobs]
         for k, other in enumerate(stream.tasks):
-            R[jobs, t_pos - 1, k] = accuracy(params[jobs], mlp, other.test)
+            R[jobs, t_pos - 1, k] = accuracy(evaluated, mlp, other.test)
 
     for r in jobs:
         results[r] = RunResult(

@@ -14,10 +14,16 @@ layer's ``W`` and ``b`` are adjacent in the flat vector, so one matrix
 product of that input with a group's output deltas writes both the weight
 and the bias gradient, and no per-row reduction is left for the bias.
 The ones column adds a group's delta rows in row order, as a column sum
-does, so the gradients are the same floats. The softmax denominator of
-fewer than 8 classes is added class by class, in order, which is how numpy
-sums so short a row; numpy sums 8 or more pairwise, and ``.sum`` keeps
-that order there.
+does, so the gradients are the same floats. The softmax of fewer than 8
+classes runs class-major, on one transposed copy of the logits, and adds
+its denominator class by class, in order, which is how numpy sums so short
+a row; numpy sums 8 or more pairwise, and ``.sum`` keeps that order there.
+Consecutive groups of one size share one stacked weight-gradient product
+per layer, which gives each group the floats it gets alone. So the
+engine's one pass per traced step, over a minibatch, the memory splits and
+the training sets, gives each group the row of its own pass wherever the
+layers' products give the same bits at every row count (see
+``engine.run_group``).
 """
 
 import functools
@@ -226,16 +232,20 @@ def _backprop(params: np.ndarray, spec: MlpSpec, data: Dataset, sizes):
     ``(fan_in + 1, fan_out)`` block of a gradient row, and one
     ``np.matmul`` per layer writes both: the ones column of each layer
     input (``_forward``) makes the last row the column sum of ``delta_g``,
-    added in row order as ``delta_g.sum(axis=0)`` adds it. A stack puts
-    models on a leading axis the same way: every stack member sees the
-    same rows, and the stacked ``np.matmul`` computes each member's slice
-    as the unstacked product would.
+    added in row order as ``delta_g.sum(axis=0)`` adds it. Each run of
+    consecutive groups of one size is one stacked product, whose items are
+    the groups of the run: a stacked ``np.matmul`` computes each item as
+    the product of that item alone would, so a group's row does not depend
+    on its neighbours. A stack puts models on a leading axis the same way:
+    every stack member sees the same rows, and each member's slice is the
+    unstacked product.
 
-    The softmax denominator adds the classes one by one, in order, when
-    there are fewer than 8: numpy sums a row of fewer than 8 entries in
-    order, and elementwise adds over the class views cost far less per
-    row than reducing a few entries of each row. From 8 classes on, numpy
-    sums pairwise, and ``.sum`` keeps that order.
+    With fewer than 8 classes the softmax and its delta are taken on one
+    class-major copy of the logits, ``(C, n)`` or ``(C, n, J)`` (``.T``),
+    transposed back once: every step is an elementwise pass over whole
+    class rows, and the denominator adds the classes one by one, in order,
+    which is how numpy sums a row of fewer than 8 entries. From 8 classes
+    on, numpy sums pairwise, and ``.sum(axis=-1)`` keeps that order.
 
     Returns ``(nll, grads)``: ``nll`` of shape ``(n,)`` or ``(J, n)``,
     ``grads`` of shape ``(G, P)`` or ``(J, G, P)`` for ``G = len(sizes)``.
@@ -249,44 +259,54 @@ def _backprop(params: np.ndarray, spec: MlpSpec, data: Dataset, sizes):
 
     lead = params.shape[:-1]
     logits, hs = _forward(_weights(params, spec), spec, data.inputs)
-    # The row maximum over a class-major copy: a maximum is exact in any
-    # order, and reducing a few contiguous entries per row costs far more
-    # per row than reducing whole rows elementwise.
-    top = logits.T.copy().max(axis=0).T[..., None]
-    shifted = logits - top
-    e = np.exp(shifted)
-    if spec.n_out < 8:
-        by_class = e.reshape(-1, spec.n_out).T
-        z = by_class[0] + by_class[1]
-        for col in by_class[2:]:
-            z += col
-        z = z.reshape(e.shape[:-1] + (1,))
-    else:
-        z = e.sum(axis=-1, keepdims=True)
-    log_p = shifted - np.log(z)
-    target = (..., np.arange(n), y)
-    nll = -log_p[target]
-
     n_groups = len(sizes)
-    k = sizes[0] if sizes.count(sizes[0]) == n_groups else None  # common group size
+    # (first group, rows, group size, group count) of each run of
+    # consecutive equal-size groups: one stacked product per run and layer
+    runs, j, lo = [], 0, 0
+    for size, run in itertools.groupby(sizes):
+        count = len(list(run))
+        runs.append((j, slice(lo, lo + size * count), size, count))
+        j, lo = j + count, lo + size * count
+    samples = np.arange(n)
+    if spec.n_out < 8:
+        # Class-major: (C, n) or (C, n, J), the transpose of the logits, so
+        # every step is an elementwise pass over whole class rows, not one
+        # inner loop of C entries per sample. A maximum is exact in any order.
+        s = logits.T.copy()
+        s -= s.max(axis=0)
+        e = np.exp(s)
+        z = e[0] + e[1]
+        for col in e[2:]:
+            z += col
+        s -= np.log(z)  # log p
+        nll = -s[y, samples].T
+        delta = np.exp(s, out=e)
+        delta[y, samples] -= 1.0
+        for _, rows, size, _ in runs:
+            delta[:, rows] /= size
+        delta = delta.T.copy()
+    else:
+        # the row maximum over a class-major copy, as above
+        top = logits.T.copy().max(axis=0).T[..., None]
+        shifted = logits - top
+        log_p = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        target = (..., samples, y)
+        nll = -log_p[target]
+        delta = np.exp(log_p)
+        delta[target] -= 1.0
+        for _, rows, size, _ in runs:
+            delta[..., rows, :] /= size
+
     grads = np.empty(lead + (n_groups, params.shape[-1]))
-    delta = np.exp(log_p)
-    delta[target] -= 1.0
-    delta /= k if k else np.repeat(sizes, sizes)[:, None]
     for i, (w, b, fan_in, fan_out) in reversed(list(enumerate(layer_slices(spec)))):
         h = hs[i]  # (n, fan_in + 1) for the shared input, else lead + (n, fan_in + 1)
         # one contiguous run per gradient row and per parameter vector, so
         # these are views: [g_W; g_b] and [W; b]
         g = grads[..., w.start:b.stop].reshape(lead + (n_groups, fan_in + 1, fan_out))
-        if k:
-            d = delta.reshape(lead + (n_groups, k, fan_out))
-            hg = h.reshape(h.shape[:-2] + (n_groups, k, fan_in + 1))
-            np.matmul(hg.swapaxes(-1, -2), d, out=g)
-        else:
-            for j, hi in enumerate(itertools.accumulate(sizes)):
-                rows = slice(hi - sizes[j], hi)
-                np.matmul(h[..., rows, :].swapaxes(-1, -2), delta[..., rows, :],
-                          out=g[..., j, :, :])
+        for j, rows, size, count in runs:
+            d = delta[..., rows, :].reshape(lead + (count, size, fan_out))
+            hg = h[..., rows, :].reshape(h.shape[:-2] + (count, size, fan_in + 1))
+            np.matmul(hg.swapaxes(-1, -2), d, out=g[..., j:j + count, :, :])
         if i > 0:
             # delta for each input column, the ones column's too, from
             # [W; b]; that one is scaled by 1, never by 0 (an overflow

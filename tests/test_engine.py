@@ -237,20 +237,24 @@ def test_group_trace_inner_products_are_each_row_dot_z(methods, monkeypatch):
     results = run_group(stream, MLP, [cfg(m, iters=iters, memory=20) for m in methods],
                         trace=True)
 
-    # task 1 makes one pass per step; a traced step makes a minibatch pass,
-    # a memory pass and a trace pass, whatever the method
+    # task 1 makes one pass per step, over one row; a traced step makes one
+    # pass, whatever the method: its minibatch, then one row per memory,
+    # then the current and past training sets
+    assert [out.shape[:2] for out in seen["_backprop"][:iters]] == [(1, 1)] * iters
     passes = iter(seen["_backprop"][iters:])
     want = [[] for _ in methods]
     for step in range(2 * iters):
         t_pos = 2 + step // iters
-        minibatch, mem_rows, rows = (next(passes) for _ in range(3))
+        out = next(passes)
+        assert out.shape[:2] == (len(methods), 1 + (t_pos - 1) + t_pos)
+        minibatch, mem_rows, rows = out[:, 0], out[:, 1:t_pos], out[:, t_pos:]
         if single:
-            z = minibatch[:, 0]
+            z = minibatch
         else:
             # each plan entry's stack solved on its own gives its jobs' module span
-            z = np.zeros_like(minibatch[:, 0])
+            z = np.zeros_like(minibatch)
             for p in seen["assemble_step"][step]:
-                sol, = qp.solve_batch(assemble_step([p], minibatch[:, 0], mem_rows), [p.solver])
+                sol, = qp.solve_batch(assemble_step([p], minibatch, mem_rows), [p.solver])
                 z[p.jobs, p.span] = sol.direction
         mem = seen["memory_grads"][step]
         for r in range(len(methods)):
@@ -296,8 +300,11 @@ def test_nonfinite_memory_gradient_stops_at_its_step(monkeypatch, method, trace)
 
     def poisoned(params, spec, data, sizes):
         nll, grads = original(params, spec, data, sizes)
-        if list(sizes) == [c.memory_per_task]:  # the memory pass of task 2
-            grads[:, 0, 0] = np.nan
+        sizes = list(sizes)
+        # task 2's memory pass (gem), or the memory group of its traced
+        # pass, which follows the minibatch (single)
+        if sizes == [c.memory_per_task] or sizes[:2] == [c.batch_size, c.memory_per_task]:
+            grads[:, sizes.index(c.memory_per_task), 0] = np.nan
             memory_passes.append(None)
         return nll, grads
 
@@ -455,9 +462,10 @@ def test_diverging_job_leaves_its_group(trace, monkeypatch):
         MethodSpec("gem", solver="approx", strength=0.5))]
     with np.errstate(over="ignore", invalid="ignore"):
         results = run_group(stream, MLP, cfgs, trace=trace)
-        # only the passes of that step (minibatch, memory, trace) see them
-        # diverge: their rows are zeroed, so every later pass is finite
-        assert 1 <= sum(nonfinite) <= 3
+        # only the passes of that step (one when traced, else minibatch and
+        # memory) see them diverge: their rows are zeroed, so every later
+        # pass is finite
+        assert 1 <= sum(nonfinite) <= (1 if trace else 2)
         for c, result in zip(cfgs, results):
             if isinstance(result, FloatingPointError):
                 with pytest.raises(FloatingPointError) as alone:
@@ -527,6 +535,40 @@ def test_a_stopped_job_leaves_the_assembly_plan(monkeypatch):
     # the gem jobs of the first stack were consecutive, and are not after
     assert np.array_equal(calls[0][0][0].jobs, [0, 1, 2])
     assert np.array_equal(calls[-1][0][0].jobs, [0, 2])
+
+
+def test_one_pass_per_traced_step_and_one_row_for_task_1(monkeypatch):
+    # task 1 trains one row for the whole group; later, a traced step makes
+    # one pass (minibatch, memory splits, training sets), an untraced
+    # constrained step a minibatch and a memory pass, and single one pass
+    import mgem.engine as engine_mod
+    original = engine_mod._backprop
+    calls = []
+
+    def recording(params, spec, data, sizes):
+        calls.append((params.shape[0], list(sizes)))
+        return original(params, spec, data, sizes)
+
+    monkeypatch.setattr(engine_mod, "_backprop", recording)
+    stream = rotated_stream(n_tasks=3, n_train=60)
+    iters = 4
+    constrained = [cfg(m, iters=iters) for m in (
+        MethodSpec("d_mgem", d_data=2, strength=0.5), MethodSpec("md_mgem", d_param=2, d_data=2),
+        MethodSpec("d_mgem", d_data=2, solver="approx"))]
+    singles = [cfg(MethodSpec("single"), iters=iters)] * 2
+    task1 = [(1, [16])] * iters
+    for cfgs, trace, later in [
+            (constrained, False, [[(3, [16]), (3, [12, 12])],
+                                  [(3, [16]), (3, [12, 12, 12, 12])]]),
+            (constrained, True, [[(3, [16, 12, 12, 60, 60])],
+                                 [(3, [16, 12, 12, 12, 12, 60, 60, 60])]]),
+            (singles, False, [[(2, [16])], [(2, [16])]]),
+            (singles, True, [[(2, [16, 24, 60, 60])], [(2, [16, 24, 24, 60, 60, 60])]])]:
+        calls.clear()
+        results = run_group(stream, MLP, cfgs, trace=trace)
+        assert calls == task1 + later[0] * iters + later[1] * iters
+        for c, result in zip(cfgs, results):
+            assert_same_run(result, run(stream, MLP, c, trace=trace))
 
 
 def test_memory_means_are_taken_only_on_traced_steps(monkeypatch):

@@ -267,13 +267,16 @@ def reference_backprop(params, spec, data, sizes):
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
 @pytest.mark.parametrize("n_classes", range(2, 13))
 def test_backprop_equals_the_column_sum_formulation_bitwise(n_classes, activation):
-    # the ones column and the ordered class sum give the floats of a
-    # separate bias sum and ``.sum`` over the classes; 7 and 8 classes
-    # straddle the ordered-sum rule, and one group is over 256 rows
+    # the ones column, the class-major softmax and the equal-size runs give
+    # the floats of a separate bias sum, ``.sum`` over the classes and one
+    # product per group; 7 and 8 classes straddle the ordered-sum rule, one
+    # group is over 256 rows, and the last three layouts are the engine's
+    # traced passes (d_data 1 and 2) and runs of equal groups between others
     rng = rng_from(n_classes, "ones-column", activation)
     specs = [MlpSpec((2, 16, n_classes), activation),
              MlpSpec((3, 9, 7, n_classes), activation)]
-    groups = [(16,), (40, 40), (16,) * 6, (300,), (3, 300, 7), (5, 1, 9)]
+    groups = [(16,), (40, 40), (16,) * 6, (300,), (3, 300, 7), (5, 1, 9),
+              (16, 32, 120, 120), (16, 16, 16, 120, 120), (3, 3, 7, 7, 7, 2)]
     for spec, sizes, lead in itertools.product(specs, groups, [(), (1,), (3,), (24,)]):
         n = sum(sizes)
         data = Dataset(rng.standard_normal((n, spec.n_in)), rng.integers(0, n_classes, size=n))
@@ -298,3 +301,24 @@ def test_cut_datasets_keep_features_and_inputs_together():
     for data, features, labels in cuts:
         assert np.array_equal(data.features, features) and np.array_equal(data.labels, labels)
         assert np.array_equal(data.inputs, np.hstack([features, np.ones((len(labels), 1))]))
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("layers", [(2, 16, 4), (3, 9, 7, 5)])
+@pytest.mark.parametrize("memory_sizes", [(32,), (16, 16)], ids=["d_data1", "d_data2"])
+def test_one_traced_pass_equals_the_three_passes_bitwise(layers, activation, memory_sizes):
+    # the engine's traced step: a 16-row minibatch, the memory splits and two
+    # 120-row training sets in one pass give the rows of the minibatch,
+    # memory and trace passes, bit for bit, at any stack height
+    spec = MlpSpec(layers, activation)
+    rng = rng_from(len(layers), "fused", activation, len(memory_sizes))
+    parts = [(16,), memory_sizes, (120, 120)]
+    sets = [Dataset(rng.standard_normal((sum(p), spec.n_in)),
+                    rng.integers(0, spec.n_out, size=sum(p))) for p in parts]
+    for J in (1, 3, 24):
+        params = 0.5 * rng.standard_normal((J, n_params(spec)))
+        fused = _backprop(params, spec, Dataset.concat(sets), [k for p in parts for k in p])[1]
+        alone = np.concatenate([_backprop(params, spec, d, p)[1] for d, p in zip(sets, parts)],
+                               axis=1)
+        assert fused.shape == alone.shape == (J, len(memory_sizes) + 3, n_params(spec))
+        assert fused.tobytes() == alone.tobytes(), J
