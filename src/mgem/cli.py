@@ -10,7 +10,8 @@ Commands::
 ``summary.csv`` plus one retained-accuracy matrix file per run. ``pareto``
 crosses the configured (or default) methods with the strength grid over the
 first two tasks and writes ``pareto.csv``. ``selfcheck`` runs the built-in
-verification suites.
+verification suites. ``run`` and ``pareto`` declare their four flags once,
+on one argparse parent parser, so both show the same flags and help.
 
 ``--threads N`` is the number of worker processes: ``run`` spreads its
 method x seed jobs over them, ``pareto`` its grid x seed jobs
@@ -22,9 +23,11 @@ exist, the chunks run one after another in this process. ``--threads``
 defaults to 1; ``--seeds`` and ``--threads`` must be at least 1.
 
 A config's ``output.dir`` is created with its parents; an ``--out``
-directory is created only if its parent exists. An output path that names
-something other than a directory, and a stream data file that cannot be
-read or holds a bad cell, are config errors.
+directory is created only if its parent exists. An empty ``--out`` is a
+usage error and an empty ``output.dir`` a config error: either would name
+the working directory. An output path that names something other than a
+directory, and a stream data file that cannot be read or holds a bad cell,
+are config errors.
 
 On glibc, ``main`` serves allocations below 32 MiB from the heap and keeps
 64 MiB of free heap top instead of returning it to the kernel
@@ -125,6 +128,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _out_dir(text: str) -> str:
+    """A non-empty ``--out`` path; an empty one would name the working
+    directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a directory path, got ''")
+    return text
+
+
 def _train_config(cfg: RunConfigFile, method, seed) -> TrainConfig:
     return TrainConfig(
         lr=cfg.lr,
@@ -160,6 +171,14 @@ def _check_jobs(cfg: RunConfigFile, stream, methods):
                                   f"{task.descriptor}: {exc}") from None
 
 
+def _exit_code(degraded: bool, runs: str) -> int:
+    if degraded:
+        print(f"warning: at least one {runs} exceeded the solver convergence budget",
+              file=sys.stderr)
+        return EXIT_RUNTIME
+    return EXIT_OK
+
+
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
     if not cfg.methods:
@@ -179,11 +198,7 @@ def cmd_run(args) -> int:
         write_rmatrix_csv(out / name, result.accuracy)
     write_summary_csv(out / "summary.csv", entries)
     print(f"wrote {out / 'summary.csv'} ({len(entries)} runs)")
-    if any(result.degraded for result in results):
-        print("warning: at least one run exceeded the solver convergence budget",
-              file=sys.stderr)
-        return EXIT_RUNTIME
-    return EXIT_OK
+    return _exit_code(any(result.degraded for result in results), "run")
 
 
 def cmd_pareto(args) -> int:
@@ -200,11 +215,7 @@ def cmd_pareto(args) -> int:
     points = pareto_sweep(stream, cfg.model, base, grid, seeds=seeds, threads=args.threads)
     write_pareto_csv(out / "pareto.csv", points)
     print(f"wrote {out / 'pareto.csv'} ({len(points)} rows)")
-    if any(p.degraded for p in points):
-        print("warning: at least one sweep run exceeded the solver convergence budget",
-              file=sys.stderr)
-        return EXIT_RUNTIME
-    return EXIT_OK
+    return _exit_code(any(p.degraded for p in points), "sweep run")
 
 
 def cmd_selfcheck(args) -> int:
@@ -222,21 +233,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="train every configured method, write summary")
-    p_run.add_argument("--config", required=True, help="path to a run config file")
-    p_run.add_argument("--out", default=None, help="output directory (overrides config)")
-    p_run.add_argument("--seeds", type=_count, default=1, help="number of seeds per method")
-    p_run.add_argument("--threads", type=_count, default=1,
-                       help="worker processes for the method x seed jobs")
-    p_run.set_defaults(fn=cmd_run)
-
-    p_par = sub.add_parser("pareto", help="inner-product trade-off sweep on tasks 1-2")
-    p_par.add_argument("--config", required=True)
-    p_par.add_argument("--out", default=None)
-    p_par.add_argument("--seeds", type=_count, default=1)
-    p_par.add_argument("--threads", type=_count, default=1,
-                       help="worker processes for the grid x seed jobs")
-    p_par.set_defaults(fn=cmd_pareto)
+    jobs = argparse.ArgumentParser(add_help=False)  # the flags run and pareto share
+    jobs.add_argument("--config", required=True, help="path to a run config file")
+    jobs.add_argument("--out", type=_out_dir, help="output directory (overrides output.dir)")
+    jobs.add_argument("--seeds", type=_count, default=1, help="seeds per job, from train.seed up")
+    jobs.add_argument("--threads", type=_count, default=1,
+                      help="worker processes for the method (run) or grid (pareto) x seed jobs")
+    for name, fn, text in (("run", cmd_run, "train every configured method, write summary"),
+                           ("pareto", cmd_pareto, "inner-product trade-off sweep on tasks 1-2")):
+        sub.add_parser(name, parents=[jobs], help=text).set_defaults(fn=fn)
 
     p_chk = sub.add_parser("selfcheck", help="run the built-in verification suites")
     p_chk.add_argument("--quick", action="store_true", help="reduced instance counts")

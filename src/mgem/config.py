@@ -2,9 +2,17 @@
 
 The format is deliberately dependency-free: UTF-8 text, one ``key = value``
 pair per line, ``#`` comments, keys like ``train.lr`` or ``method.1.kind``.
+One table, ``_KEYS``, maps each ``section.field`` key to the object it
+fills (``StreamSpec``, ``MlpSpec`` or ``RunConfigFile``), the attribute it
+sets and the parser of its value; ``_METHOD_KEYS`` does the same for
+``method.N.field``, which fills the ``MethodSpec`` of entry N. A parser
+raises ValueError and ``parse_config`` prefixes the message with
+``[section] field:`` in one place.
+
 Unknown and repeated keys are rejected with a diagnostic naming the key
-(``method.01.q`` and ``method.1.q`` are the same key). A number holding
-Python's digit separator ``_`` is a bad value, like any other non-number.
+(``method.01.q`` and ``method.1.q`` are the same key). Numbers are plain
+ASCII: one holding Python's digit separator ``_`` or a non-ASCII character
+(a fullwidth digit, say) is a bad value, like any other non-number.
 """
 
 import math
@@ -60,144 +68,132 @@ def _parse_pairs(text: str):
     return pairs
 
 
-def _number(kind, value):
-    """``kind(value)``, except that Python's digit separator ``_`` is not a
-    config number: ``1_0`` raises ValueError rather than reading as 10."""
-    if "_" in value:
-        raise ValueError(value)
-    return kind(value)
-
-
-def _to_int(section, key, value):
+def _plain(kind, value, expected):
+    """``kind(value)`` for a plain ASCII number; Python's digit separator
+    ``_`` and non-ASCII digits, which ``int`` and ``float`` accept, make a
+    bad value."""
     try:
-        return _number(int, value)
+        if "_" not in value and value.isascii():
+            return kind(value)
     except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected integer, got {value!r}") from None
+        pass
+    raise ValueError(f"expected {expected}, got {value!r}")
 
 
-def _to_float(section, key, value):
-    try:
-        number = _number(float, value)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected number, got {value!r}") from None
+def _integer(value):
+    return _plain(int, value, "integer")
+
+
+def _real(value):
+    number = _plain(float, value, "number")
     if not math.isfinite(number):
-        raise ConfigError(f"[{section}] {key}: expected a finite number, got {value!r}")
+        raise ValueError(f"expected a finite number, got {value!r}")
     return number
 
 
-def _to_enum(section, key, value, allowed):
-    if value not in allowed:
-        raise ConfigError(
-            f"[{section}] {key}: unknown value {value!r} (allowed: {', '.join(allowed)})"
-        )
+def _choice(*allowed):
+    def parse(value):
+        if value not in allowed:
+            raise ValueError(f"unknown value {value!r} (allowed: {', '.join(allowed)})")
+        return value
+    return parse
+
+
+def _integers(value):
+    try:
+        return tuple(_integer(s) for s in value.split(","))
+    except ValueError:
+        raise ValueError(f"expected comma-separated integers, got {value!r}") from None
+
+
+def _strengths(value):
+    grid = tuple(_real(s) for s in value.split(","))
+    if min(grid) < 0.0:
+        raise ValueError(f"strengths must be >= 0, got {value!r}")
+    return grid
+
+
+def _paths(value):
+    return tuple(p.strip() for p in value.split(",") if p.strip())
+
+
+def _directory(value):
+    if not value:
+        raise ValueError("expected a directory path, got ''")
     return value
 
 
-_STREAM_FIELDS = {
-    "family": lambda v: _to_enum("stream", "family", v, FAMILIES),
-    "n_tasks": lambda v: _to_int("stream", "n_tasks", v),
-    "n_train": lambda v: _to_int("stream", "n_train", v),
-    "n_test": lambda v: _to_int("stream", "n_test", v),
-    "n_features": lambda v: _to_int("stream", "n_features", v),
-    "n_classes": lambda v: _to_int("stream", "n_classes", v),
-    "noise": lambda v: _to_float("stream", "noise", v),
-    "seed": lambda v: _to_int("stream", "seed", v),
-    "csv_paths": lambda v: tuple(p.strip() for p in v.split(",") if p.strip()),
+_KEYS = {  # section.field -> (object it fills, attribute, parser)
+    "stream.family": (StreamSpec, "family", _choice(*FAMILIES)),
+    "stream.n_tasks": (StreamSpec, "n_tasks", _integer),
+    "stream.n_train": (StreamSpec, "n_train", _integer),
+    "stream.n_test": (StreamSpec, "n_test", _integer),
+    "stream.n_features": (StreamSpec, "n_features", _integer),
+    "stream.n_classes": (StreamSpec, "n_classes", _integer),
+    "stream.noise": (StreamSpec, "noise", _real),
+    "stream.seed": (StreamSpec, "seed", _integer),
+    "stream.csv_paths": (StreamSpec, "csv_paths", _paths),
+    "model.layer_sizes": (MlpSpec, "layer_sizes", _integers),
+    "model.activation": (MlpSpec, "activation", _choice("relu", "tanh")),
+    "train.lr": (RunConfigFile, "lr", _real),
+    "train.iters_per_task": (RunConfigFile, "iters_per_task", _integer),
+    "train.batch_size": (RunConfigFile, "batch_size", _integer),
+    "train.memory_per_task": (RunConfigFile, "memory_per_task", _integer),
+    "train.seed": (RunConfigFile, "train_seed", _integer),
+    "train.partition_mode": (RunConfigFile, "partition_mode", _choice(*PARTITION_MODES)),
+    "pareto.q_grid": (RunConfigFile, "q_grid", _strengths),
+    "output.dir": (RunConfigFile, "out_dir", _directory),
 }
 
-_TRAIN_FIELDS = {
-    "lr": ("lr", lambda v: _to_float("train", "lr", v)),
-    "iters_per_task": ("iters_per_task", lambda v: _to_int("train", "iters_per_task", v)),
-    "batch_size": ("batch_size", lambda v: _to_int("train", "batch_size", v)),
-    "memory_per_task": ("memory_per_task", lambda v: _to_int("train", "memory_per_task", v)),
-    "seed": ("train_seed", lambda v: _to_int("train", "seed", v)),
-    "partition_mode": ("partition_mode",
-                       lambda v: _to_enum("train", "partition_mode", v, PARTITION_MODES)),
+_METHOD_KEYS = {  # method.N.field -> (MethodSpec attribute, parser)
+    "kind": ("kind", _choice(*METHOD_KINDS)),
+    "q": ("strength", _real),
+    "d_param": ("d_param", _integer),
+    "d_data": ("d_data", _integer),
+    "solver": ("solver", _choice(*SOLVERS)),
 }
 
-_METHOD_FIELDS = ("kind", "q", "d_param", "d_data", "solver")
+
+def _value(section, field, parse, value):
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {field}: {exc}") from None
+
+
+def _build(section, cls, kwargs, required):
+    if required not in kwargs:
+        raise ConfigError(f"[{section}] {required} is required")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
 
 
 def parse_config(text: str) -> RunConfigFile:
-    stream_kv = {}
-    model_kv = {}
-    train_kv = {}
-    method_kv = {}
-    q_grid = None
-    out_dir = None
+    fields = {StreamSpec: {}, MlpSpec: {}, RunConfigFile: {}}
+    methods = {}  # method index -> MethodSpec keyword arguments
     seen = {}  # each key (method index as a number) -> the line that set it
-
     for key, value, line_no in _parse_pairs(text):
         parts = key.split(".")
-        section = parts[0]
-        if section == "method" and len(parts) == 3 and parts[2] in _METHOD_FIELDS:
-            parts[1] = str(_to_int("method", "index", parts[1]))
-        name = ".".join(parts)
+        if len(parts) == 3 and parts[0] == "method" and parts[2] in _METHOD_KEYS:
+            idx = _value("method", "index", _integer, parts[1])
+            section, field = f"method.{idx}", parts[2]
+            attr, parse = _METHOD_KEYS[field]
+            dest = methods.setdefault(idx, {})
+        elif key in _KEYS:
+            (section, field), (cls, attr, parse) = parts, _KEYS[key]
+            dest = fields[cls]
+        else:
+            raise ConfigError(f"line {line_no}: unknown key {key!r}")
+        name = f"{section}.{field}"
         if name in seen:
             raise ConfigError(f"line {line_no}: key {name!r} repeats line {seen[name]}")
         seen[name] = line_no
-        if section == "stream" and len(parts) == 2 and parts[1] in _STREAM_FIELDS:
-            stream_kv[parts[1]] = _STREAM_FIELDS[parts[1]](value)
-        elif section == "model" and len(parts) == 2 and parts[1] == "layer_sizes":
-            try:
-                model_kv["layer_sizes"] = tuple(_number(int, s) for s in value.split(","))
-            except ValueError:
-                raise ConfigError(
-                    f"[model] layer_sizes: expected comma-separated integers, got {value!r}"
-                ) from None
-        elif section == "model" and len(parts) == 2 and parts[1] == "activation":
-            model_kv["activation"] = _to_enum("model", "activation", value, ("relu", "tanh"))
-        elif section == "train" and len(parts) == 2 and parts[1] in _TRAIN_FIELDS:
-            attr, conv = _TRAIN_FIELDS[parts[1]]
-            train_kv[attr] = conv(value)
-        elif section == "method" and len(parts) == 3 and parts[2] in _METHOD_FIELDS:
-            idx = int(parts[1])
-            entry = method_kv.setdefault(idx, {})
-            sec = f"method.{idx}"
-            if parts[2] == "kind":
-                entry["kind"] = _to_enum(sec, "kind", value, METHOD_KINDS)
-            elif parts[2] == "q":
-                entry["strength"] = _to_float(sec, "q", value)
-            elif parts[2] == "solver":
-                entry["solver"] = _to_enum(sec, "solver", value, SOLVERS)
-            else:
-                entry[parts[2]] = _to_int(sec, parts[2], value)
-        elif section == "pareto" and len(parts) == 2 and parts[1] == "q_grid":
-            q_grid = tuple(_to_float("pareto", "q_grid", s) for s in value.split(","))
-            if min(q_grid) < 0.0:
-                raise ConfigError(f"[pareto] q_grid: strengths must be >= 0, got {value!r}")
-        elif section == "output" and len(parts) == 2 and parts[1] == "dir":
-            out_dir = value
-        else:
-            raise ConfigError(f"line {line_no}: unknown key {key!r}")
+        dest[attr] = _value(section, field, parse, value)
 
-    if "family" not in stream_kv:
-        raise ConfigError("[stream] family is required")
-    try:
-        stream = StreamSpec(**stream_kv)
-    except ValueError as exc:
-        raise ConfigError(f"[stream] {exc}") from None
-
-    if "layer_sizes" not in model_kv:
-        raise ConfigError("[model] layer_sizes is required")
-    try:
-        model = MlpSpec(**model_kv)
-    except ValueError as exc:
-        raise ConfigError(f"[model] {exc}") from None
-
-    methods = []
-    for idx in sorted(method_kv):
-        entry = method_kv[idx]
-        if "kind" not in entry:
-            raise ConfigError(f"[method.{idx}] kind is required")
-        try:
-            methods.append(MethodSpec(**entry))
-        except ValueError as exc:
-            raise ConfigError(f"[method.{idx}] {exc}") from None
-
-    kwargs = dict(train_kv)
-    if q_grid is not None:
-        kwargs["q_grid"] = q_grid
-    if out_dir is not None:
-        kwargs["out_dir"] = out_dir
-    return RunConfigFile(stream=stream, model=model, methods=tuple(methods), **kwargs)
+    stream = _build("stream", StreamSpec, fields[StreamSpec], "family")
+    model = _build("model", MlpSpec, fields[MlpSpec], "layer_sizes")
+    specs = tuple(_build(f"method.{idx}", MethodSpec, methods[idx], "kind")
+                  for idx in sorted(methods))
+    return RunConfigFile(stream=stream, model=model, methods=specs, **fields[RunConfigFile])

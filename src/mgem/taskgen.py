@@ -37,6 +37,8 @@ class StreamSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown stream family {self.family!r}")
         if self.csv_paths is not None:
+            if self.family != "csv":
+                raise ValueError(f"csv_paths needs the csv family, got {self.family!r}")
             object.__setattr__(self, "csv_paths", tuple(self.csv_paths))
         if self.family == "csv":
             if not self.csv_paths:

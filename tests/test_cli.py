@@ -1,3 +1,4 @@
+import argparse
 import ctypes
 import re
 import resource
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mgem.cli import main
+from mgem.cli import _build_parser, main
 
 PARETO2 = Path(__file__).resolve().parent.parent / "scripts" / "configs" / "pareto2.cfg"
 
@@ -109,6 +110,45 @@ def test_out_path_that_is_not_a_directory_exits_one(tmp_path, capsys, monkeypatc
     assert how != "output.dir" or "[output] dir" in err
     assert taken.read_text(encoding="utf-8") == "keep\n"
     assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["run", "pareto"])
+@pytest.mark.parametrize("how", ["--out", "output.dir"])
+def test_empty_output_path_exits_one(tmp_path, capsys, monkeypatch, command, how):
+    # an empty path would name the working directory
+    monkeypatch.chdir(tmp_path)
+    if how == "--out":
+        cfg = write_cfg(tmp_path, PARETO_CFG + f"output.dir = {tmp_path / 'o'}\n")
+        argv = [command, "--config", cfg, "--out", ""]
+    else:
+        argv = [command, "--config", write_cfg(tmp_path, PARETO_CFG + "output.dir =\n")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{'argument --out' if how == '--out' else '[output] dir'}: expected a directory" in err
+    assert not (tmp_path / "o").exists()
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_run_without_methods_exits_one(tmp_path, capsys):
+    text = RUN_CFG.replace("method.1.kind = single\n", "")
+    cfg = write_cfg(tmp_path, text + f"output.dir = {tmp_path / 'o'}\n")
+    assert main(["run", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "config error: [method.1] at least one method entry is required for run\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_every_flag_has_help_text():
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {name: [a for a in parser._actions if a.option_strings]
+             for name, parser in sub.choices.items()}
+    assert sorted(flags) == ["pareto", "run", "selfcheck"]
+    for name, actions in flags.items():
+        assert all(a.help for a in actions), name
+    assert ([a.option_strings for a in flags["run"]]
+            == [a.option_strings for a in flags["pareto"]]
+            == [["-h", "--help"], ["--config"], ["--out"], ["--seeds"], ["--threads"]])
 
 
 def test_config_out_dir_created_with_its_parents(tmp_path):

@@ -25,6 +25,8 @@ def test_spec_validation():
         spec(n_features=1)  # rotation needs a 2-plane
     with pytest.raises(ValueError):
         StreamSpec(family="csv")  # csv needs paths
+    with pytest.raises(ValueError, match="csv_paths needs the csv family, got 'rotated'"):
+        spec(csv_paths=("a.csv",))  # only the csv family reads files
 
 
 def test_generation_is_deterministic():
