@@ -20,7 +20,8 @@ lockstep as one parameter stack (``engine.run_group``); each group is a
 chunk, and the largest chunk is halved until there are N chunks, run
 largest first. Output is identical for any N; where ``os.fork`` does not
 exist, the chunks run one after another in this process. ``--threads``
-defaults to 1; ``--seeds`` and ``--threads`` must be at least 1.
+defaults to 1; ``--seeds`` and ``--threads`` must be plain ASCII integers
+of at least 1.
 
 A config's ``output.dir`` is created with its parents; an ``--out``
 directory is created only if its parent exists. An empty ``--out`` is a
@@ -43,7 +44,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .config import ConfigError, RunConfigFile, default_pareto_methods, parse_config
+from .config import ConfigError, RunConfigFile, _integer, default_pareto_methods, parse_config
 from .engine import TrainConfig, check_memory, pareto_sweep, run_group, run_jobs
 from .metrics import summarize, write_pareto_csv, write_rmatrix_csv, write_summary_csv
 from .mlp import check_data
@@ -118,11 +119,12 @@ def _generate(cfg: RunConfigFile) -> TaskStream:
 
 
 def _count(text: str) -> int:
-    """An integer >= 1, for ``--seeds`` and ``--threads``."""
+    """An integer >= 1, for ``--seeds`` and ``--threads``, spelled as a
+    config file's integers are."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        value = _integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value

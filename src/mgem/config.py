@@ -10,7 +10,8 @@ raises ValueError and ``parse_config`` prefixes the message with
 ``[section] field:`` in one place.
 
 Unknown and repeated keys are rejected with a diagnostic naming the key
-(``method.01.q`` and ``method.1.q`` are the same key). Numbers are plain
+(``method.01.q`` and ``method.1.q`` are the same key), and so are the
+synthetic-stream keys under ``stream.family = csv``. Numbers are plain
 ASCII: one holding Python's digit separator ``_`` or a non-ASCII character
 (a fullwidth digit, say) is a bad value, like any other non-number.
 """
@@ -192,6 +193,10 @@ def parse_config(text: str) -> RunConfigFile:
         seen[name] = line_no
         dest[attr] = _value(section, field, parse, value)
 
+    if fields[StreamSpec].get("family") == "csv":
+        for attr in fields[StreamSpec]:
+            if attr not in ("family", "csv_paths", "seed"):
+                raise ConfigError(f"[stream] {attr}: the csv family reads only csv_paths and seed")
     stream = _build("stream", StreamSpec, fields[StreamSpec], "family")
     model = _build("model", MlpSpec, fields[MlpSpec], "layer_sizes")
     specs = tuple(_build(f"method.{idx}", MethodSpec, methods[idx], "kind")

@@ -84,20 +84,6 @@ class MethodSpec:
         return self.kind if self.solver == "exact" else f"approx_{self.kind}"
 
 
-def _near_equal_chunks(items, d):
-    """Split a sequence into d contiguous chunks, remainder to the earliest."""
-    n = len(items)
-    d = min(d, n)
-    base, rem = divmod(n, d)
-    chunks = []
-    start = 0
-    for i in range(d):
-        size = base + (1 if i < rem else 0)
-        chunks.append(items[start:start + size])
-        start += size
-    return chunks
-
-
 def resolve_partition(spec: MlpSpec, mode: str, d: int) -> tuple:
     """Split the flat parameter vector of ``spec`` into ``d`` modules.
 
@@ -117,7 +103,7 @@ def resolve_partition(spec: MlpSpec, mode: str, d: int) -> tuple:
     else:
         blocks = [slice(i, i + 1) for i in range(n_params(spec))]
     return tuple(slice(chunk[0].start, chunk[-1].stop)
-                 for chunk in _near_equal_chunks(blocks, d))
+                 for chunk in np.array_split(blocks, min(d, len(blocks))))
 
 
 def split_memory(n_samples: int, d_data: int, seed: int):
@@ -131,7 +117,7 @@ def split_memory(n_samples: int, d_data: int, seed: int):
     if n_samples < d_data:
         raise ValueError(f"memory of {n_samples} samples cannot form {d_data} splits")
     perm = rng_from(seed, "memsplit").permutation(n_samples)
-    return [np.sort(chunk) for chunk in _near_equal_chunks(perm, d_data)]
+    return [np.sort(chunk) for chunk in np.array_split(perm, d_data)]
 
 
 def memory_groups(memories):
@@ -175,15 +161,14 @@ class StackPlan:
     strength: np.ndarray
 
 
-def assembly_plan(methods, spans, jobs, n_rows: int) -> list:
-    """The ``StackPlan``s of the stack rows ``jobs`` (in order), one per
-    module span and solver, for steps with ``n_rows`` memory gradient rows
-    per job. ``methods[r]`` and ``spans[r]`` are the method and partition
-    of stack row ``r``. It holds for as long as ``jobs`` and ``n_rows`` do,
-    e.g. for every step of a task until a job stops."""
+def assembly_plan(methods, spans, n_rows: int) -> list:
+    """The ``StackPlan``s of a stack, one per module span and solver, for
+    steps with ``n_rows`` memory gradient rows per job. ``methods[r]`` and
+    ``spans[r]`` are the method and partition of stack row ``r``. It holds
+    for as long as ``n_rows`` does: for every step of a task."""
     members = {}
-    for r in jobs:
-        for span in spans[r]:
+    for r, job_spans in enumerate(spans):
+        for span in job_spans:
             members.setdefault((span.start, span.stop, methods[r].solver), []).append(r)
     plan = []
     for (a, b, solver), group in members.items():
@@ -243,7 +228,7 @@ def build_instances(method: MethodSpec, memories, g_t: np.ndarray,
         raise ValueError(f"got {rows.shape[0]} gradient rows for {len(memories)} "
                          f"memories of {d} splits")
 
-    plan = assembly_plan([method], [spans], [0], rows.shape[0])
+    plan = assembly_plan([method], [spans], rows.shape[0])
     return [QpInstance(i.constraint_rows[0], i.target[0], i.strength[0], i.form)
             for i in assemble_step(plan, g_t[None], rows[None])]
 

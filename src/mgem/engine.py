@@ -19,17 +19,17 @@ stack (one row on task 1, where they are all the same model), each step's
 gradient passes are stacked over all of them (one pass on a traced step),
 and each step assembles the per-module QPs of every job at once
 (``constraints.assemble_step``) and solves them in one ``qp.solve_batch``
-call. Row ``j`` of the stack is job ``j`` for the whole run: a job whose
-values stop being finite keeps its row, zeroed, takes no further steps and
-is not evaluated, and the other jobs' results stay bit-identical to their
-runs alone. ``run`` is the one-job case.
+call. Row ``j`` of the stack is job ``j`` for the whole run, and each job's
+result is bit-identical to its run alone. The first job whose values stop
+being finite stops the group at that step with the error it raises alone.
+``run`` is the one-job case.
 
 ``run_jobs`` runs independent jobs (one ``TrainConfig`` each, over a shared
 stream and model spec): it groups them by the data they draw, cuts the
 groups into chunks, and runs the chunks on a fork-started process pool that
 lives only for the call; ``mgem run`` and ``pareto_sweep`` use it. Results
 come back in job order and do not depend on the worker count or the
-chunking.
+chunking; nor does the failure it names, the earliest divergence.
 """
 
 import os
@@ -132,24 +132,22 @@ def run(stream: TaskStream, mlp: MlpSpec, cfg: TrainConfig, trace: bool = False)
     Unconverged solver steps fall back to the clamped (still feasible) dual
     iterate rather than aborting; the run is flagged degraded when more than
     ``DEGRADED_BUDGET`` of constrained steps fail to converge. This is the
-    one-job case of ``run_group``; it raises what stopped the job.
+    one-job case of ``run_group``.
     """
-    result = run_group(stream, mlp, [cfg], trace)[0]
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return run_group(stream, mlp, [cfg], trace)[0]
+
+
+CHECKS = ("minibatch gradient", "memory gradients", "parameters")  # in step order
 
 
 def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> list:
     """Train jobs that draw the same data in lockstep, as one ``(J, P)``
-    parameter stack; returns one entry per config, in order: its
-    ``RunResult``, or the ``FloatingPointError`` that stopped that job.
+    parameter stack; returns one ``RunResult`` per config, in order.
 
     All configs must share one ``_group_key``. Row ``j`` of every stack is
     job ``j`` for the whole run. On task 1 no job has a memory, so every
     job is the same model: the group trains ``params[:1]``, copies it to
-    every running row at the end of the task and evaluates it once, and a
-    divergence there stops every job with the message it gets alone.
+    every row at the end of the task and evaluates it once.
 
     An untraced step makes one stacked minibatch pass for all jobs and, when
     it solves QPs, one stacked memory pass. A traced step makes one stacked
@@ -170,15 +168,20 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
     The memory rows feed the QP and the finiteness check of memory
     gradients, and the memory means (``memory_grads``) are taken only on
     traced steps, for the traced memory inner products of every method. The
-    per-module QPs of every running job are assembled together, from an
-    assembly plan made once per task and again when a job stops, and solved
-    in one batched call; each direction ``g + C^T v`` is written into the
-    jobs and module span of its plan entry in the update stack. Stacked
-    products give every running job's trace inner products, and one stacked
-    evaluation per task fills the accuracy rows. Each job's result is the
-    one it gets alone, bit for bit. A job whose values stop being finite
-    stops at that step: it keeps its row, zeroed, takes no further steps and
-    is not evaluated, and the other jobs train on.
+    per-module QPs of every job are assembled together, from an assembly
+    plan made once per task, and solved in one batched call; each direction
+    ``g + C^T v`` is written into the jobs and module span of its plan entry
+    in the update stack. Stacked products give every job's trace inner
+    products, and one stacked evaluation per task fills the accuracy rows.
+    Each job's result is the one it gets alone, bit for bit.
+
+    Each step checks, in ``CHECKS`` order, that the minibatch gradients, the
+    memory gradients and the updated parameters are finite. The first check
+    with a non-finite row stops the group: it raises the error of that
+    row's job (the first such row), the one ``run`` raises for it alone,
+    tagged with the row and its ``(task, iteration, check)``; no pass runs
+    after that step. Each job trains as it would alone, so that point is
+    its own, whatever group it is in.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -194,35 +197,24 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
     methods = [cfg.method for cfg in cfgs]
     spans = [resolve_partition(mlp, cfg.partition_mode, cfg.method.d_param) for cfg in cfgs]
     params = np.tile(init_params(mlp, lead.seed), (J, 1))
-    running = np.ones(J, dtype=bool)
-    jobs = list(range(J))  # the running stack rows
-    plan = None            # assembly_plan of ``jobs`` for this task's memories
-    results = [None] * J
 
     R = np.zeros((J, T, T))
     traces = [[] for _ in cfgs]
-    constrained, unconverged, rows_dropped = np.zeros((3, J), dtype=np.int64)
+    unconverged, rows_dropped = np.zeros((2, J), dtype=np.int64)
     memories = []
 
-    def stop(stack, what, task, it):
-        """Stop each running job whose row of ``stack`` is not finite, with
-        the error it raises alone, and zero its rows of ``stack`` and
-        ``params``: it takes no further steps, its later passes stay
-        finite, and the next assembly makes a plan without it. A one-row
-        stack (task 1) is the row of every job."""
-        nonlocal jobs, plan
-        finite = np.isfinite(stack).all(axis=tuple(range(1, stack.ndim)))
-        if finite.all():
-            return
-        bad = running & ~finite
-        for j in np.flatnonzero(bad).tolist():
-            results[j] = FloatingPointError(
-                f"{what} became non-finite at task {task}, iteration {it}; lower lr")
-        running[bad] = False
-        stack[~finite] = 0.0
-        params[bad] = 0.0
-        jobs = np.flatnonzero(running).tolist()
-        plan = None
+    def check(stack, which, it):
+        """Raise the ``FloatingPointError`` of the first job whose row of
+        ``stack`` is not finite, the one it raises alone, with its stack row
+        (``row``) and its ``(task, iteration, check)`` (``point``); ``which``
+        indexes ``CHECKS``. A one-row stack (task 1) is the row of every
+        job."""
+        if not np.isfinite(stack).all():
+            err = FloatingPointError(f"{CHECKS[which]} became non-finite at task "
+                                     f"{task.descriptor}, iteration {it}; lower lr")
+            err.row = int(np.argmin(np.isfinite(stack).all(axis=tuple(range(1, stack.ndim)))))
+            err.point = (t_pos, it, which)
+            raise err
 
     for t_pos, task in enumerate(stream.tasks, start=1):
         batch_rng = rng_from(lead.seed, "batch", t_pos)
@@ -233,7 +225,8 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
         solved = constrained_kind and bool(memories)
         traced = trace and t_pos >= 2
         memory_rows = memory_groups(memories) if solved or traced else None
-        plan = None
+        if solved:
+            plan = assembly_plan(methods, spans, len(memory_rows[1]))
         if traced:
             # a traced step's one pass: its minibatch, then the memory
             # splits, then the current and past training sets
@@ -243,8 +236,6 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
                           + [d.n_samples for d in trace_sets])
             mem_groups = slice(1, 1 + len(memory_rows[1]))
         for it in range(lead.iters_per_task):
-            if not jobs:
-                break
             idx = batch_rng.integers(0, n_train, size=lead.batch_size)
             batch = task.train.take(idx)
             if traced:
@@ -254,15 +245,11 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
                 g_t = _backprop(stack, mlp, batch, (lead.batch_size,))[1][:, 0]
                 if memory_rows is not None:
                     mem_rows = _backprop(stack, mlp, *memory_rows)[1]
-            # stopped jobs' rows of z stay zero: assembly writes only running
-            # rows, and the single jobs of a group train alike, so stop together
-            z = np.zeros_like(g_t) if solved else g_t
-            stop(g_t, "minibatch gradient", task.descriptor, it)
+            check(g_t, 0, it)
             if memory_rows is not None:
-                stop(mem_rows, "memory gradients", task.descriptor, it)
+                check(mem_rows, 1, it)
+            z = np.empty_like(g_t) if solved else g_t
             if solved:
-                if plan is None:
-                    plan = assembly_plan(methods, spans, jobs, len(memory_rows[1]))
                 sols = qp.solve_batch(assemble_step(plan, g_t, mem_rows),
                                       [p.solver for p in plan])
                 unsolved = np.zeros(J, dtype=bool)
@@ -270,19 +257,16 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
                     z[p.jobs, p.span] = sol.direction
                     unsolved[p.jobs[~sol.converged]] = True
                     rows_dropped[p.jobs] += sol.rows_dropped
-                constrained += running
                 unconverged += unsolved
             if traced:
                 # one (1, P) @ (P, 1) product per row: numpy's dot routine, as
                 # ``row @ z`` alone, so each inner product is that float bit
-                # for bit; whole arrays while every job runs
-                zs, tr, mr = ((z, trace_rows, mem_rows) if len(jobs) == J
-                              else (z[jobs], trace_rows[jobs], mem_rows[jobs]))
-                zj = zs[:, None, :, None]
-                inner = np.matmul(tr[:, :, None, :], zj)[..., 0, 0]
-                grads = memory_grads(memories, mr)
+                # for bit
+                zj = z[:, None, :, None]
+                inner = np.matmul(trace_rows[:, :, None, :], zj)[..., 0, 0]
+                grads = memory_grads(memories, mem_rows)
                 mem_inner = np.matmul(grads[:, :, None, :], zj)[..., 0, 0]
-                for r, row, mem in zip(jobs, inner.tolist(), mem_inner.tolist()):
+                for r, (row, mem) in enumerate(zip(inner.tolist(), mem_inner.tolist())):
                     traces[r].append(StepTrace(
                         task=t_pos,
                         iteration=it,
@@ -291,7 +275,7 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
                         min_memory_inner=min(mem),
                     ))
             stack -= lead.lr * z
-            stop(stack, "parameters", task.descriptor, it)
+            check(stack, 2, it)
 
         mem_rng = rng_from(lead.seed, "memory", t_pos)
         sel = np.sort(mem_rng.choice(n_train, size=lead.memory_per_task, replace=False))
@@ -304,22 +288,20 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
         ))
 
         if one_row:
-            params[jobs] = stack
-        evaluated = stack if one_row else params[jobs]
+            params[1:] = stack
         for k, other in enumerate(stream.tasks):
-            R[jobs, t_pos - 1, k] = accuracy(evaluated, mlp, other.test)
+            R[:, t_pos - 1, k] = accuracy(stack, mlp, other.test)
 
-    for r in jobs:
-        results[r] = RunResult(
-            accuracy=R[r],
-            traces=traces[r],
-            constrained_steps=int(constrained[r]),
-            unconverged_steps=int(unconverged[r]),
-            rows_dropped=int(rows_dropped[r]),
-            degraded=bool(unconverged[r] > DEGRADED_BUDGET * constrained[r]),
-            final_params=params[r].copy(),
-        )
-    return results
+    constrained = lead.iters_per_task * (T - 1) if constrained_kind else 0
+    return [RunResult(
+        accuracy=R[r],
+        traces=traces[r],
+        constrained_steps=constrained,
+        unconverged_steps=int(unconverged[r]),
+        rows_dropped=int(rows_dropped[r]),
+        degraded=bool(unconverged[r] > DEGRADED_BUDGET * constrained),
+        final_params=params[r].copy(),
+    ) for r in range(J)]
 
 
 class JobError(RuntimeError):
@@ -374,11 +356,11 @@ def run_jobs(job, stream: TaskStream, mlp: MlpSpec, cfgs, threads: int = 1) -> l
     run on up to ``threads`` worker processes.
 
     ``job(stream, mlp, chunk)`` trains a chunk of configs that share one
-    ``_group_key`` (``run_group`` is such a job) and returns one entry per
-    config: its result, or the exception that stopped that config alone.
-    Configs are grouped by the data they draw, one chunk per group, and
-    the largest chunk is halved until there is one chunk per worker; chunks
-    are submitted largest first. Results do not depend on the chunking.
+    ``_group_key`` (``run_group`` is such a job) and returns one result per
+    config. Configs are grouped by the data they draw, one chunk per group,
+    and the largest chunk is halved until there is one chunk per worker;
+    chunks are submitted largest first. Results do not depend on the
+    chunking.
 
     The pool is fork-started and lives only for this call: ``stream``,
     ``mlp`` and ``job`` reach each worker once, inherited through the pool
@@ -386,19 +368,27 @@ def run_jobs(job, stream: TaskStream, mlp: MlpSpec, cfgs, threads: int = 1) -> l
     Every worker exits once the calling process is gone, even if that
     process was killed. With one chunk or one worker, or where ``os.fork``
     does not exist, the chunks run here one after another and no process
-    starts. Once every chunk has run, the first config in order that failed
-    raises ``JobError`` naming it; a chunk that raises as a whole fails
-    every config in it.
+    starts.
+
+    Once every chunk has run, a failure raises ``JobError`` naming one
+    config: of the chunks that raised, the error with the earliest
+    ``point`` (``run_group``'s ``(task, iteration, check)``; an error
+    without one counts as earliest), a tie going to the first config in
+    order. An error names the config of its chunk ``row`` (else the chunk's
+    first). A job's divergence point is its own, so the named job does not
+    depend on the worker count or the chunking.
     """
     cfgs = list(cfgs)
     chunks = _chunks(cfgs, threads)
     results = [None] * len(cfgs)
+    failures = []  # (point, config index, error)
 
     def collect(chunk, get):
         try:
             out = get()
-        except Exception as exc:  # raised below as the JobError of its first job
-            out = [exc] * len(chunk)
+        except Exception as exc:  # raised below as the JobError of its config
+            failures.append((getattr(exc, "point", ()), chunk[getattr(exc, "row", 0)], exc))
+            return
         for i, res in zip(chunk, out):
             results[i] = res
 
@@ -425,12 +415,13 @@ def run_jobs(job, stream: TaskStream, mlp: MlpSpec, cfgs, threads: int = 1) -> l
             finally:
                 pool.shutdown(cancel_futures=True)
 
-    for i, (cfg, res) in enumerate(zip(cfgs, results)):
-        if isinstance(res, Exception):
-            raise JobError(
-                f"job {i + 1} of {len(cfgs)} ({cfg.method.label}, "
-                f"q={cfg.method.strength:g}, seed={cfg.seed}) failed: {res}"
-            ) from res
+    if failures:
+        _, i, exc = min(failures, key=lambda f: f[:2])
+        cfg = cfgs[i]
+        raise JobError(
+            f"job {i + 1} of {len(cfgs)} ({cfg.method.label}, "
+            f"q={cfg.method.strength:g}, seed={cfg.seed}) failed: {exc}"
+        ) from exc
     return results
 
 
@@ -446,9 +437,6 @@ class ParetoPoint:
 def _pareto_group(stream2, mlp, cfgs):
     points = []
     for cfg, result in zip(cfgs, run_group(stream2, mlp, cfgs, trace=True)):
-        if isinstance(result, Exception):
-            points.append(result)
-            continue
         steps = [tr for tr in result.traces if tr.task == 2]
         bwd = float(np.mean([tr.bwd_inners[0] for tr in steps]))
         fwd = float(np.mean([tr.fwd_inner for tr in steps]))

@@ -418,8 +418,9 @@ def solve_enumerate(inst: QpInstance) -> DualSolution:
     Every subset of coordinates is tried as the free set: the free
     coordinates solve the Gram-space stationarity system with the rest
     pinned to their bounds, and the candidate is kept iff it is feasible
-    and the pinned coordinates have non-negative dual gradient. Singular
-    subsystems are skipped. Ties go to the first enumerated optimal set.
+    and the pinned coordinates have non-negative dual gradient, both to
+    ``1e-9 * (1 + max|h| + max(|K| |u|))``. Singular subsystems are
+    skipped. Ties go to the first enumerated optimal set.
     """
     rows, target, strength = _stack(inst)
     K, h, lb, out = (a[0] for a in _gram(rows, target, strength, inst.form))
@@ -427,7 +428,8 @@ def solve_enumerate(inst: QpInstance) -> DualSolution:
     if m > _ENUM_MAX_M:
         raise ValueError(f"enumeration supports m <= {_ENUM_MAX_M}, got {m}")
 
-    feas_tol = 1e-9 * (1.0 + np.abs(K).max(initial=0.0) + np.abs(h).max(initial=0.0))
+    h_scale = 1.0 + np.abs(h).max(initial=0.0)
+    absK = np.abs(K)
 
     best_u = None
     best_obj = np.inf
@@ -444,6 +446,9 @@ def solve_enumerate(inst: QpInstance) -> DualSolution:
                 continue
         tried += 1
         grad = K @ u + h
+        # scaled by the terms of K u + h: a near-singular face fixes u only
+        # to about eps * cond * |u|, an error the pinned rows' gradients see
+        feas_tol = 1e-9 * (h_scale + (absK @ np.abs(u)).max(initial=0.0))
         if np.any(u < -feas_tol) or np.any(grad[~free] < -feas_tol):
             continue
         obj = float(u @ (0.5 * (grad + h)))  # 0.5 u^T K u + h^T u

@@ -208,6 +208,17 @@ def test_counts_below_one_are_usage_errors(tmp_path, capsys, command, flag, valu
     assert not (tmp_path / "o").exists()  # rejected before anything runs
 
 
+@pytest.mark.parametrize("flag", ["--seeds", "--threads"])
+@pytest.mark.parametrize("value", ["\uff12", "1_0", "2.0", ""])
+def test_counts_are_plain_integers(tmp_path, capsys, flag, value):
+    # a fullwidth two and a digit separator, which ``int`` reads, are bad
+    # values here as in a config file
+    cfg = write_cfg(tmp_path, PARETO_CFG + f"output.dir = {tmp_path / 'o'}\n")
+    assert main(["run", "--config", cfg, flag, value]) == 1
+    assert f"argument {flag}: expected integer, got {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "pareto"])
 @pytest.mark.parametrize("edit,message", [
     (("method.1.kind = single", "method.1.kind = gem\nmethod.1.q = nan"), r"\[method\.1\] q"),

@@ -226,6 +226,17 @@ def test_structural_faults_give_their_exact_message(text, message):
         parse_config(text)
 
 
+@pytest.mark.parametrize("key", ["n_tasks", "n_train", "n_test", "n_features", "n_classes",
+                                 "noise"])
+def test_csv_family_rejects_the_synthetic_stream_keys(key):
+    csv = "stream.family = csv\nstream.csv_paths = a.csv,b.csv\nstream.seed = 2\n" \
+          "model.layer_sizes = 3,8,3\n"
+    assert parse_config(csv).stream.csv_paths == ("a.csv", "b.csv")
+    message = f"[stream] {key}: the csv family reads only csv_paths and seed"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(csv + f"stream.{key} = 3\n")
+
+
 @pytest.mark.parametrize("key,value,message", [
     ("train.iters_per_task", "\uff15",  # fullwidth five
      "[train] iters_per_task: expected integer, got '\uff15'"),

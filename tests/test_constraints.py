@@ -296,10 +296,11 @@ def test_assembled_stacks_equal_each_job_alone():
     rows[1, 0] *= 1e-8       # job 1 leaves out row 0 in both modules
     rows[3, 2, :20] = 0.0    # job 3 leaves out row 2 in its first module only
     rows[4] *= 1e-8          # job 4 leaves out every row
-    jobs = [0, 1, 3, 4, 5]   # job 2 is left out, as a failed job would be
-    plan = assembly_plan(methods, spans, jobs, rows.shape[1])
+    jobs = range(len(methods))
+    plan = assembly_plan(methods, spans, rows.shape[1])
     stacks = assemble_step(plan, g_t, rows)
     keys = [(p.span.start, p.span.stop, p.solver) for p in plan]
+    assert {type(p.take) for p in plan} == {slice, np.ndarray}  # consecutive jobs or not
     assert len(stacks) == len(keys) == len(set(keys)) == len(
         {(span.start, span.stop, methods[r].solver) for r in jobs for span in spans[r]})
     sols = qp.solve_batch(stacks, [p.solver for p in plan])

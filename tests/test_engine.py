@@ -441,100 +441,93 @@ def test_group_rejects_jobs_that_draw_different_data():
 
 
 @pytest.mark.parametrize("trace", [False, True])
-def test_diverging_job_leaves_its_group(trace, monkeypatch):
-    # exact gem, p_mgem and approx gem train in lockstep; two of them, one
-    # exact and one approximate, diverge and stop at the same step
+def test_the_earliest_divergence_stops_its_group(trace, monkeypatch):
+    # exact gem, p_mgem and approx gem train in lockstep; gem at q = 1e30
+    # diverges alone at task 2, iteration 6, and p_mgem at q = 1e300, a
+    # later row, at iteration 1: the group raises p_mgem's error, tagged
+    # with its row and point, and makes no pass after that step
     import mgem.engine as engine_mod
     original = engine_mod._backprop
-    nonfinite = []
+    passes = []
 
-    def checked(params, *args):
-        out = original(params, *args)
-        nonfinite.append(not np.isfinite(out[1]).all())
-        return out
+    def counting(params, *args):
+        passes.append(None)
+        return original(params, *args)
 
-    monkeypatch.setattr(engine_mod, "_backprop", checked)
+    monkeypatch.setattr(engine_mod, "_backprop", counting)
     stream = rotated_stream(n_tasks=3, n_train=60)
     cfgs = [cfg(m) for m in (
-        MethodSpec("gem", strength=0.1), MethodSpec("gem", strength=1e300),
+        MethodSpec("gem", strength=0.1), MethodSpec("gem", strength=1e30),
         MethodSpec("p_mgem", d_param=2, strength=0.5),
-        MethodSpec("gem", solver="approx", strength=1e300),
+        MethodSpec("p_mgem", d_param=2, strength=1e300),
         MethodSpec("gem", solver="approx", strength=0.5))]
     with np.errstate(over="ignore", invalid="ignore"):
-        results = run_group(stream, MLP, cfgs, trace=trace)
-        # only the passes of that step (one when traced, else minibatch and
-        # memory) see them diverge: their rows are zeroed, so every later
-        # pass is finite
-        assert 1 <= sum(nonfinite) <= (1 if trace else 2)
-        for c, result in zip(cfgs, results):
-            if isinstance(result, FloatingPointError):
-                with pytest.raises(FloatingPointError) as alone:
-                    run(stream, MLP, c, trace=trace)
-                assert str(result) == str(alone.value)
-                assert re.search(r"non-finite at task 2, iteration \d+;", str(result))
-            else:
-                assert_same_run(result, run(stream, MLP, c, trace=trace))
-    assert [isinstance(r, FloatingPointError) for r in results] == [
-        False, True, False, True, False]
+        with pytest.raises(FloatingPointError) as group:
+            run_group(stream, MLP, cfgs, trace=trace)
+        # task 1: one pass per step; task 2, iterations 0 and 1: one traced
+        # pass, or a minibatch and a memory pass, per step
+        assert len(passes) == 40 + (2 if trace else 4)
+        alone = {}
+        for r in (1, 3):
+            with pytest.raises(FloatingPointError) as err:
+                run(stream, MLP, cfgs[r], trace=trace)
+            alone[r] = err.value
+    assert str(group.value) == str(alone[3]) == (
+        "minibatch gradient became non-finite at task 2, iteration 1; lower lr")
+    assert (group.value.row, group.value.point) == (3, (2, 1, 0))
+    assert (alone[3].row, alone[3].point) == (0, (2, 1, 0))
+    assert (alone[1].row, alone[1].point) == (0, (2, 6, 0))
 
 
-def test_a_stopped_job_leaves_the_assembly_plan(monkeypatch):
-    # job 1's minibatch gradient turns NaN at task 2, iteration 4: from that
-    # step on, every step's stacks are those of a fresh plan over the jobs
-    # still running, and each plan serves its task until a job stops
+def test_a_group_raises_the_first_check_that_fails(monkeypatch):
+    # at task 2, iteration 3, row 0's memory gradients and row 1's minibatch
+    # gradient turn NaN: the minibatch check comes first, so row 1 is raised
     import mgem.engine as engine_mod
-    from mgem.constraints import assemble_step, assembly_plan, resolve_partition
     original = engine_mod._backprop
-    iters, batch, poisoned_at = 8, 16, 4
-    minibatches = []
+    iters, batch = 6, 16
+    steps = []
 
     def poisoning(params, spec, data, sizes):
         nll, grads = original(params, spec, data, sizes)
         if tuple(sizes) == (batch,):
-            if len(minibatches) == iters + poisoned_at:
-                grads[1] = np.nan
-            minibatches.append(None)
+            steps.append(None)
+        if len(steps) == iters + 4:  # the minibatch and memory passes of that step
+            grads[0 if tuple(sizes) != (batch,) else 1] = np.nan
         return nll, grads
 
+    monkeypatch.setattr(engine_mod, "_backprop", poisoning)
+    cfgs = [cfg(MethodSpec("gem", strength=q), iters=iters) for q in (0.1, 0.5)]
+    with pytest.raises(FloatingPointError,
+                       match=r"^minibatch gradient became non-finite at task 2, iteration 3;"
+                       ) as err:
+        run_group(rotated_stream(n_tasks=3, n_train=60), MLP, cfgs)
+    assert (err.value.row, err.value.point) == (1, (2, 3, 0))
+
+
+def test_the_assembly_plan_is_made_once_per_solved_task(monkeypatch):
+    # every job of the stack is in the plan, which serves every step of its
+    # task; a group of single jobs solves nothing and makes none
+    import mgem.engine as engine_mod
+    original = engine_mod.assembly_plan
     calls = []
 
-    def recording(plan, g_t, rows):
-        insts = assemble_step(plan, g_t, rows)
-        calls.append((plan, g_t.copy(), rows.copy(), insts))
-        return insts
+    def recording(methods, spans, n_rows):
+        plan = original(methods, spans, n_rows)
+        calls.append((n_rows, sorted({r for p in plan for r in p.jobs.tolist()})))
+        return plan
 
-    monkeypatch.setattr(engine_mod, "_backprop", poisoning)
-    monkeypatch.setattr(engine_mod, "assemble_step", recording)
-    methods = [MethodSpec("gem", strength=0.1), MethodSpec("gem", strength=0.5),
-               MethodSpec("gem", strength=1.0), MethodSpec("p_mgem", d_param=2, strength=0.5),
-               MethodSpec("gem", solver="approx", strength=0.5)]
-    cfgs = [cfg(m, iters=iters) for m in methods]
-    results = run_group(rotated_stream(n_tasks=3, n_train=60), MLP, cfgs)
-    assert str(results[1]).startswith("minibatch gradient became non-finite at task 2, "
-                                      f"iteration {poisoned_at};")
-    assert not any(isinstance(r, Exception) for k, r in enumerate(results) if k != 1)
-    assert len(calls) == 2 * iters
-    spans = [resolve_partition(MLP, c.partition_mode, c.method.d_param) for c in cfgs]
-    for step, (plan, g_t, rows, insts) in enumerate(calls):
-        running = [r for r in range(len(cfgs)) if r != 1 or step < poisoned_at]
-        fresh_plan = assembly_plan(methods, spans, running, rows.shape[1])
-        fresh = assemble_step(fresh_plan, g_t, rows)
-        assert len(plan) == len(insts) == len(fresh_plan) == len(fresh)
-        for got_p, got, want_p, want in zip(plan, insts, fresh_plan, fresh):
-            assert (got_p.span, got_p.solver) == (want_p.span, want_p.solver)
-            assert np.array_equal(got_p.jobs, want_p.jobs)
-            for a, b in ((got.constraint_rows, want.constraint_rows),
-                         (got.target, want.target),
-                         (got.strength, want.strength)):
-                assert a.shape == b.shape and np.array_equal(a, b)
-        # made once per task, and again when the job stops
-        if step % iters:
-            assert (plan is calls[step - 1][0]) == (step != poisoned_at)
-        else:
-            assert step == 0 or plan is not calls[step - 1][0]
-    # the gem jobs of the first stack were consecutive, and are not after
-    assert np.array_equal(calls[0][0][0].jobs, [0, 1, 2])
-    assert np.array_equal(calls[-1][0][0].jobs, [0, 2])
+    monkeypatch.setattr(engine_mod, "assembly_plan", recording)
+    stream = rotated_stream(n_tasks=4, n_train=60)
+    constrained = [cfg(m, iters=5) for m in (
+        MethodSpec("gem", strength=0.1), MethodSpec("p_mgem", d_param=2, strength=0.5),
+        MethodSpec("gem", solver="approx", strength=0.5), MethodSpec("gem", strength=1.0))]
+    for trace in (False, True):
+        calls.clear()
+        run_group(stream, MLP, constrained, trace=trace)
+        assert calls == [(n_rows, [0, 1, 2, 3]) for n_rows in (1, 2, 3)]
+    calls.clear()
+    run_group(stream, MLP, [cfg(MethodSpec("single"), iters=5)] * 2, trace=True)
+    assert calls == []
 
 
 def test_one_pass_per_traced_step_and_one_row_for_task_1(monkeypatch):

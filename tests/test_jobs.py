@@ -74,6 +74,19 @@ def _failing_job(stream, mlp, cfgs):
     return [cfg.seed for cfg in cfgs]
 
 
+def _diverging_job(stream, mlp, cfgs):
+    # a config of strength k >= 1 diverges at task 2, iteration k, like
+    # ``run_group``: the earliest point is raised, a tie going to the first row
+    points = [((2, int(c.method.strength), 0), r) for r, c in enumerate(cfgs)
+              if c.method.strength >= 1]
+    if points:
+        point, row = min(points)
+        err = FloatingPointError(f"went wrong at task 2, iteration {point[1]}")
+        err.point, err.row = point, row
+        raise err
+    return [c.seed for c in cfgs]
+
+
 @pytest.mark.parametrize("command,extra", [("run", ["--seeds", "2"]), ("pareto", [])])
 def test_reports_identical_for_any_worker_count(tmp_path, command, extra):
     cfg = write_cfg(tmp_path)
@@ -120,6 +133,17 @@ def test_failing_job_is_named_and_leaves_no_worker(threads):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3, 5])
+def test_the_earliest_divergence_is_named_for_any_chunking(threads):
+    # one group of five jobs; jobs 3 and 5 diverge at iteration 3, job 2 at
+    # iteration 7: job 3 is named, whichever chunks the jobs land in
+    cfgs = [train_cfg(strength=q) for q in (0.5, 7, 3, 0.5, 3)]
+    with pytest.raises(JobError, match=r"^job 3 of 5 \(gem, q=3, seed=0\) failed: "
+                                       r"went wrong at task 2, iteration 3$"):
+        run_jobs(_diverging_job, STREAM, MLP, cfgs, threads)
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("command,job", [
     ("run", "job 1 of 3 (gem, q=0.1, seed=0)"),     # 3 methods
     ("pareto", "job 1 of 6 (gem, q=0, seed=0)"),    # 3 methods x 2 qs
@@ -139,7 +163,7 @@ def test_diverging_job_exits_two_naming_job_task_and_iteration(tmp_path, capsys,
 @pytest.mark.parametrize("threads", [1, 2])
 def test_diverging_job_in_a_group_is_named(tmp_path, capsys, threads):
     # gem at q = 1e300 trains in lockstep with gem at q = 0.1 and diverges
-    # alone on task 2; the other jobs finish, and the run still fails
+    # alone on task 2, which stops its group; the run fails
     cfg = write_cfg(tmp_path, CFG + "method.4.kind = gem\nmethod.4.q = 1e300\n")
     argv = ["run", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", str(threads)]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -149,6 +173,23 @@ def test_diverging_job_in_a_group_is_named(tmp_path, capsys, threads):
                      r"[a-z ]+ became non-finite at task 2, iteration \d+;", err)
     assert err.count("failed") == 1
     assert multiprocessing.active_children() == []
+
+
+def test_the_earlier_divergence_is_named_though_later_in_order(tmp_path, capsys):
+    # gem at q = 1e30 (job 4) diverges alone at task 2, iteration 6, and
+    # p_mgem at q = 1e300 (job 5) at iteration 1; they share a group with
+    # job 1, which 4 workers split so that jobs 4 and 5 run in different chunks
+    cfg = write_cfg(tmp_path, CFG + "method.4.kind = gem\nmethod.4.q = 1e30\n"
+                    "method.5.kind = p_mgem\nmethod.5.d_param = 2\nmethod.5.q = 1e300\n")
+    lines = set()
+    for threads in (1, 2, 4):
+        argv = ["run", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", str(threads)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv) == 2
+        lines.add(capsys.readouterr().err.strip().splitlines()[-1])
+        assert multiprocessing.active_children() == []
+    assert lines == {"error: job 5 of 5 (p_mgem, q=1e+300, seed=0) failed: minibatch gradient "
+                     "became non-finite at task 2, iteration 1; lower lr"}
 
 
 def _session_members(sid: int) -> list:

@@ -202,6 +202,30 @@ def test_enumerate_rejects_large_m():
         qp.solve_enumerate(box(rows, rng.standard_normal(4), np.zeros(13)))
 
 
+def test_enumerate_certifies_large_multipliers_on_a_near_singular_face():
+    # rows 1 and 2 lie within 1e-3 of row 0: the optimum needs multipliers
+    # ~3e4, and the pinned rows' dual gradients carry an error that scales
+    # with them, which a tolerance blind to the multipliers rejects in every
+    # subset (instance 144148 of
+    # np.random.default_rng(7) drawing 7 x 3 normal rows, 1-3 of them moved
+    # near-parallel to row 0 at offsets 10^U(-6, -2), g scaled by 10^U(0, 3)
+    # and q from {0, 0.1, 0.5})
+    rows = [[1.2043363879983295, -0.22144934957516912, 1.363975470538318],
+            [1.2048562228666282, -0.21992015003931706, 1.366484945671539],
+            [1.2041575012817516, -0.22146164982514366, 1.3638390329113992],
+            [-0.3866119800933486, -0.9564212897796182, 0.5122707095997417],
+            [-0.6742522116782614, -0.0722562234468118, 0.5406916438402161],
+            [1.5282978845880792, -0.5897209691128361, -0.5938899476723107],
+            [-1.0077272615159014, 0.22181820034011665, -1.3949195607997773]]
+    g = [3.647839315431756, -5.015196657143112, 0.23443458049743787]
+    inst = box(rows, g, np.zeros(7))
+    ref, sol = qp.solve_exact(inst), qp.solve_enumerate(inst)
+    assert ref.converged
+    assert np.abs(sol.multipliers).max() > 1e4
+    np.testing.assert_allclose(sol.multipliers, ref.multipliers, rtol=1e-6, atol=1e-6)
+    assert qp.dual_objective(inst, sol.multipliers) <= qp.dual_objective(inst, ref.multipliers)
+
+
 def test_approx_requires_box_form():
     with pytest.raises(ValueError):
         qp.solve_approx(reg([[1.0, 0.0]], [1.0, 1.0], [0.5]))
