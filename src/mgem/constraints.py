@@ -15,11 +15,11 @@ parameter vector, one per module (``resolve_partition``).
 
 Every variant reads its rows from one stacked forward/backward pass per
 step over every split of every stored memory, then slices them per module.
-A memory stores its samples split by split, so ``memory_groups`` only
-concatenates the memories, once per task; a memory of ``gem`` or ``p_mgem``
-is one split. The engine's traced inner products read the same rows; on a
-traced step they are the memory groups of the step's one pass, between its
-minibatch and its training sets.
+The engine keeps its stored memories as one dataset in the order of that
+pass, each memory split by split, with the split sizes as its row groups; a
+memory of ``gem`` or ``p_mgem`` is one split. The engine's traced inner
+products read the same rows; on a traced step they are the memory groups of
+the step's one pass, between its minibatch and its training sets.
 
 Per-module problems are independent (the joint QP is block-diagonal), so
 solving them separately and concatenating the directions equals the joint
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layout import layer_slices, n_params
-from .mlp import Dataset, MlpSpec
+from .mlp import MlpSpec
 from .qp import APPROX, BOX_FORM, EXACT, QpInstance
 from .seeds import rng_from
 
@@ -120,33 +120,6 @@ def split_memory(n_samples: int, d_data: int, seed: int):
     return [np.sort(chunk) for chunk in np.array_split(perm, d_data)]
 
 
-def memory_groups(memories):
-    """The samples of every memory, each already split by split in split
-    order, and the split sizes: the rows and groups of the stacked memory
-    pass, one gradient row per split, which ``assemble_step`` and
-    ``memory_grads`` read."""
-    data = Dataset.concat([mem.data for mem in memories])
-    return data, [k for mem in memories for k in mem.sizes]
-
-
-def memory_grads(memories, rows: np.ndarray) -> np.ndarray:
-    """The full gradient of each memory for each job of a stack.
-
-    ``rows`` is ``(J, G, P)``: each job's gradient of every split, in
-    ``memory_groups`` order. Returns ``(J, len(memories), P)``. A memory of
-    one split is its row; for a split memory it is the size-weighted mean of
-    its split rows, which equals the full-memory gradient under the
-    mean-loss convention.
-    """
-    d = len(memories[0].sizes)
-    if d == 1:
-        return rows
-    w = np.array([mem.sizes for mem in memories], dtype=np.float64)
-    w /= w.sum(axis=1, keepdims=True)
-    J, _, P = rows.shape
-    return np.matmul(w[:, None, :], rows.reshape(J, len(memories), d, P))[:, :, 0]
-
-
 @dataclass(eq=False)
 class StackPlan:
     """One stacked QP of every step of a task: the stack rows ``jobs`` of its
@@ -185,11 +158,11 @@ def assemble_step(plan, g_t: np.ndarray, rows: np.ndarray) -> list:
     """Assemble the box-form instances of one step for the jobs of a stack.
 
     ``plan`` comes from ``assembly_plan``, ``g_t`` holds the ``(J, P)``
-    minibatch gradients and ``rows`` the ``(J, G, P)`` memory gradient rows
-    (``memory_groups`` order). Returns one stacked ``QpInstance`` per entry
-    of ``plan``, in plan order: item k holds the module slices of job
-    ``jobs[k]``'s rows, every row kept (the solver leaves degenerate ones
-    out). Each item is laid out as its job's instance alone would be, so
+    minibatch gradients and ``rows`` the ``(J, G, P)`` memory gradient rows,
+    memory by memory and split by split. Returns one stacked ``QpInstance``
+    per entry of ``plan``, in plan order: item k holds the module slices of
+    job ``jobs[k]``'s rows, every row kept (the solver leaves degenerate
+    ones out). Each item is laid out as its job's instance alone would be, so
     the solvers give each job its own result bit for bit.
     """
     return [QpInstance(
@@ -207,7 +180,7 @@ def build_instances(method: MethodSpec, memories, g_t: np.ndarray,
 
     ``memories`` is the ordered list of past-task EpisodicMemory objects,
     each of ``method.d_data`` splits (``mem.sizes``), and ``rows`` holds
-    this step's gradient of every split, in ``memory_groups`` order. No
+    this step's gradient of every split, memory by memory. No
     memories give no instances (first task: the caller uses the plain
     gradient). Every row is kept; the solver leaves degenerate ones out.
     This is the one-job case of ``assemble_step``: one job's plan lists its

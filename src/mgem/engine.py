@@ -44,8 +44,6 @@ from .constraints import (
     MethodSpec,
     assemble_step,
     assembly_plan,
-    memory_grads,
-    memory_groups,
     resolve_partition,
     split_memory,
 )
@@ -77,8 +75,9 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class EpisodicMemory:
-    """Stored samples for one finished task, split by split in split order
-    (the layout of the memory pass), and the split sizes."""
+    """Stored samples for one finished task, split by split in split order,
+    and the split sizes: the input of ``constraints.build_instances``.
+    ``run_group`` keeps its memories as one dataset in this layout."""
 
     task: int
     data: Dataset
@@ -165,13 +164,16 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
     an untraced step at the same parameters, and a traced run of such a net
     can differ from the same run untraced.
 
-    The memory rows feed the QP and the finiteness check of memory
-    gradients, and the memory means (``memory_grads``) are taken only on
-    traced steps, for the traced memory inner products of every method. The
-    per-module QPs of every job are assembled together, from an assembly
-    plan made once per task, and solved in one batched call; each direction
-    ``g + C^T v`` is written into the jobs and module span of its plan entry
-    in the update stack. Stacked products give every job's trace inner
+    The stored memories are one dataset in memory-pass order, each memory
+    split by split, with a list of split sizes; both grow once per task. The
+    memory rows feed the QP and the finiteness check of memory gradients,
+    and on a traced step the memory inner products of every method: a
+    memory's ``<g_s, z>`` is the size-weighted sum of its splits' inner
+    products, ``sum_k (n_k / M) <g_sk, z>`` (a one-split memory's is its
+    row's). The per-module QPs of every job are assembled together, from an
+    assembly plan made once per task, and solved in one batched call; each
+    direction ``g + C^T v`` is written into the jobs and module span of its
+    plan entry in the update stack. Stacked products give every job's trace inner
     products, and one stacked evaluation per task fills the accuracy rows.
     Each job's result is the one it gets alone, bit for bit.
 
@@ -201,7 +203,8 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
     R = np.zeros((J, T, T))
     traces = [[] for _ in cfgs]
     unconverged, rows_dropped = np.zeros((2, J), dtype=np.int64)
-    memories = []
+    d = lead.method.d_data
+    memory, sizes = None, []  # every stored memory, split by split, and the split sizes
 
     def check(stack, which, it):
         """Raise the ``FloatingPointError`` of the first job whose row of
@@ -220,33 +223,32 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
         batch_rng = rng_from(lead.seed, "batch", t_pos)
         n_train = task.train.n_samples
         # task 1: no job has a memory, so every job is the same model, row 0
-        one_row = not memories
+        one_row = not sizes
         stack = params[:1] if one_row else params
-        solved = constrained_kind and bool(memories)
+        solved = constrained_kind and not one_row
         traced = trace and t_pos >= 2
-        memory_rows = memory_groups(memories) if solved or traced else None
+        G = len(sizes)
         if solved:
-            plan = assembly_plan(methods, spans, len(memory_rows[1]))
+            plan = assembly_plan(methods, spans, G)
         if traced:
             # a traced step's one pass: its minibatch, then the memory
             # splits, then the current and past training sets
             trace_sets = [task.train] + [stream.tasks[s].train for s in range(t_pos - 1)]
-            after_batch = Dataset.concat([memory_rows[0]] + trace_sets)
-            pass_sizes = ([lead.batch_size] + memory_rows[1]
-                          + [d.n_samples for d in trace_sets])
-            mem_groups = slice(1, 1 + len(memory_rows[1]))
+            after_batch = Dataset.concat([memory] + trace_sets)
+            pass_sizes = [lead.batch_size] + sizes + [data.n_samples for data in trace_sets]
+            weights = np.reshape(sizes, (-1, d)) / lead.memory_per_task
         for it in range(lead.iters_per_task):
             idx = batch_rng.integers(0, n_train, size=lead.batch_size)
             batch = task.train.take(idx)
             if traced:
                 out = _backprop(stack, mlp, Dataset.concat([batch, after_batch]), pass_sizes)[1]
-                g_t, mem_rows, trace_rows = out[:, 0], out[:, mem_groups], out[:, mem_groups.stop:]
+                g_t, mem_rows = out[:, 0], out[:, 1:1 + G]
             else:
                 g_t = _backprop(stack, mlp, batch, (lead.batch_size,))[1][:, 0]
-                if memory_rows is not None:
-                    mem_rows = _backprop(stack, mlp, *memory_rows)[1]
+                if solved:
+                    mem_rows = _backprop(stack, mlp, memory, sizes)[1]
             check(g_t, 0, it)
-            if memory_rows is not None:
+            if solved or traced:
                 check(mem_rows, 1, it)
             z = np.empty_like(g_t) if solved else g_t
             if solved:
@@ -259,14 +261,13 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
                     rows_dropped[p.jobs] += sol.rows_dropped
                 unconverged += unsolved
             if traced:
-                # one (1, P) @ (P, 1) product per row: numpy's dot routine, as
-                # ``row @ z`` alone, so each inner product is that float bit
-                # for bit
-                zj = z[:, None, :, None]
-                inner = np.matmul(trace_rows[:, :, None, :], zj)[..., 0, 0]
-                grads = memory_grads(memories, mem_rows)
-                mem_inner = np.matmul(grads[:, :, None, :], zj)[..., 0, 0]
-                for r, (row, mem) in enumerate(zip(inner.tolist(), mem_inner.tolist())):
+                # one (1, P) @ (P, 1) product per row after the minibatch:
+                # numpy's dot routine, as ``row @ z`` alone, so each inner
+                # product is that float bit for bit; a memory's is the
+                # size-weighted sum of its splits' (one split: its own)
+                inner = np.matmul(out[:, 1:, None, :], z[:, None, :, None])[..., 0, 0]
+                mem_inner = (inner[:, :G].reshape(J, -1, d) * weights).sum(axis=2)
+                for r, (row, mem) in enumerate(zip(inner[:, G:].tolist(), mem_inner.tolist())):
                     traces[r].append(StepTrace(
                         task=t_pos,
                         iteration=it,
@@ -279,13 +280,10 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
 
         mem_rng = rng_from(lead.seed, "memory", t_pos)
         sel = np.sort(mem_rng.choice(n_train, size=lead.memory_per_task, replace=False))
-        splits = split_memory(lead.memory_per_task, lead.method.d_data,
-                              derive_seed(lead.seed, "memsplit", t_pos))
-        memories.append(EpisodicMemory(
-            task=task.descriptor,
-            data=task.train.take(sel[np.concatenate(splits)]),
-            sizes=tuple(len(idx) for idx in splits),
-        ))
+        splits = split_memory(lead.memory_per_task, d, derive_seed(lead.seed, "memsplit", t_pos))
+        stored = task.train.take(sel[np.concatenate(splits)])
+        memory = Dataset.concat([memory, stored]) if sizes else stored
+        sizes += [len(idx) for idx in splits]
 
         if one_row:
             params[1:] = stack
@@ -437,9 +435,8 @@ class ParetoPoint:
 def _pareto_group(stream2, mlp, cfgs):
     points = []
     for cfg, result in zip(cfgs, run_group(stream2, mlp, cfgs, trace=True)):
-        steps = [tr for tr in result.traces if tr.task == 2]
-        bwd = float(np.mean([tr.bwd_inners[0] for tr in steps]))
-        fwd = float(np.mean([tr.fwd_inner for tr in steps]))
+        bwd = float(np.mean([tr.bwd_inners[0] for tr in result.traces]))
+        fwd = float(np.mean([tr.fwd_inner for tr in result.traces]))
         points.append(ParetoPoint(cfg.method, cfg.seed, bwd, fwd, result.degraded))
     return points
 

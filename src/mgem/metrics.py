@@ -53,8 +53,6 @@ def summarize(R) -> TransferSummary:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return str(int(x))
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, float) or isinstance(x, np.floating):

@@ -420,7 +420,11 @@ def solve_enumerate(inst: QpInstance) -> DualSolution:
     pinned to their bounds, and the candidate is kept iff it is feasible
     and the pinned coordinates have non-negative dual gradient, both to
     ``1e-9 * (1 + max|h| + max(|K| |u|))``. Singular subsystems are
-    skipped. Ties go to the first enumerated optimal set.
+    skipped. The dual is convex, so every kept candidate is optimal; the
+    one returned has the smallest KKT residual ``max|min(u, K u + h)|``,
+    the first enumerated on ties. On a near-singular face with huge
+    multipliers that residual exposes the face's error, where the
+    objective's values of the candidates differ only by rounding.
     """
     rows, target, strength = _stack(inst)
     K, h, lb, out = (a[0] for a in _gram(rows, target, strength, inst.form))
@@ -432,7 +436,7 @@ def solve_enumerate(inst: QpInstance) -> DualSolution:
     absK = np.abs(K)
 
     best_u = None
-    best_obj = np.inf
+    best_res = np.inf
     tried = 0
     for mask in range(2 ** m):
         free = np.array([mask >> k & 1 for k in range(m)], dtype=bool)
@@ -451,15 +455,14 @@ def solve_enumerate(inst: QpInstance) -> DualSolution:
         feas_tol = 1e-9 * (h_scale + (absK @ np.abs(u)).max(initial=0.0))
         if np.any(u < -feas_tol) or np.any(grad[~free] < -feas_tol):
             continue
-        obj = float(u @ (0.5 * (grad + h)))  # 0.5 u^T K u + h^T u
-        if obj < best_obj - 1e-12:
-            best_obj = obj
-            best_u = u
+        res = float(_kkt(u, grad))
+        if res < best_res:
+            best_res, best_u = res, u
     if best_u is None:
         raise RuntimeError("no active set satisfied the KKT conditions")
     v = lb + best_u
     return DualSolution(v, inst.target + inst.constraint_rows.T @ v, tried,
-                        float(_kkt(best_u, K @ best_u + h)), True, int(out.sum()))
+                        best_res, True, int(out.sum()))
 
 
 def solve_approx(inst: QpInstance) -> DualSolution:

@@ -8,8 +8,6 @@ from mgem.constraints import (
     assemble_step,
     assembly_plan,
     build_instances,
-    memory_grads,
-    memory_groups,
     resolve_partition,
     split_memory,
 )
@@ -40,15 +38,26 @@ def split_runs(mem):
     return [mem.data.take(slice(end - k, end)) for end, k in zip(ends, mem.sizes)]
 
 
+def memory_rows(memories, params, spec=MLP):
+    """The gradient of every split from one stacked pass at ``params`` over
+    the memories, memory by memory and split by split, as the engine's."""
+    data = Dataset.concat([mem.data for mem in memories])
+    return group_grads(params, spec, data, [k for mem in memories for k in mem.sizes])
+
+
 def build(method, memories, g_t, params, spec, spans):
     """``build_instances`` on the memory rows of one stacked pass at ``params``."""
-    rows = group_grads(params, spec, *memory_groups(memories)) if memories else None
+    rows = memory_rows(memories, params, spec) if memories else None
     return build_instances(method, memories, g_t, rows, spans)
 
 
 def full_grads(memories, params, spec=MLP):
-    """``memory_grads`` on the memory rows of one stacked pass at ``params``."""
-    return memory_grads(memories, group_grads(params, spec, *memory_groups(memories))[None])[0]
+    """Each memory's gradient from the rows of one stacked pass at
+    ``params``: the size-weighted mean of its split rows."""
+    rows = memory_rows(memories, params, spec)
+    ends = np.cumsum([len(mem.sizes) for mem in memories])
+    return [np.divide(mem.sizes, sum(mem.sizes)) @ rows[end - len(mem.sizes):end]
+            for mem, end in zip(memories, ends)]
 
 
 def batch_grad(params, seed=1):
@@ -268,7 +277,7 @@ def test_degenerate_rows_dropped_and_counted():
     spans = resolve_partition(MLP, "by_layer", 1)
     mems = make_memories(2, 1)
     g_t = batch_grad(params)
-    rows = group_grads(params, MLP, *memory_groups(mems))
+    rows = memory_rows(mems, params)
     rows[0] = 1e-8
     inst = build_instances(MethodSpec("gem", strength=0.5), mems, g_t, rows, spans)[0]
     assert inst.m == 2 and np.array_equal(inst.constraint_rows, rows)
@@ -324,20 +333,6 @@ def test_assembled_stacks_equal_each_job_alone():
             seen.add((int(r), i))
     assert seen == {(r, i) for r in jobs for i in range(len(spans[r]))}
     assert dropped.tolist() == [0, 2, 0, 1, 3, 0]
-
-
-def test_memory_grads_of_a_stack_equal_each_job_alone():
-    # split memories: the size-weighted mean of each memory's split rows
-    mems = make_memories(2, 3)
-    rows = rng_from(10, "splitrows").standard_normal((4, 6, n_params(MLP)))
-    grads = memory_grads(mems, rows)
-    assert grads.shape == (4, 2, n_params(MLP))
-    for r in range(4):
-        for k, mem in enumerate(mems):
-            w = np.asarray(mem.sizes, dtype=np.float64)
-            assert np.array_equal(grads[r, k], (w / w.sum()) @ rows[r, 3 * k:3 * k + 3])
-    one_split = rows[:, :2]
-    assert memory_grads(make_memories(2, 1), one_split) is one_split  # one row per memory
 
 
 def test_fully_fit_memory_degenerates_to_unconstrained():

@@ -93,22 +93,26 @@ def test_equal_flat_partition_runs_and_is_deterministic():
 
 
 def test_memories_never_change_after_storage(monkeypatch):
+    # each stored memory's rows of the memory pass, split by split, stay
+    # byte for byte the same from task to task
     import mgem.engine as engine_mod
-    seen = {}
-    original = engine_mod.memory_groups
+    original = engine_mod._backprop
+    c = cfg(MethodSpec("d_mgem", d_data=2), iters=15)
+    M, seen = c.memory_per_task, {}
 
-    def spying(memories):
-        for mem in memories:
-            snapshot = (mem.data.features.tobytes(), mem.data.labels.tobytes(), mem.sizes)
-            if mem.task in seen:
-                assert seen[mem.task] == snapshot, f"memory for task {mem.task} changed"
-            else:
-                seen[mem.task] = snapshot
-        return original(memories)
+    def spying(params, spec, data, sizes):
+        sizes = list(sizes)
+        if sizes != [c.batch_size]:  # the memory pass: 12/12 splits per memory
+            assert sizes == [12, 12] * (data.n_samples // M)
+            for s in range(data.n_samples // M):
+                rows = data.take(slice(s * M, (s + 1) * M))
+                snapshot = (rows.features.tobytes(), rows.labels.tobytes())
+                assert seen.setdefault(s, snapshot) == snapshot, f"memory {s + 1} changed"
+        return original(params, spec, data, sizes)
 
-    monkeypatch.setattr(engine_mod, "memory_groups", spying)
-    run(rotated_stream(n_tasks=3, n_train=60), MLP, cfg(MethodSpec("gem"), iters=15))
-    assert set(seen) == {1, 2}  # task 3 stores a memory but nothing consumes it
+    monkeypatch.setattr(engine_mod, "_backprop", spying)
+    run(rotated_stream(n_tasks=4, n_train=60), MLP, c)
+    assert set(seen) == {0, 1, 2}  # task 4 stores a memory but nothing consumes it
 
 
 def test_run_is_deterministic():
@@ -212,10 +216,14 @@ def test_traced_inner_products_match_per_set_gradients():
     [MethodSpec("single")] * 3,
     [MethodSpec("gem"), MethodSpec("p_mgem", d_param=2, strength=0.5),
      MethodSpec("gem", solver="approx", strength=0.2)],
-], ids=["single", "constrained"])
+    [MethodSpec("d_mgem", d_data=2), MethodSpec("md_mgem", d_param=2, d_data=2, strength=0.5),
+     MethodSpec("d_mgem", d_data=2, solver="approx", strength=0.2)],
+], ids=["single", "constrained", "split"])
 def test_group_trace_inner_products_are_each_row_dot_z(methods, monkeypatch):
     # every traced inner product of a 3-job group is float(row @ z) for its
-    # job's trace or memory row and update direction, bit for bit
+    # job's trace row and update direction, bit for bit; a memory's is
+    # sum_k (n_k / M) float(row_k @ z) over its split rows (11/10 here), so
+    # a one-split memory's is float(row @ z)
     import mgem.engine as engine_mod
     from mgem.constraints import assemble_step
     seen = {}
@@ -229,25 +237,26 @@ def test_group_trace_inner_products_are_each_row_dot_z(methods, monkeypatch):
             return out
         monkeypatch.setattr(engine_mod, name, spying)
 
-    spy("_backprop", lambda args, out: out[1].copy())
-    spy("memory_grads", lambda args, out: out.copy())
+    spy("_backprop", lambda args, out: (list(args[3]), out[1].copy()))
     spy("assemble_step", lambda args, out: args[0])
-    iters, single = 5, methods[0].kind == "single"
+    iters, single, d, M = 5, methods[0].kind == "single", methods[0].d_data, 21
     stream = rotated_stream(n_tasks=3, n_train=60)
-    results = run_group(stream, MLP, [cfg(m, iters=iters, memory=20) for m in methods],
+    results = run_group(stream, MLP, [cfg(m, iters=iters, memory=M) for m in methods],
                         trace=True)
 
     # task 1 makes one pass per step, over one row; a traced step makes one
-    # pass, whatever the method: its minibatch, then one row per memory,
-    # then the current and past training sets
-    assert [out.shape[:2] for out in seen["_backprop"][:iters]] == [(1, 1)] * iters
+    # pass, whatever the method: its minibatch, then one row per memory
+    # split, then the current and past training sets
+    assert [out.shape[:2] for _, out in seen["_backprop"][:iters]] == [(1, 1)] * iters
     passes = iter(seen["_backprop"][iters:])
     want = [[] for _ in methods]
     for step in range(2 * iters):
         t_pos = 2 + step // iters
-        out = next(passes)
-        assert out.shape[:2] == (len(methods), 1 + (t_pos - 1) + t_pos)
-        minibatch, mem_rows, rows = out[:, 0], out[:, 1:t_pos], out[:, t_pos:]
+        G = d * (t_pos - 1)
+        sizes, out = next(passes)
+        assert out.shape[:2] == (len(methods), 1 + G + t_pos)
+        assert sizes[1:1 + G] == ([11, 10] if d == 2 else [M]) * (t_pos - 1)
+        minibatch, mem_rows, rows = out[:, 0], out[:, 1:1 + G], out[:, 1 + G:]
         if single:
             z = minibatch
         else:
@@ -256,15 +265,47 @@ def test_group_trace_inner_products_are_each_row_dot_z(methods, monkeypatch):
             for p in seen["assemble_step"][step]:
                 sol, = qp.solve_batch(assemble_step([p], minibatch, mem_rows), [p.solver])
                 z[p.jobs, p.span] = sol.direction
-        mem = seen["memory_grads"][step]
         for r in range(len(methods)):
+            split = [k / M * float(row @ z[r]) for k, row in zip(sizes[1:], mem_rows[r])]
             want[r].append((float(rows[r, 0] @ z[r]),
                             tuple(float(rows[r, s] @ z[r]) for s in range(1, t_pos)),
-                            min(float(g @ z[r]) for g in mem[r])))
+                            min(sum(split[i:i + d]) for i in range(0, G, d))))
     assert next(passes, None) is None
     for result, expect in zip(results, want):
         assert [(t.fwd_inner, t.bwd_inners, t.min_memory_inner)
                 for t in result.traces] == expect
+
+
+def test_split_memory_inner_products_are_the_full_memory_gradients(monkeypatch):
+    # a traced d_mgem(3) job with 11/11/10 splits of each 32-sample memory:
+    # min_memory_inner is min_s <g_s, z> for each memory's full gradient
+    import mgem.engine as engine_mod
+    backprop, solve_batch = engine_mod._backprop, engine_mod.qp.solve_batch
+    steps = []  # [params, pass sizes] of each step, and z where a QP was solved
+
+    def recording_backprop(params, spec, data, sizes):
+        steps.append([params[0].copy(), list(sizes)])
+        return backprop(params, spec, data, sizes)
+
+    def recording_solve(instances, solvers):
+        sols = solve_batch(instances, solvers)
+        steps[-1].append(sols[0].direction[0])
+        return sols
+
+    monkeypatch.setattr(engine_mod, "_backprop", recording_backprop)
+    monkeypatch.setattr(engine_mod.qp, "solve_batch", recording_solve)
+    stream = rotated_stream(n_tasks=3, n_train=60)
+    c = cfg(MethodSpec("d_mgem", d_data=3, strength=0.5), iters=5, memory=32)
+    result = run(stream, MLP, c, trace=True)
+    memories = [task.train.take(np.sort(rng_from(c.seed, "memory", t).choice(
+                    task.train.n_samples, size=c.memory_per_task, replace=False)))
+                for t, task in enumerate(stream.tasks, start=1)]
+    traced = [step for step in steps if len(step) == 3]
+    assert len(traced) == len(result.traces) == 10
+    for tr, (params, sizes, z) in zip(result.traces, traced):
+        assert sizes[1:1 + 3 * (tr.task - 1)] == [11, 11, 10] * (tr.task - 1)
+        want = min(loss_and_grad(params, MLP, mem)[1] @ z for mem in memories[:tr.task - 1])
+        assert abs(tr.min_memory_inner - want) <= 1e-12
 
 
 @pytest.mark.parametrize("method", [MethodSpec("single"), MethodSpec("gem")])
@@ -562,28 +603,6 @@ def test_one_pass_per_traced_step_and_one_row_for_task_1(monkeypatch):
         assert calls == task1 + later[0] * iters + later[1] * iters
         for c, result in zip(cfgs, results):
             assert_same_run(result, run(stream, MLP, c, trace=trace))
-
-
-def test_memory_means_are_taken_only_on_traced_steps(monkeypatch):
-    # the finiteness check and the QP read the memory rows; only a trace
-    # reads their size-weighted means, once per step over the running jobs
-    import mgem.engine as engine_mod
-    original = engine_mod.memory_grads
-    calls = []
-
-    def counting(memories, rows):
-        calls.append(rows.shape[0])
-        return original(memories, rows)
-
-    monkeypatch.setattr(engine_mod, "memory_grads", counting)
-    stream = rotated_stream(n_tasks=3, n_train=60)
-    iters = 6
-    cfgs = [cfg(m, iters=iters) for m in (MethodSpec("d_mgem", d_data=2, strength=0.5),
-                                          MethodSpec("md_mgem", d_param=2, d_data=2))]
-    untraced = run_group(stream, MLP, cfgs)
-    assert calls == [] and all(r.constrained_steps == 2 * iters for r in untraced)
-    run_group(stream, MLP, cfgs, trace=True)
-    assert calls == [len(cfgs)] * (2 * iters)
 
 
 def test_degenerate_memory_rows_are_left_out_and_counted_per_job(monkeypatch):

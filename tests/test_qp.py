@@ -226,6 +226,38 @@ def test_enumerate_certifies_large_multipliers_on_a_near_singular_face():
     assert qp.dual_objective(inst, sol.multipliers) <= qp.dual_objective(inst, ref.multipliers)
 
 
+@pytest.mark.parametrize("rows, g", [
+    # instance 2366 of the generator above: q = 0.5, rows 0 and 1 within 5e-5
+    ([[-0.2738432880231675, -2.4403603999903893, 0.5189298075715613],
+      [-0.27386556188548355, -2.4403369405105177, 0.5188895558879254],
+      [0.15322584468401498, 0.2157711697264003, -0.2759195926621693],
+      [-0.2977982542403168, -1.1012267290424342, 0.461109749910756],
+      [-1.2682418176385641, 0.582462686391415, 0.5573810317384487],
+      [-0.13915287155308384, -0.13555611870078296, 2.405558482634119],
+      [-0.5154951293754955, -0.7411847848173327, 0.41975157784097133]],
+     [-1198.4760523380373, -256.9978449652404, 420.6271851806581]),
+    # instance 2708: q = 0.5, rows 1 and 2 within 2e-2 of row 0
+    ([[-1.1814184853513123, 0.36759587713889036, 1.1942442457547184],
+      [-1.201273531709303, 0.3717319528050583, 1.192619079316721],
+      [-1.1811296690677704, 0.3683149843031735, 1.1933631216404095],
+      [0.03871662872989607, -1.777781835987144, 0.542465062202807],
+      [0.1969704071201798, 1.562789543951415, -0.7302645905463166],
+      [-1.27018022713867, -1.187176484255372, 0.056471467370477056],
+      [-0.030832231064784568, -2.298360317004296, -0.10679071843909496]],
+     [256.4053291051561, -184.44478198033576, 361.09522658317337]),
+], ids=["2366", "2708"])
+def test_enumerate_returns_the_most_accurate_kkt_point(rows, g):
+    # several faces pass the KKT test, one of them with multipliers ~1e6
+    # whose objective differs from the optimum's only by rounding; the
+    # enumerator keeps the candidate with the smallest KKT residual, which
+    # is solve_exact's converged optimum
+    inst = box(rows, g, np.full(7, 0.5))
+    ref, sol = qp.solve_exact(inst), qp.solve_enumerate(inst)
+    assert ref.converged
+    assert sol.kkt_residual == qp.kkt_residual(inst, sol.multipliers) <= 1e-10
+    np.testing.assert_allclose(sol.direction, ref.direction, rtol=0, atol=1e-9)
+
+
 def test_approx_requires_box_form():
     with pytest.raises(ValueError):
         qp.solve_approx(reg([[1.0, 0.0]], [1.0, 1.0], [0.5]))
