@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .constraints import METHOD_KINDS, PARTITION_MODES, SOLVERS, MethodSpec
 from .mlp import MlpSpec
-from .taskgen import FAMILIES, StreamSpec
+from .taskgen import FAMILIES, StreamSpec, _plain
 
 DEFAULT_Q_GRID = (0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.0)
 
@@ -67,18 +67,6 @@ def _parse_pairs(text: str):
         key, value = line.split("=", 1)
         pairs.append((key.strip(), value.strip(), line_no))
     return pairs
-
-
-def _plain(kind, value, expected):
-    """``kind(value)`` for a plain ASCII number; Python's digit separator
-    ``_`` and non-ASCII digits, which ``int`` and ``float`` accept, make a
-    bad value."""
-    try:
-        if "_" not in value and value.isascii():
-            return kind(value)
-    except ValueError:
-        pass
-    raise ValueError(f"expected {expected}, got {value!r}")
 
 
 def _integer(value):

@@ -15,14 +15,13 @@ past task, and with the stored-memory gradients.
 Jobs that draw the same data -- the same seed, step size, schedule, memory
 size and memory rows per step, e.g. the methods and strengths of one sweep
 -- train in lockstep (``run_group``): their parameters form one ``(J, P)``
-stack (one row on task 1, where they are all the same model), each step's
-gradient passes are stacked over all of them (one pass on a traced step),
-and each step assembles the per-module QPs of every job at once
-(``constraints.assemble_step``) and solves them in one ``qp.solve_batch``
-call. Row ``j`` of the stack is job ``j`` for the whole run, and each job's
-result is bit-identical to its run alone. The first job whose values stop
-being finite stops the group at that step with the error it raises alone.
-``run`` is the one-job case.
+stack (one row on task 1, where they are all the same model), each step
+makes one gradient pass stacked over all of them, and each step assembles
+the per-module QPs of every job at once (``constraints.assemble_step``) and
+solves them in one ``qp.solve_batch`` call. Row ``j`` of the stack is job
+``j`` for the whole run, and each job's result is bit-identical to its run
+alone. The first job whose values stop being finite stops the group at that
+step with the error it raises alone. ``run`` is the one-job case.
 
 ``run_jobs`` runs independent jobs (one ``TrainConfig`` each, over a shared
 stream and model spec): it groups them by the data they draw, cuts the
@@ -148,21 +147,21 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
     job is the same model: the group trains ``params[:1]``, copies it to
     every row at the end of the task and evaluates it once.
 
-    An untraced step makes one stacked minibatch pass for all jobs and, when
-    it solves QPs, one stacked memory pass. A traced step makes one stacked
-    pass over its minibatch, then the memory splits, then the current and
-    past training sets, and cuts the minibatch gradient, the memory rows and
-    the trace rows from it; the memory and training-set rows are cut once
-    per task. That pass gives the rows of the separate passes bit for bit
-    wherever each layer's products give the same bits for every row count:
-    as measured, one hidden layer of 16 to 100 units (``pareto2``),
-    ``3,9,7,5`` and two hidden layers of 8 or 16 units. A hidden-to-hidden
-    layer of 32 or more units (e.g. ``2,64,64,10``) gives other last bits
-    for 16 rows than for more (the backward product ``delta @ [W; b]^T``
-    from 32 units, the forward product too at 64), so the minibatch and
-    memory rows of a traced step can differ in the last bits from those of
-    an untraced step at the same parameters, and a traced run of such a net
-    can differ from the same run untraced.
+    Every step makes one stacked pass for all jobs: its minibatch, then the
+    memory splits when it solves QPs or traces, then the current and past
+    training sets when it traces; it cuts the minibatch gradient, the memory
+    rows and the trace rows from it. The rows after the minibatch are
+    joined once per task; a step with none (task 1, an untraced ``single``
+    step) passes its minibatch alone. That pass gives the rows of separate
+    passes bit for bit wherever each layer's products give the same bits
+    for every row count: as measured, one hidden layer of 16 to 100 units
+    (``pareto2``), ``3,9,7,5`` and two hidden layers of 8 or 16 units. A
+    hidden-to-hidden layer of 32 or more units (e.g. ``2,64,64,10``) gives
+    other last bits for 16 rows than for more (the backward product
+    ``delta @ [W; b]^T`` from 32 units, the forward product too at 64), so
+    on such a net the minibatch and memory rows of a step depend in the
+    last bits on which rows share its pass, and a traced run can differ
+    from the same run untraced.
 
     The stored memories are one dataset in memory-pass order, each memory
     split by split, with a list of split sizes; both grow once per task. The
@@ -173,17 +172,18 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
     row's). The per-module QPs of every job are assembled together, from an
     assembly plan made once per task, and solved in one batched call; each
     direction ``g + C^T v`` is written into the jobs and module span of its
-    plan entry in the update stack. Stacked products give every job's trace inner
-    products, and one stacked evaluation per task fills the accuracy rows.
-    Each job's result is the one it gets alone, bit for bit.
+    plan entry in the update stack. Stacked products give every job's trace
+    inner products, and one stacked evaluation per task fills the accuracy
+    rows. Each job's result is the one it gets alone, bit for bit.
 
     Each step checks, in ``CHECKS`` order, that the minibatch gradients, the
-    memory gradients and the updated parameters are finite. The first check
-    with a non-finite row stops the group: it raises the error of that
-    row's job (the first such row), the one ``run`` raises for it alone,
-    tagged with the row and its ``(task, iteration, check)``; no pass runs
-    after that step. Each job trains as it would alone, so that point is
-    its own, whatever group it is in.
+    memory gradients (none where its pass has no memory rows) and the
+    updated parameters are finite. The first check with a non-finite row
+    stops the group: it raises the error of that row's job (the first such
+    row), the one ``run`` raises for it alone, tagged with the row and its
+    ``(task, iteration, check)``; no pass runs after that step. Each job
+    trains as it would alone, so that point is its own, whatever group it
+    is in.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -230,26 +230,22 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
         G = len(sizes)
         if solved:
             plan = assembly_plan(methods, spans, G)
-        if traced:
-            # a traced step's one pass: its minibatch, then the memory
-            # splits, then the current and past training sets
-            trace_sets = [task.train] + [stream.tasks[s].train for s in range(t_pos - 1)]
-            after_batch = Dataset.concat([memory] + trace_sets)
-            pass_sizes = [lead.batch_size] + sizes + [data.n_samples for data in trace_sets]
-            weights = np.reshape(sizes, (-1, d)) / lead.memory_per_task
+        # each step's one pass: its minibatch, then the memory splits when
+        # it solves or traces, then the current and past training sets when
+        # it traces; the rows after the minibatch are joined once per task
+        trace_sets = [t.train for t in (task,) + stream.tasks[:t_pos - 1]] if traced else []
+        parts = [memory] + trace_sets if solved or traced else []
+        pass_sizes = [lead.batch_size] + (sizes if parts else [])
+        pass_sizes += [data.n_samples for data in trace_sets]
+        after = Dataset.concat(parts) if parts else None
+        weights = np.reshape(sizes, (-1, d)) / lead.memory_per_task
         for it in range(lead.iters_per_task):
-            idx = batch_rng.integers(0, n_train, size=lead.batch_size)
-            batch = task.train.take(idx)
-            if traced:
-                out = _backprop(stack, mlp, Dataset.concat([batch, after_batch]), pass_sizes)[1]
-                g_t, mem_rows = out[:, 0], out[:, 1:1 + G]
-            else:
-                g_t = _backprop(stack, mlp, batch, (lead.batch_size,))[1][:, 0]
-                if solved:
-                    mem_rows = _backprop(stack, mlp, memory, sizes)[1]
+            batch = task.train.take(batch_rng.integers(0, n_train, size=lead.batch_size))
+            data = batch if after is None else Dataset.concat([batch, after])
+            out = _backprop(stack, mlp, data, pass_sizes)[1]
+            g_t, mem_rows = out[:, 0], out[:, 1:1 + G]  # no memory rows: empty
             check(g_t, 0, it)
-            if solved or traced:
-                check(mem_rows, 1, it)
+            check(mem_rows, 1, it)
             z = np.empty_like(g_t) if solved else g_t
             if solved:
                 sols = qp.solve_batch(assemble_step(plan, g_t, mem_rows),

@@ -20,10 +20,10 @@ its denominator class by class, in order, which is how numpy sums so short
 a row; numpy sums 8 or more pairwise, and ``.sum`` keeps that order there.
 Consecutive groups of one size share one stacked weight-gradient product
 per layer, which gives each group the floats it gets alone. So the
-engine's one pass per traced step, over a minibatch, the memory splits and
-the training sets, gives each group the row of its own pass wherever the
-layers' products give the same bits at every row count (see
-``engine.run_group``).
+engine's one pass per step, over a minibatch and, where the step needs
+them, the memory splits and the training sets, gives each group the row of
+its own pass wherever the layers' products give the same bits at every row
+count (see ``engine.run_group``).
 """
 
 import functools
@@ -75,7 +75,11 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
-        self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        with np.errstate(invalid="ignore"):  # a NaN or huge label fails the check below
+            self.labels = np.ascontiguousarray(labels, dtype=np.int64)
+        if not np.array_equal(self.labels, labels):
+            raise ValueError("labels must be integers")
         if self.features.ndim != 2 or self.labels.ndim != 1:
             raise ValueError("features must be 2-D, labels 1-D")
         if self.features.shape[0] != self.labels.shape[0]:

@@ -143,6 +143,19 @@ def generate(spec: StreamSpec) -> TaskStream:
     return TaskStream(tuple(tasks))
 
 
+def _plain(kind, value, expected):
+    """``kind(value)`` for a plain ASCII number, the one number spelling of
+    config files and CSV cells; Python's digit separator ``_`` and
+    non-ASCII digits, which ``int`` and ``float`` accept, make a bad
+    value."""
+    try:
+        if "_" not in value and value.isascii():
+            return kind(value)
+    except ValueError:
+        pass
+    raise ValueError(f"expected {expected}, got {value!r}")
+
+
 def _parse_csv_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -167,7 +180,7 @@ def _parse_csv_file(path: str):
         row = []
         for col, cell in enumerate(cells, start=1):
             try:
-                value = float(cell)
+                value = _plain(float, cell, "number")
             except ValueError:
                 raise ValueError(
                     f"{path} line {line_no} column {col}: could not parse {cell.strip()!r}"

@@ -93,19 +93,20 @@ def test_equal_flat_partition_runs_and_is_deterministic():
 
 
 def test_memories_never_change_after_storage(monkeypatch):
-    # each stored memory's rows of the memory pass, split by split, stay
-    # byte for byte the same from task to task
+    # each stored memory's rows of the pass, split by split after the
+    # minibatch, stay byte for byte the same from task to task
     import mgem.engine as engine_mod
     original = engine_mod._backprop
     c = cfg(MethodSpec("d_mgem", d_data=2), iters=15)
-    M, seen = c.memory_per_task, {}
+    B, M, seen = c.batch_size, c.memory_per_task, {}
 
     def spying(params, spec, data, sizes):
         sizes = list(sizes)
-        if sizes != [c.batch_size]:  # the memory pass: 12/12 splits per memory
-            assert sizes == [12, 12] * (data.n_samples // M)
-            for s in range(data.n_samples // M):
-                rows = data.take(slice(s * M, (s + 1) * M))
+        if sizes != [B]:  # a solved step: the minibatch, then 12/12 splits per memory
+            n_memories = (data.n_samples - B) // M
+            assert sizes == [B] + [12, 12] * n_memories
+            for s in range(n_memories):
+                rows = data.take(slice(B + s * M, B + (s + 1) * M))
                 snapshot = (rows.features.tobytes(), rows.labels.tobytes())
                 assert seen.setdefault(s, snapshot) == snapshot, f"memory {s + 1} changed"
         return original(params, spec, data, sizes)
@@ -342,10 +343,9 @@ def test_nonfinite_memory_gradient_stops_at_its_step(monkeypatch, method, trace)
     def poisoned(params, spec, data, sizes):
         nll, grads = original(params, spec, data, sizes)
         sizes = list(sizes)
-        # task 2's memory pass (gem), or the memory group of its traced
-        # pass, which follows the minibatch (single)
-        if sizes == [c.memory_per_task] or sizes[:2] == [c.batch_size, c.memory_per_task]:
-            grads[:, sizes.index(c.memory_per_task), 0] = np.nan
+        # task 2's memory rows, which follow the minibatch in its pass
+        if sizes[:2] == [c.batch_size, c.memory_per_task]:
+            grads[:, 1, 0] = np.nan
             memory_passes.append(None)
         return nll, grads
 
@@ -438,10 +438,14 @@ def assert_same_run(a, b):
 
 
 @pytest.mark.parametrize("trace", [False, True])
-@pytest.mark.parametrize("activation", ["relu", "tanh"])
-def test_lockstep_group_equals_each_job_alone(activation, trace):
+@pytest.mark.parametrize("activation, layers", [
+    ("relu", (3, 8, 3)), ("tanh", (3, 8, 3)),
+    # hidden-to-hidden products whose last bits depend on their row count
+    ("relu", (3, 40, 40, 3)),
+], ids=["relu", "tanh", "relu-3-40-40-3"])
+def test_lockstep_group_equals_each_job_alone(activation, layers, trace):
     stream = rotated_stream(n_tasks=3, n_train=60)
-    mlp = MlpSpec((3, 8, 3), activation=activation)
+    mlp = MlpSpec(layers, activation=activation)
     cfgs = lockstep_cfgs()
     alone = [run(stream, mlp, c, trace=trace) for c in cfgs]
     assert sum(r.constrained_steps for r in alone) > 0
@@ -505,9 +509,8 @@ def test_the_earliest_divergence_stops_its_group(trace, monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError) as group:
             run_group(stream, MLP, cfgs, trace=trace)
-        # task 1: one pass per step; task 2, iterations 0 and 1: one traced
-        # pass, or a minibatch and a memory pass, per step
-        assert len(passes) == 40 + (2 if trace else 4)
+        # one pass per step: task 1's 40, then task 2's iterations 0 and 1
+        assert len(passes) == 40 + 2
         alone = {}
         for r in (1, 3):
             with pytest.raises(FloatingPointError) as err:
@@ -522,18 +525,20 @@ def test_the_earliest_divergence_stops_its_group(trace, monkeypatch):
 
 def test_a_group_raises_the_first_check_that_fails(monkeypatch):
     # at task 2, iteration 3, row 0's memory gradients and row 1's minibatch
-    # gradient turn NaN: the minibatch check comes first, so row 1 is raised
+    # gradient turn NaN in the step's one pass: the minibatch check comes
+    # first, so row 1 is raised
     import mgem.engine as engine_mod
     original = engine_mod._backprop
-    iters, batch = 6, 16
+    iters = 6
     steps = []
 
     def poisoning(params, spec, data, sizes):
         nll, grads = original(params, spec, data, sizes)
-        if tuple(sizes) == (batch,):
-            steps.append(None)
-        if len(steps) == iters + 4:  # the minibatch and memory passes of that step
-            grads[0 if tuple(sizes) != (batch,) else 1] = np.nan
+        steps.append(None)
+        if len(steps) == iters + 4:  # the pass of that step
+            assert len(sizes) == 2  # the minibatch, then the task-1 memory
+            grads[0, 1] = np.nan
+            grads[1, 0] = np.nan
         return nll, grads
 
     monkeypatch.setattr(engine_mod, "_backprop", poisoning)
@@ -571,10 +576,11 @@ def test_the_assembly_plan_is_made_once_per_solved_task(monkeypatch):
     assert calls == []
 
 
-def test_one_pass_per_traced_step_and_one_row_for_task_1(monkeypatch):
-    # task 1 trains one row for the whole group; later, a traced step makes
-    # one pass (minibatch, memory splits, training sets), an untraced
-    # constrained step a minibatch and a memory pass, and single one pass
+def test_one_pass_per_step_of_every_kind_and_one_row_for_task_1(monkeypatch):
+    # task 1 trains one row for the whole group on its minibatch; later,
+    # every step makes one pass over the whole stack: its minibatch, then
+    # the memory splits when it solves or traces, then the training sets
+    # when it traces (an untraced single step: the minibatch alone)
     import mgem.engine as engine_mod
     original = engine_mod._backprop
     calls = []
@@ -592,8 +598,7 @@ def test_one_pass_per_traced_step_and_one_row_for_task_1(monkeypatch):
     singles = [cfg(MethodSpec("single"), iters=iters)] * 2
     task1 = [(1, [16])] * iters
     for cfgs, trace, later in [
-            (constrained, False, [[(3, [16]), (3, [12, 12])],
-                                  [(3, [16]), (3, [12, 12, 12, 12])]]),
+            (constrained, False, [[(3, [16, 12, 12])], [(3, [16, 12, 12, 12, 12])]]),
             (constrained, True, [[(3, [16, 12, 12, 60, 60])],
                                  [(3, [16, 12, 12, 12, 12, 60, 60, 60])]]),
             (singles, False, [[(2, [16])], [(2, [16])]]),

@@ -86,6 +86,21 @@ def test_shape_mismatch_raises():
         predict(params, spec, np.zeros((2, 5)))
 
 
+def test_dataset_rejects_labels_that_are_not_integers(recwarn):
+    # a fraction, NaN or a value past int64 is a ValueError, with no numpy
+    # cast warning on the way
+    for labels in ([0.5, 1.7, 2.0], [0.0, np.nan, 1.0], [0.0, 1e30, 1.0]):
+        with pytest.raises(ValueError, match="^labels must be integers$"):
+            Dataset(np.zeros((3, 2)), labels)
+    assert not recwarn.list
+    # integer arrays, bools and integral floats keep their values
+    for labels in ([0, 1, 2], np.array([2, 0, 1], dtype=np.int32), [True, False, True],
+                   np.array([1.0, 0.0, 2.0])):
+        data = Dataset(np.zeros((3, 2)), labels)
+        assert data.labels.dtype == np.int64
+        assert data.labels.tolist() == [int(k) for k in labels]
+
+
 def test_wrong_length_params_rejected():
     spec = MlpSpec((3, 4, 2))  # 23 parameters
     data = Dataset(np.zeros((2, 3)), np.zeros(2, dtype=int))
@@ -303,16 +318,18 @@ def test_cut_datasets_keep_features_and_inputs_together():
         assert np.array_equal(data.inputs, np.hstack([features, np.ones((len(labels), 1))]))
 
 
+@pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
 @pytest.mark.parametrize("layers", [(2, 16, 4), (3, 9, 7, 5)])
 @pytest.mark.parametrize("memory_sizes", [(32,), (16, 16)], ids=["d_data1", "d_data2"])
-def test_one_traced_pass_equals_the_three_passes_bitwise(layers, activation, memory_sizes):
-    # the engine's traced step: a 16-row minibatch, the memory splits and two
-    # 120-row training sets in one pass give the rows of the minibatch,
-    # memory and trace passes, bit for bit, at any stack height
+def test_one_pass_equals_the_separate_passes_bitwise(layers, activation, memory_sizes, traced):
+    # the engine's solved or traced step: a 16-row minibatch, the memory
+    # splits and, traced, two 120-row training sets in one pass give the
+    # rows of the minibatch, memory and trace passes, bit for bit, at any
+    # stack height
     spec = MlpSpec(layers, activation)
     rng = rng_from(len(layers), "fused", activation, len(memory_sizes))
-    parts = [(16,), memory_sizes, (120, 120)]
+    parts = [(16,), memory_sizes, (120, 120)][:3 if traced else 2]
     sets = [Dataset(rng.standard_normal((sum(p), spec.n_in)),
                     rng.integers(0, spec.n_out, size=sum(p))) for p in parts]
     for J in (1, 3, 24):
@@ -320,5 +337,5 @@ def test_one_traced_pass_equals_the_three_passes_bitwise(layers, activation, mem
         fused = _backprop(params, spec, Dataset.concat(sets), [k for p in parts for k in p])[1]
         alone = np.concatenate([_backprop(params, spec, d, p)[1] for d, p in zip(sets, parts)],
                                axis=1)
-        assert fused.shape == alone.shape == (J, len(memory_sizes) + 3, n_params(spec))
+        assert fused.shape == alone.shape == (J, sum(map(len, parts)), n_params(spec))
         assert fused.tobytes() == alone.tobytes(), J

@@ -129,10 +129,17 @@ def test_load_csv_two_files_descriptor_order(tmp_path):
     assert [t.descriptor for t in stream.tasks] == [1, 2]
 
 
-def test_load_csv_reports_bad_cell(tmp_path):
+@pytest.mark.parametrize("cells, col, cell", [
+    ("1.0,oops,1", 2, "oops"), ("1_0,2.0,0", 1, "1_0"), ("1.0,\uff13,0", 2, "\uff13"),
+    ("1.0,2.0,1_0", 3, "1_0"),
+], ids=["word", "separator", "fullwidth", "label_separator"])
+def test_load_csv_reports_bad_cell(tmp_path, cells, col, cell):
+    # a digit separator or a non-ASCII digit, which float() reads, is a bad
+    # cell, as in a config file
     f = tmp_path / "bad.csv"
-    write_csv(f, ["1.0,2.0,0", "1.0,oops,1"])
-    with pytest.raises(ValueError, match=r"line 3 column 2.*'oops'"):
+    write_csv(f, ["1.0,2.0,0", cells])
+    with pytest.raises(ValueError, match=rf"bad\.csv line 3 column {col}: "
+                                         rf"could not parse '{cell}'$"):
         load_csv([str(f)])
 
 
