@@ -23,7 +23,6 @@ from .qp import (
 from .constraints import MethodSpec, resolve_partition, split_memory
 from .taskgen import StreamSpec, Task, TaskStream, generate, load_csv
 from .engine import (
-    EpisodicMemory,
     ParetoPoint,
     RunResult,
     StepTrace,

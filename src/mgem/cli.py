@@ -13,15 +13,16 @@ first two tasks and writes ``pareto.csv``. ``selfcheck`` runs the built-in
 verification suites. ``run`` and ``pareto`` declare their four flags once,
 on one argparse parent parser, so both show the same flags and help.
 
-``--threads N`` is the number of worker processes: ``run`` spreads its
-method x seed jobs over them, ``pareto`` its grid x seed jobs
-(``engine.run_jobs``). Jobs of one seed and memory-row layout train in
-lockstep as one parameter stack (``engine.run_group``); each group is a
-chunk, and the largest chunk is halved until there are N chunks, run
-largest first. Output is identical for any N; where ``os.fork`` does not
-exist, the chunks run one after another in this process. ``--threads``
-defaults to 1; ``--seeds`` and ``--threads`` must be plain ASCII integers
-of at least 1.
+Both commands build their job list once (``_jobs``), method-major then
+seed: ``run`` from the configured methods, ``pareto`` from its grid, each
+method at each strength of ``pareto.q_grid``. ``--threads N`` is the number
+of worker processes the jobs are spread over (``engine.run_jobs``). Jobs
+of one seed and memory-row layout train in lockstep as one parameter stack
+(``engine.run_group``); each group is a chunk, and the largest chunk is
+halved until there are N chunks, run largest first. Output is identical
+for any N; where ``os.fork`` does not exist, the chunks run one after
+another in this process. ``--threads`` defaults to 1; ``--seeds`` and
+``--threads`` must be plain ASCII integers of at least 1.
 
 A config's ``output.dir`` is created with its parents; an ``--out``
 directory is created only if its parent exists. An empty ``--out`` is a
@@ -42,6 +43,7 @@ train with are config errors, raised before any job starts.
 import argparse
 import functools
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, RunConfigFile, _integer, default_pareto_methods, parse_config
@@ -138,25 +140,20 @@ def _out_dir(text: str) -> str:
     return text
 
 
-def _train_config(cfg: RunConfigFile, method, seed) -> TrainConfig:
-    return TrainConfig(
-        lr=cfg.lr,
-        iters_per_task=cfg.iters_per_task,
-        batch_size=cfg.batch_size,
-        memory_per_task=cfg.memory_per_task,
-        method=method,
-        partition_mode=cfg.partition_mode,
-        seed=seed,
-    )
+def _jobs(cfg: RunConfigFile, stream, methods, n_seeds: int) -> list:
+    """The ``TrainConfig`` of every method of ``methods`` at ``n_seeds``
+    seeds from ``train.seed`` up, method-major then seed.
 
-
-def _check_jobs(cfg: RunConfigFile, stream, methods):
-    """Raise ConfigError for settings that no job of ``methods`` can train
-    with: bad ``[train]`` fields, a memory larger than a task's training
-    set, or a model that does not fit the stream."""
+    Raise ConfigError for settings that no job can train with: bad
+    ``[train]`` fields, a memory larger than a task's training set of
+    ``stream``, or a model that does not fit the stream.
+    """
+    seeds = range(cfg.train_seed, cfg.train_seed + n_seeds)
+    jobs = []
     for method in methods:
         try:
-            _train_config(cfg, method, cfg.train_seed)
+            jobs += [TrainConfig(cfg.lr, cfg.iters_per_task, cfg.batch_size, cfg.memory_per_task,
+                                 method, cfg.partition_mode, seed) for seed in seeds]
         except ValueError as exc:
             raise ConfigError(f"[train] {exc} ({method.label})") from None
     try:
@@ -171,6 +168,7 @@ def _check_jobs(cfg: RunConfigFile, stream, methods):
             except ValueError as exc:
                 raise ConfigError(f"[model] layer_sizes {sizes} do not fit task "
                                   f"{task.descriptor}: {exc}") from None
+    return jobs
 
 
 def _exit_code(degraded: bool, runs: str) -> int:
@@ -186,10 +184,8 @@ def cmd_run(args) -> int:
     if not cfg.methods:
         raise ConfigError("[method.1] at least one method entry is required for run")
     stream = _generate(cfg)
-    _check_jobs(cfg, stream, cfg.methods)
+    cfgs = _jobs(cfg, stream, cfg.methods, args.seeds)
     out = _resolve_out_dir(cfg, args.out)
-    seeds = [cfg.train_seed + i for i in range(args.seeds)]
-    cfgs = [_train_config(cfg, method, seed) for method in cfg.methods for seed in seeds]
     results = run_jobs(run_group, stream, cfg.model, cfgs, args.threads)
 
     entries = []
@@ -209,12 +205,10 @@ def cmd_pareto(args) -> int:
     if stream.n_tasks < 2:
         raise ConfigError("pareto requires >= 2 tasks")
     methods = cfg.methods if cfg.methods else default_pareto_methods()
-    _check_jobs(cfg, TaskStream(stream.tasks[:2]), methods)
+    grid = [replace(m, strength=q) for m in methods for q in cfg.q_grid]
+    cfgs = _jobs(cfg, TaskStream(stream.tasks[:2]), grid, args.seeds)
     out = _resolve_out_dir(cfg, args.out)
-    grid = [(m, q) for m in methods for q in cfg.q_grid]
-    seeds = [cfg.train_seed + i for i in range(args.seeds)]
-    base = _train_config(cfg, methods[0], cfg.train_seed)
-    points = pareto_sweep(stream, cfg.model, base, grid, seeds=seeds, threads=args.threads)
+    points = pareto_sweep(stream, cfg.model, cfgs, args.threads)
     write_pareto_csv(out / "pareto.csv", points)
     print(f"wrote {out / 'pareto.csv'} ({len(points)} rows)")
     return _exit_code(any(p.degraded for p in points), "sweep run")

@@ -1,7 +1,8 @@
 """Assembly of QP instances for the GEM method family.
 
-Turns episodic memories, the current gradient, and a parameter partition
-into the per-module inequality systems each method variant needs:
+Turns a step's memory gradient rows, its minibatch gradient, and a
+parameter partition into the per-module inequality systems each method
+variant needs:
 
 * ``gem``     -- one instance, one row per past task (full-memory gradient).
 * ``p_mgem``  -- one instance per parameter module; rows are module slices
@@ -29,8 +30,8 @@ of all the jobs' rows form one stacked ``QpInstance`` for
 ``qp.solve_batch``, which leaves degenerate rows out. The instances come
 back in the order of the task's assembly plan, whose entries (``StackPlan``)
 name the jobs, module span and solver of each. ``build_instances`` is the
-one-job case, with one instance per module in span order, and
-``assemble_direction`` concatenates the per-module directions.
+one-job case: it takes one job's rows and gives one instance per module in
+span order; ``assemble_direction`` concatenates the per-module directions.
 """
 
 from dataclasses import dataclass
@@ -71,6 +72,8 @@ class MethodSpec:
             raise ValueError("module counts must be >= 1")
         if self.strength < 0.0:
             raise ValueError("strength must be >= 0")
+        if not np.isfinite(self.strength):
+            raise ValueError(f"strength must be finite, got {self.strength}")
         if self.kind in ("single", "gem") and (self.d_param != 1 or self.d_data != 1):
             raise ValueError(f"{self.kind} requires d_param == d_data == 1")
         if self.kind == "p_mgem" and self.d_data != 1:
@@ -173,35 +176,22 @@ def assemble_step(plan, g_t: np.ndarray, rows: np.ndarray) -> list:
             ) for p in plan]
 
 
-def build_instances(method: MethodSpec, memories, g_t: np.ndarray,
-                    rows: np.ndarray, spans) -> list:
+def build_instances(method: MethodSpec, g_t: np.ndarray, rows: np.ndarray, spans) -> list:
     """One QpInstance per parameter module (``spans``) for this step, in
     span order.
 
-    ``memories`` is the ordered list of past-task EpisodicMemory objects,
-    each of ``method.d_data`` splits (``mem.sizes``), and ``rows`` holds
-    this step's gradient of every split, memory by memory. No
-    memories give no instances (first task: the caller uses the plain
-    gradient). Every row is kept; the solver leaves degenerate ones out.
-    This is the one-job case of ``assemble_step``: one job's plan lists its
-    spans in span order.
+    ``g_t`` is the minibatch gradient and ``rows`` the ``(G, P)`` memory
+    gradient rows of this step, memory by memory and split by split
+    (``method.d_data`` per memory). No rows give no instances (first task:
+    the caller uses the plain gradient). Every row is kept; the solver
+    leaves degenerate ones out. This is the one-job case of
+    ``assemble_step``: one job's plan lists its spans in span order.
     """
     if method.kind == "single":
         raise ValueError("the single baseline does not assemble constraints")
-    if not memories:
+    if not len(rows):
         return []
-    d = method.d_data
-    for mem in memories:
-        if len(mem.sizes) != d:
-            raise ValueError(
-                f"memory for task {mem.task} has {len(mem.sizes)} splits, "
-                f"method wants {d}"
-            )
-    if rows.shape[0] != d * len(memories):
-        raise ValueError(f"got {rows.shape[0]} gradient rows for {len(memories)} "
-                         f"memories of {d} splits")
-
-    plan = assembly_plan([method], [spans], rows.shape[0])
+    plan = assembly_plan([method], [spans], len(rows))
     return [QpInstance(i.constraint_rows[0], i.target[0], i.strength[0], i.form)
             for i in assemble_step(plan, g_t[None], rows[None])]
 

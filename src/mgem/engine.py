@@ -34,7 +34,7 @@ chunking; nor does the failure it names, the earliest divergence.
 import os
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,21 +66,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr <= 0.0:
             raise ValueError("lr must be positive")
+        if not np.isfinite(self.lr):
+            raise ValueError(f"lr must be finite, got {self.lr}")
         if self.iters_per_task < 1 or self.batch_size < 1:
             raise ValueError("iters_per_task and batch_size must be >= 1")
         if self.memory_per_task < self.method.d_data:
             raise ValueError("memory_per_task must be >= the method's d_data")
-
-
-@dataclass(eq=False)
-class EpisodicMemory:
-    """Stored samples for one finished task, split by split in split order,
-    and the split sizes: the input of ``constraints.build_instances``.
-    ``run_group`` keeps its memories as one dataset in this layout."""
-
-    task: int
-    data: Dataset
-    sizes: tuple
 
 
 @dataclass(eq=False)
@@ -425,7 +416,7 @@ class ParetoPoint:
     seed: int
     mean_bwd_inner: float
     mean_fwd_inner: float
-    degraded: bool = field(default=False)
+    degraded: bool = False
 
 
 def _pareto_group(stream2, mlp, cfgs):
@@ -437,29 +428,19 @@ def _pareto_group(stream2, mlp, cfgs):
     return points
 
 
-def pareto_sweep(stream: TaskStream, mlp: MlpSpec, base_cfg: TrainConfig,
-                 grid, seeds=None, threads: int = 1):
-    """Sweep (method, strength) grid points over the first two tasks.
+def pareto_sweep(stream: TaskStream, mlp: MlpSpec, cfgs, threads: int = 1) -> list:
+    """One ``ParetoPoint`` per config of ``cfgs``, in order, each from a run
+    of tasks 1-2 with tracing on task 2.
 
-    Each grid point runs tasks 1-2 with tracing on task 2 and reports the
-    mean inner products of the update direction with the past-task gradient
-    (backward axis) and current-task gradient (forward axis), averaged over
-    task-2 iterations. Rows come back in grid-major, then seed, order.
-    The (grid point, seed) jobs run through ``run_jobs``: the jobs of one
-    seed and memory-row layout train in lockstep (``run_group``), in chunks
-    spread over up to ``threads`` worker processes; the rows are the same
-    for any count. A failing job raises ``JobError`` naming it.
+    A point holds the mean inner products of the update direction with the
+    past-task gradient (backward axis) and the current-task gradient
+    (forward axis) over the task-2 iterations. The configs run through
+    ``run_jobs``: those of one seed and memory-row layout train in lockstep
+    (``run_group``), in chunks spread over up to ``threads`` worker
+    processes; the points are the same for any count. A failing job raises
+    ``JobError`` naming it. ``mgem pareto`` passes its grid x seed jobs,
+    method-major then seed.
     """
     if stream.n_tasks < 2:
         raise ValueError("pareto requires >= 2 tasks")
-    stream2 = TaskStream(stream.tasks[:2])
-    if seeds is None:
-        seeds = [base_cfg.seed]
-
-    cfgs = []
-    for method, q in grid:
-        for seed in seeds:
-            cfgs.append(replace(
-                base_cfg, method=replace(method, strength=float(q)), seed=seed,
-            ))
-    return run_jobs(_pareto_group, stream2, mlp, cfgs, threads)
+    return run_jobs(_pareto_group, TaskStream(stream.tasks[:2]), mlp, cfgs, threads)

@@ -188,6 +188,9 @@ def lower_bounds(inst: QpInstance) -> np.ndarray:
 
 
 def dual_objective(inst: QpInstance, v: np.ndarray) -> float:
+    """The dual objective at ``v`` of one instance (not a stack)."""
+    if inst.target.ndim != 1:
+        raise ValueError("dual_objective takes one instance, not a stack")
     r = inst.constraint_rows.T @ v + inst.target
     f = 0.5 * float(r @ r)
     if inst.form == REGULARIZED_FORM:
@@ -413,7 +416,8 @@ def solve_exact(inst: QpInstance, tol: float = DEFAULT_TOL,
 
 
 def solve_enumerate(inst: QpInstance) -> DualSolution:
-    """Global optimum by exhaustive active-set enumeration (m <= 12).
+    """Global optimum by exhaustive active-set enumeration (m <= 12), for
+    one instance (not a stack).
 
     Every subset of coordinates is tried as the free set: the free
     coordinates solve the Gram-space stationarity system with the rest
@@ -426,8 +430,9 @@ def solve_enumerate(inst: QpInstance) -> DualSolution:
     multipliers that residual exposes the face's error, where the
     objective's values of the candidates differ only by rounding.
     """
-    rows, target, strength = _stack(inst)
-    K, h, lb, out = (a[0] for a in _gram(rows, target, strength, inst.form))
+    if inst.target.ndim != 1:
+        raise ValueError("solve_enumerate takes one instance, not a stack")
+    K, h, lb, out = (a[0] for a in _gram(*_stack(inst), inst.form))
     m = inst.m
     if m > _ENUM_MAX_M:
         raise ValueError(f"enumeration supports m <= {_ENUM_MAX_M}, got {m}")

@@ -52,6 +52,8 @@ class StreamSpec:
             raise ValueError("n_classes must be >= 2")
         if self.noise < 0.0:
             raise ValueError("noise must be >= 0")
+        if not math.isfinite(self.noise):
+            raise ValueError(f"noise must be finite, got {self.noise}")
         if self.family == "rotated" and self.n_features < 2:
             raise ValueError("rotated family needs n_features >= 2")
         if self.n_features < 1:

@@ -107,9 +107,9 @@ def test_c08_pareto_module_trend():
     start = time.perf_counter()
     stream = desk_stream(2)
     q = 0.1
-    grid = [(MethodSpec("p_mgem", d_param=d), q) for d in (1, 2, 4)]
-    pts = pareto_sweep(stream, MLP, desk_cfg(MethodSpec("gem"), iters=150),
-                       grid, seeds=list(SEEDS))
+    cfgs = [desk_cfg(MethodSpec("p_mgem", d_param=d, strength=q), seed=s, iters=150)
+            for d in (1, 2, 4) for s in SEEDS]
+    pts = pareto_sweep(stream, MLP, cfgs)
     bwd = [float(np.mean([p.mean_bwd_inner for p in pts[i * 3:(i + 1) * 3]]))
            for i in range(3)]
     fwd = [float(np.mean([p.mean_fwd_inner for p in pts[i * 3:(i + 1) * 3]]))

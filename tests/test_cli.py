@@ -173,6 +173,24 @@ def test_pareto_rows_grid_times_seeds(tmp_path):
     assert set(body[:, 4]) == {"0", "1"}
 
 
+def test_pareto_rows_are_grid_then_seed_and_each_is_its_seed_alone(tmp_path):
+    # gem at q = 0 and 0.5, seeds 3 and 4: rows (q0, s3), (q0, s4), (q1, s3),
+    # (q1, s4), each equal to the row of a one-seed command at train.seed = s
+    text = PARETO_CFG.replace("method.1.kind = single", "method.1.kind = gem")
+    cfg = write_cfg(tmp_path, text + "train.seed = 3\n")
+    assert main(["pareto", "--config", cfg, "--seeds", "2", "--out", str(tmp_path / "both")]) == 0
+    lines = (tmp_path / "both" / "pareto.csv").read_text().splitlines()
+    alone = {}
+    for seed in (3, 4):
+        one = write_cfg(tmp_path, text + f"train.seed = {seed}\n", name=f"seed{seed}.cfg")
+        assert main(["pareto", "--config", one, "--out", str(tmp_path / f"s{seed}")]) == 0
+        alone[seed] = (tmp_path / f"s{seed}" / "pareto.csv").read_text().splitlines()
+    assert [(float(q), int(s)) for _, q, _, _, s, *_ in (r.split(",") for r in lines[1:])] == [
+        (0.0, 3), (0.0, 4), (0.5, 3), (0.5, 4)]
+    assert lines == [alone[3][0], alone[3][1], alone[4][1], alone[3][2], alone[4][2]]
+    assert len({line.split(",", 5)[5] for line in lines[1:]}) == 4  # q and seed both matter
+
+
 def test_pareto_default_grid_forty_rows(tmp_path):
     # no method entries: the five default methods x eight default qs
     text = "\n".join(line for line in PARETO_CFG.splitlines()

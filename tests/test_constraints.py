@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,14 @@ from mgem.constraints import (
     resolve_partition,
     split_memory,
 )
-from mgem.engine import EpisodicMemory
 from mgem.layout import layer_slices, n_params
 from mgem.mlp import Dataset, MlpSpec, group_grads, init_params, loss_and_grad
 from mgem.seeds import derive_seed, rng_from
 from mgem.selfcheck import check_block_consistency
 
 MLP = MlpSpec((3, 5, 3))
+# one finished task's stored samples, split by split, and the split sizes
+Memory = namedtuple("Memory", "task data sizes")
 
 
 def make_memories(n_tasks, d_data, n_per=8, seed=0):
@@ -27,8 +30,8 @@ def make_memories(n_tasks, d_data, n_per=8, seed=0):
     for t in range(1, n_tasks + 1):
         data = Dataset(rng.standard_normal((n_per, 3)), rng.integers(0, 3, size=n_per))
         splits = split_memory(n_per, d_data, derive_seed(seed, "memsplit", t))
-        mems.append(EpisodicMemory(task=t, data=data.take(np.concatenate(splits)),
-                                   sizes=tuple(len(idx) for idx in splits)))
+        mems.append(Memory(task=t, data=data.take(np.concatenate(splits)),
+                           sizes=tuple(len(idx) for idx in splits)))
     return mems
 
 
@@ -47,8 +50,7 @@ def memory_rows(memories, params, spec=MLP):
 
 def build(method, memories, g_t, params, spec, spans):
     """``build_instances`` on the memory rows of one stacked pass at ``params``."""
-    rows = memory_rows(memories, params, spec) if memories else None
-    return build_instances(method, memories, g_t, rows, spans)
+    return build_instances(method, g_t, memory_rows(memories, params, spec), spans)
 
 
 def full_grads(memories, params, spec=MLP):
@@ -79,6 +81,11 @@ def test_method_spec_validation():
         MethodSpec("d_mgem", d_param=3)
     with pytest.raises(ValueError):
         MethodSpec("gem", strength=-0.1)
+    with pytest.raises(ValueError, match="strength must be >= 0"):
+        MethodSpec("gem", strength=-np.inf)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="strength must be finite"):
+            MethodSpec("gem", strength=bad)
     with pytest.raises(ValueError):
         MethodSpec("gem", solver="cvxpy")
     assert MethodSpec("p_mgem", d_param=1).kind == "p_mgem"  # D=1 reduces to GEM
@@ -151,7 +158,8 @@ def test_split_memory_rejects_too_small():
 def test_no_past_tasks_yields_empty_batch():
     params = init_params(MLP, 0)
     spans = resolve_partition(MLP, "by_layer", 1)
-    assert build(MethodSpec("gem"), [], batch_grad(params), params, MLP, spans) == []
+    no_rows = np.empty((0, n_params(MLP)))
+    assert build_instances(MethodSpec("gem"), batch_grad(params), no_rows, spans) == []
 
 
 def test_single_method_refuses_assembly():
@@ -261,15 +269,6 @@ def test_stacked_rows_match_per_group_gradients(method):
         np.testing.assert_allclose(got, full, rtol=0.0, atol=1e-12)
 
 
-def test_split_mismatch_rejected():
-    params = init_params(MLP, 0)
-    spans = resolve_partition(MLP, "by_layer", 1)
-    mems = make_memories(1, 2)
-    with pytest.raises(ValueError):
-        build(MethodSpec("d_mgem", d_data=3), mems,
-              batch_grad(params), params, MLP, spans)
-
-
 def test_degenerate_rows_dropped_and_counted():
     # assembly keeps a near-zero row (a fully fit past task); every solver
     # leaves it out, counts it, and solves the rest as if it were absent
@@ -279,7 +278,7 @@ def test_degenerate_rows_dropped_and_counted():
     g_t = batch_grad(params)
     rows = memory_rows(mems, params)
     rows[0] = 1e-8
-    inst = build_instances(MethodSpec("gem", strength=0.5), mems, g_t, rows, spans)[0]
+    inst = build_instances(MethodSpec("gem", strength=0.5), g_t, rows, spans)[0]
     assert inst.m == 2 and np.array_equal(inst.constraint_rows, rows)
     without = qp.QpInstance(rows[1:], g_t, [0.5])
     for solve in (qp.solve_exact, qp.solve_approx, qp.solve_enumerate):
@@ -293,7 +292,6 @@ def test_assembled_stacks_equal_each_job_alone():
     # some with degenerate rows: one stack per module span and solver, and
     # each stack item is laid out, and solved, as that job's own instance
     rng = rng_from(9, "stack")
-    mems = make_memories(3, 1)
     methods = [MethodSpec("gem", strength=0.1), MethodSpec("p_mgem", d_param=2, strength=0.5),
                MethodSpec("gem", solver="approx", strength=0.5), MethodSpec("p_mgem", d_param=3),
                MethodSpec("gem", strength=0.5), MethodSpec("p_mgem", d_param=2)]
@@ -317,7 +315,7 @@ def test_assembled_stacks_equal_each_job_alone():
     dropped = np.zeros(len(methods), dtype=int)
     for p, stack, sol in zip(plan, stacks, sols):
         for k, r in enumerate(p.jobs):
-            alone = build_instances(methods[r], mems, g_t[r], rows[r], spans[r])
+            alone = build_instances(methods[r], g_t[r], rows[r], spans[r])
             i = spans[r].index(p.span)
             inst = alone[i]
             for got, want in ((stack.constraint_rows[k], inst.constraint_rows),
@@ -345,10 +343,8 @@ def test_fully_fit_memory_degenerates_to_unconstrained():
     params[layer_slices(spec)[1][1]] = np.array([50.0, -50.0])
     spans = resolve_partition(spec, "by_layer", 1)
     rng = rng_from(6, "fit")
-    fit_mem = EpisodicMemory(1, Dataset(rng.standard_normal((6, 2)),
-                                        np.zeros(6, dtype=int)), (6,))
-    live_mem = EpisodicMemory(2, Dataset(rng.standard_normal((6, 2)),
-                                         rng.integers(0, 2, size=6)), (6,))
+    fit_mem = Memory(1, Dataset(rng.standard_normal((6, 2)), np.zeros(6, dtype=int)), (6,))
+    live_mem = Memory(2, Dataset(rng.standard_normal((6, 2)), rng.integers(0, 2, size=6)), (6,))
     g_t = rng.standard_normal(n_params(spec))
     _, fit_grad = loss_and_grad(params, spec, fit_mem.data)
     assert fit_grad @ fit_grad < qp.MIN_ROW_SQNORM

@@ -151,6 +151,15 @@ def test_memory_immutable_after_task():
     assert np.array_equal(a.accuracy[0, 0], b.accuracy[0, 0])
 
 
+def test_train_config_rejects_a_bad_lr():
+    for bad in (0.0, -0.05, -np.inf):
+        with pytest.raises(ValueError, match="lr must be positive"):
+            cfg(MethodSpec("gem"), lr=bad)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="lr must be finite"):
+            cfg(MethodSpec("gem"), lr=bad)
+
+
 def test_memory_too_large_rejected():
     stream = rotated_stream(n_train=20)
     with pytest.raises(ValueError):
@@ -665,27 +674,28 @@ def test_chunks_halve_the_largest_until_one_per_worker():
 def test_pareto_requires_two_tasks():
     stream = rotated_stream(n_tasks=1)
     with pytest.raises(ValueError, match="2 tasks"):
-        pareto_sweep(stream, MLP, cfg(MethodSpec("gem")), [(MethodSpec("gem"), 0.0)])
+        pareto_sweep(stream, MLP, [cfg(MethodSpec("gem"))])
 
 
 def test_pareto_empty_grid():
     stream = rotated_stream()
-    assert pareto_sweep(stream, MLP, cfg(MethodSpec("gem")), []) == []
+    assert pareto_sweep(stream, MLP, []) == []
 
 
 def test_pareto_identical_tasks_balance_inner_products():
     # identical tasks: the past-task and current-task full gradients are the
     # same vector, so the two traced means coincide
     stream = duplicated_task_stream()
-    pts = pareto_sweep(stream, MLP, cfg(MethodSpec("gem"), iters=15), [(MethodSpec("gem"), 0.0)])
+    pts = pareto_sweep(stream, MLP, [cfg(MethodSpec("gem"), iters=15)])
     assert len(pts) == 1
     assert pts[0].mean_bwd_inner == pytest.approx(pts[0].mean_fwd_inner, rel=1e-12)
 
 
 def test_pareto_grid_and_seed_multiplication():
     stream = rotated_stream()
-    grid = [(MethodSpec("gem"), q) for q in (0.0, 0.1)]
-    pts = pareto_sweep(stream, MLP, cfg(MethodSpec("gem"), iters=8), grid, seeds=[0, 1, 2])
+    cfgs = [cfg(MethodSpec("gem", strength=q), iters=8, seed=s)
+            for q in (0.0, 0.1) for s in (0, 1, 2)]
+    pts = pareto_sweep(stream, MLP, cfgs)
     assert len(pts) == 6
     assert [p.seed for p in pts] == [0, 1, 2, 0, 1, 2]
     assert [p.method.strength for p in pts] == [0.0] * 3 + [0.1] * 3
@@ -693,9 +703,10 @@ def test_pareto_grid_and_seed_multiplication():
 
 def test_pareto_threaded_matches_sequential():
     stream = rotated_stream()
-    grid = [(MethodSpec("gem"), 0.0), (MethodSpec("gem", solver="approx"), 0.1)]
-    seq = pareto_sweep(stream, MLP, cfg(MethodSpec("gem"), iters=8), grid)
-    par = pareto_sweep(stream, MLP, cfg(MethodSpec("gem"), iters=8), grid, threads=2)
+    cfgs = [cfg(MethodSpec("gem"), iters=8),
+            cfg(MethodSpec("gem", solver="approx", strength=0.1), iters=8)]
+    seq = pareto_sweep(stream, MLP, cfgs)
+    par = pareto_sweep(stream, MLP, cfgs, threads=2)
     for a, b in zip(seq, par):
         assert a.mean_bwd_inner == b.mean_bwd_inner
         assert a.mean_fwd_inner == b.mean_fwd_inner

@@ -101,8 +101,8 @@ def test_reports_identical_for_any_worker_count(tmp_path, command, extra):
 
 
 def test_no_worker_outlives_a_call(tmp_path):
-    grid = [(MethodSpec("gem"), q) for q in (0.0, 0.5)]
-    pareto_sweep(STREAM, MLP, train_cfg(), grid, seeds=[0, 1], threads=2)
+    pareto_sweep(STREAM, MLP, [train_cfg(s, strength=q) for q in (0.0, 0.5) for s in (0, 1)],
+                 threads=2)
     assert multiprocessing.active_children() == []
     cfg = write_cfg(tmp_path)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "2"]) == 0

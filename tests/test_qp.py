@@ -286,9 +286,15 @@ def test_kkt_residual_empty_instance():
 
 
 def test_kkt_residual_rejects_a_stack():
-    stack = qp.QpInstance(np.ones((2, 1, 3)), np.ones((2, 3)), np.zeros((2, 1)))
-    with pytest.raises(ValueError):
-        qp.kkt_residual(stack, np.zeros((2, 1)))
+    # each one-instance function rejects a stack by name
+    for m, n in ((1, 3), (3, 5)):
+        stack = qp.QpInstance(np.ones((2, m, n)), np.ones((2, n)), np.zeros((2, m)))
+        v = np.zeros((2, m))
+        for name, call in (("kkt_residual", lambda: qp.kkt_residual(stack, v)),
+                           ("dual_objective", lambda: qp.dual_objective(stack, v)),
+                           ("solve_enumerate", lambda: qp.solve_enumerate(stack))):
+            with pytest.raises(ValueError, match=f"{name} takes one instance, not a stack"):
+                call()
 
 
 # --- oracle equivalence ------------------------------------------------------

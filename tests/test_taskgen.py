@@ -21,6 +21,9 @@ def test_spec_validation():
         spec(n_tasks=0)
     with pytest.raises(ValueError):
         spec(noise=-0.1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="noise must be finite"):
+            spec(noise=bad)
     with pytest.raises(ValueError):
         spec(n_features=1)  # rotation needs a 2-plane
     with pytest.raises(ValueError):
