@@ -16,9 +16,9 @@ parameter vector, one per module (``resolve_partition``).
 
 Every variant reads its rows from one stacked forward/backward pass per
 step over every split of every stored memory, then slices them per module.
-The engine keeps its stored memories as one dataset in the order of that
-pass, each memory split by split, with the split sizes as its row groups; a
-memory of ``gem`` or ``p_mgem`` is one split. The engine's traced inner
+The engine keeps its stored memories in the order of that pass, each
+memory split by split, with the split sizes as its row groups; a memory of
+``gem`` or ``p_mgem`` is one split. The engine's traced inner
 products read the same rows; on a traced step they are the memory groups of
 the step's one pass, between its minibatch and its training sets.
 
@@ -41,7 +41,7 @@ import numpy as np
 from .layout import layer_slices, n_params
 from .mlp import MlpSpec
 from .qp import APPROX, BOX_FORM, EXACT, QpInstance
-from .seeds import rng_from
+from .seeds import integer_fields, rng_from
 
 METHOD_KINDS = ("single", "gem", "p_mgem", "d_mgem", "md_mgem")
 PARTITION_MODES = ("by_layer", "equal_flat")
@@ -64,6 +64,7 @@ class MethodSpec:
     solver: str = "exact"
 
     def __post_init__(self):
+        integer_fields(self, "d_param", "d_data")
         if self.kind not in METHOD_KINDS:
             raise ValueError(f"unknown method kind {self.kind!r}")
         if self.solver not in SOLVERS:

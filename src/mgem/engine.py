@@ -47,7 +47,7 @@ from .constraints import (
     split_memory,
 )
 from .mlp import Dataset, MlpSpec, _backprop, accuracy, init_params
-from .seeds import derive_seed, rng_from
+from .seeds import check_seed, derive_seed, integer_fields, rng_from
 from .taskgen import TaskStream
 
 DEGRADED_BUDGET = 0.01  # unconverged fraction of constrained steps tolerated
@@ -64,6 +64,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        integer_fields(self, "iters_per_task", "batch_size", "memory_per_task", "seed")
+        check_seed(self.seed)
         if self.lr <= 0.0:
             raise ValueError("lr must be positive")
         if not np.isfinite(self.lr):
@@ -141,23 +143,22 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
     Every step makes one stacked pass for all jobs: its minibatch, then the
     memory splits when it solves QPs or traces, then the current and past
     training sets when it traces; it cuts the minibatch gradient, the memory
-    rows and the trace rows from it. The rows after the minibatch are
-    joined once per task; a step with none (task 1, an untraced ``single``
-    step) passes its minibatch alone. That pass gives the rows of separate
-    passes bit for bit wherever each layer's products give the same bits
-    for every row count: as measured, one hidden layer of 16 to 100 units
-    (``pareto2``), ``3,9,7,5`` and two hidden layers of 8 or 16 units. A
-    hidden-to-hidden layer of 32 or more units (e.g. ``2,64,64,10``) gives
-    other last bits for 16 rows than for more (the backward product
-    ``delta @ [W; b]^T`` from 32 units, the forward product too at 64), so
-    on such a net the minibatch and memory rows of a step depend in the
-    last bits on which rows share its pass, and a traced run can differ
-    from the same run untraced.
+    rows and the trace rows from it. Each step joins its minibatch to the
+    rows it needs (none on task 1 and on an untraced ``single`` step). That
+    pass gives the rows of separate passes bit for bit wherever each
+    layer's products give the same bits for every row count: as measured,
+    one hidden layer of 16 to 100 units (``pareto2``), ``3,9,7,5`` and two
+    hidden layers of 8 or 16 units. A hidden-to-hidden layer of 32 or more
+    units (e.g. ``2,64,64,10``) gives other last bits for 16 rows than for
+    more (the backward product ``delta @ [W; b]^T`` from 32 units, the
+    forward product too at 64), so on such a net the minibatch and memory
+    rows of a step depend in the last bits on which rows share its pass,
+    and a traced run can differ from the same run untraced.
 
-    The stored memories are one dataset in memory-pass order, each memory
-    split by split, with a list of split sizes; both grow once per task. The
-    memory rows feed the QP and the finiteness check of memory gradients,
-    and on a traced step the memory inner products of every method: a
+    The stored memories are a list of datasets, each memory split by split,
+    with a list of split sizes; both grow once per task. The memory rows
+    feed the QP and the finiteness check of memory gradients, and on a
+    traced step the memory inner products of every method: a
     memory's ``<g_s, z>`` is the size-weighted sum of its splits' inner
     products, ``sum_k (n_k / M) <g_sk, z>`` (a one-split memory's is its
     row's). The per-module QPs of every job are assembled together, from an
@@ -195,7 +196,7 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
     traces = [[] for _ in cfgs]
     unconverged, rows_dropped = np.zeros((2, J), dtype=np.int64)
     d = lead.method.d_data
-    memory, sizes = None, []  # every stored memory, split by split, and the split sizes
+    memories, sizes = [], []  # every stored memory, split by split, and the split sizes
 
     def check(stack, which, it):
         """Raise the ``FloatingPointError`` of the first job whose row of
@@ -223,17 +224,16 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
             plan = assembly_plan(methods, spans, G)
         # each step's one pass: its minibatch, then the memory splits when
         # it solves or traces, then the current and past training sets when
-        # it traces; the rows after the minibatch are joined once per task
+        # it traces
         trace_sets = [t.train for t in (task,) + stream.tasks[:t_pos - 1]] if traced else []
-        parts = [memory] + trace_sets if solved or traced else []
-        pass_sizes = [lead.batch_size] + (sizes if parts else [])
+        stored = memories if solved or traced else []
+        parts = stored + trace_sets
+        pass_sizes = [lead.batch_size] + (sizes if stored else [])
         pass_sizes += [data.n_samples for data in trace_sets]
-        after = Dataset.concat(parts) if parts else None
         weights = np.reshape(sizes, (-1, d)) / lead.memory_per_task
         for it in range(lead.iters_per_task):
             batch = task.train.take(batch_rng.integers(0, n_train, size=lead.batch_size))
-            data = batch if after is None else Dataset.concat([batch, after])
-            out = _backprop(stack, mlp, data, pass_sizes)[1]
+            out = _backprop(stack, mlp, Dataset.concat([batch, *parts]), pass_sizes)[1]
             g_t, mem_rows = out[:, 0], out[:, 1:1 + G]  # no memory rows: empty
             check(g_t, 0, it)
             check(mem_rows, 1, it)
@@ -268,8 +268,7 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
         mem_rng = rng_from(lead.seed, "memory", t_pos)
         sel = np.sort(mem_rng.choice(n_train, size=lead.memory_per_task, replace=False))
         splits = split_memory(lead.memory_per_task, d, derive_seed(lead.seed, "memsplit", t_pos))
-        stored = task.train.take(sel[np.concatenate(splits)])
-        memory = Dataset.concat([memory, stored]) if sizes else stored
+        memories.append(task.train.take(sel[np.concatenate(splits)]))
         sizes += [len(idx) for idx in splits]
 
         if one_row:

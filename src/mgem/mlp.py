@@ -14,10 +14,9 @@ layer's ``W`` and ``b`` are adjacent in the flat vector, so one matrix
 product of that input with a group's output deltas writes both the weight
 and the bias gradient, and no per-row reduction is left for the bias.
 The ones column adds a group's delta rows in row order, as a column sum
-does, so the gradients are the same floats. The softmax of fewer than 8
-classes runs class-major, on one transposed copy of the logits, and adds
-its denominator class by class, in order, which is how numpy sums so short
-a row; numpy sums 8 or more pairwise, and ``.sum`` keeps that order there.
+does, so the gradients are the same floats. The softmax runs class-major,
+on one transposed copy of the logits, for every class count, and adds its
+denominator class by class, in order.
 Consecutive groups of one size share one stacked weight-gradient product
 per layer, which gives each group the floats it gets alone. So the
 engine's one pass per step, over a minibatch and, where the step needs
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layout import layer_slices, n_params
-from .seeds import rng_from
+from .seeds import as_integer, rng_from
 
 _ACTIVATIONS = ("relu", "tanh")
 
@@ -46,7 +45,8 @@ class MlpSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
+        sizes = tuple(as_integer("layer size", s) for s in self.layer_sizes)
+        object.__setattr__(self, "layer_sizes", sizes)
         if len(self.layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
         if any(s < 1 for s in self.layer_sizes):
@@ -244,12 +244,13 @@ def _backprop(params: np.ndarray, spec: MlpSpec, data: Dataset, sizes):
     every stack member sees the same rows, and each member's slice is the
     unstacked product.
 
-    With fewer than 8 classes the softmax and its delta are taken on one
-    class-major copy of the logits, ``(C, n)`` or ``(C, n, J)`` (``.T``),
-    transposed back once: every step is an elementwise pass over whole
-    class rows, and the denominator adds the classes one by one, in order,
-    which is how numpy sums a row of fewer than 8 entries. From 8 classes
-    on, numpy sums pairwise, and ``.sum(axis=-1)`` keeps that order.
+    The softmax and its delta are taken on one class-major copy of the
+    logits, ``(C, n)`` or ``(C, n, J)`` (``.T``), transposed back once:
+    every step is an elementwise pass over whole class rows, and the
+    denominator ``.sum(axis=0)`` adds the class rows one by one, in order.
+    The one exception is numpy's: a pass of one sample and one parameter
+    vector reduces to a single row of C entries, which numpy sums pairwise
+    from 8 entries on.
 
     Returns ``(nll, grads)``: ``nll`` of shape ``(n,)`` or ``(J, n)``,
     ``grads`` of shape ``(G, P)`` or ``(J, G, P)`` for ``G = len(sizes)``.
@@ -272,34 +273,19 @@ def _backprop(params: np.ndarray, spec: MlpSpec, data: Dataset, sizes):
         runs.append((j, slice(lo, lo + size * count), size, count))
         j, lo = j + count, lo + size * count
     samples = np.arange(n)
-    if spec.n_out < 8:
-        # Class-major: (C, n) or (C, n, J), the transpose of the logits, so
-        # every step is an elementwise pass over whole class rows, not one
-        # inner loop of C entries per sample. A maximum is exact in any order.
-        s = logits.T.copy()
-        s -= s.max(axis=0)
-        e = np.exp(s)
-        z = e[0] + e[1]
-        for col in e[2:]:
-            z += col
-        s -= np.log(z)  # log p
-        nll = -s[y, samples].T
-        delta = np.exp(s, out=e)
-        delta[y, samples] -= 1.0
-        for _, rows, size, _ in runs:
-            delta[:, rows] /= size
-        delta = delta.T.copy()
-    else:
-        # the row maximum over a class-major copy, as above
-        top = logits.T.copy().max(axis=0).T[..., None]
-        shifted = logits - top
-        log_p = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        target = (..., samples, y)
-        nll = -log_p[target]
-        delta = np.exp(log_p)
-        delta[target] -= 1.0
-        for _, rows, size, _ in runs:
-            delta[..., rows, :] /= size
+    # Class-major: (C, n) or (C, n, J), the transpose of the logits, so
+    # every step is an elementwise pass over whole class rows, not one
+    # inner loop of C entries per sample. A maximum is exact in any order.
+    s = logits.T.copy()
+    s -= s.max(axis=0)
+    e = np.exp(s)
+    s -= np.log(e.sum(axis=0))  # log p
+    nll = -s[y, samples].T
+    delta = np.exp(s, out=e)
+    delta[y, samples] -= 1.0
+    for _, rows, size, _ in runs:
+        delta[:, rows] /= size
+    delta = delta.T.copy()
 
     grads = np.empty(lead + (n_groups, params.shape[-1]))
     for i, (w, b, fan_in, fan_out) in reversed(list(enumerate(layer_slices(spec)))):

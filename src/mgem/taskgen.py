@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mlp import Dataset
-from .seeds import rng_from
+from .seeds import check_seed, integer_fields, rng_from
 
 FAMILIES = ("permuted", "rotated", "split_classes", "csv")
 
@@ -34,6 +34,8 @@ class StreamSpec:
     csv_paths: tuple = None
 
     def __post_init__(self):
+        integer_fields(self, "n_tasks", "n_train", "n_test", "n_features", "n_classes", "seed")
+        check_seed(self.seed)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown stream family {self.family!r}")
         if self.csv_paths is not None:

@@ -11,10 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from mgem.constraints import MethodSpec
+from mgem.constraints import MethodSpec, split_memory
 from mgem.engine import TrainConfig, pareto_sweep, run
 from mgem.metrics import summarize, write_summary_csv
-from mgem.mlp import MlpSpec
+from mgem.mlp import MlpSpec, accuracy, init_params, loss_and_grad
+from mgem.qp import QpInstance, solve_approx, solve_enumerate
+from mgem.seeds import derive_seed, rng_from
 from mgem.selfcheck import (
     check_approx_single_constraint,
     check_block_consistency,
@@ -164,3 +166,64 @@ def test_c10_selfcheck_within_budget():
     report(10, all_pass and elapsed < 300.0,
            f"{sum(r.passed for r in results)}/{len(results)} suites pass "
            f"in {elapsed:.1f}s (< 300s; unit suite timed by pytest itself)")
+
+
+def reference_run(stream, mlp, cfg, spans):
+    """The loop ``run`` documents, written out with none of its machinery:
+    one ``loss_and_grad`` per minibatch and per split of each stored
+    memory, one ``QpInstance`` per module span (given here, not resolved),
+    each solved by enumeration (exact) or the closed form (approx)."""
+    method = cfg.method
+    solve = solve_enumerate if method.solver == "exact" else solve_approx
+    params = init_params(mlp, cfg.seed)
+    memories, R = [], np.zeros((stream.n_tasks, stream.n_tasks))
+    for t, task in enumerate(stream.tasks, start=1):
+        batches = rng_from(cfg.seed, "batch", t)
+        for _ in range(cfg.iters_per_task):
+            idx = batches.integers(0, task.train.n_samples, size=cfg.batch_size)
+            _, g = loss_and_grad(params, mlp, task.train.take(idx))
+            if memories:
+                rows = np.array([loss_and_grad(params, mlp, split)[1] for split in memories])
+                g = np.concatenate([
+                    solve(QpInstance(rows[:, span], g[span],
+                                     np.full(len(rows), method.strength))).direction
+                    for span in spans])
+            params = params - cfg.lr * g
+        sel = np.sort(rng_from(cfg.seed, "memory", t).choice(
+            task.train.n_samples, size=cfg.memory_per_task, replace=False))
+        splits = split_memory(cfg.memory_per_task, method.d_data,
+                              derive_seed(cfg.seed, "memsplit", t))
+        memories += [task.train.take(sel[idx]) for idx in splits]
+        R[t - 1] = [accuracy(params, mlp, other.test) for other in stream.tasks]
+    return R, params
+
+
+def test_c11_every_method_equals_the_reference_loop():
+    # a 4-task rotated stream, 40 steps per task, on a net whose rows do not
+    # depend on the pass's row count and on one whose rows do; by_layer
+    # module spans written out by hand: [W0 b0 | W1 b1] and [W0 b0 W1 | b1 W2 b2]
+    start = time.perf_counter()
+    nets = [(MLP, desk_stream(4), {1: [slice(0, 116)], 2: [slice(0, 48), slice(48, 116)]}),
+            (MlpSpec((3, 40, 40, 3)),
+             generate(StreamSpec("rotated", n_tasks=4, n_train=120, n_test=80, n_features=3,
+                                 n_classes=3, noise=0.4, seed=1)),
+             {1: [slice(0, 1923)], 2: [slice(0, 1760), slice(1760, 1923)]})]
+    methods = [MethodSpec("gem", strength=0.5), MethodSpec("p_mgem", d_param=2, strength=0.5),
+               MethodSpec("d_mgem", d_data=2, strength=0.5),
+               MethodSpec("md_mgem", d_param=2, d_data=2, strength=0.5),
+               MethodSpec("gem", strength=0.5, solver="approx"),
+               MethodSpec("d_mgem", d_data=3, strength=0.0)]
+    worst, same_R = [], True
+    for mlp, stream, spans in nets:
+        gaps = []
+        for method in methods:
+            cfg = desk_cfg(method, iters=40)
+            result = run(stream, mlp, cfg)
+            R, params = reference_run(stream, mlp, cfg, spans[method.d_param])
+            same_R = same_R and np.array_equal(result.accuracy, R)
+            gaps.append(float(np.max(np.abs(result.final_params - params))))
+        worst.append(max(gaps))
+    elapsed = time.perf_counter() - start
+    report(11, same_R and max(worst) <= 1e-12,
+           f"6 methods on 2,16,4 and 3,40,40,3: identical R, final parameters within "
+           f"{worst[0]:.1e} and {worst[1]:.1e} of the reference loop (<= 1e-12); {elapsed:.1f}s")

@@ -253,6 +253,11 @@ def test_counts_are_plain_integers(tmp_path, capsys, flag, value):
      r"\[model\] layer_sizes 3,8,2 do not fit task 1: label out of range for 2 classes"),
     (("model.layer_sizes = 3,8,3", "model.layer_sizes = 2,8,3"),
      r"\[model\] layer_sizes 2,8,3 do not fit task 1: features shape"),
+    (("train.lr = 0.05", "train.lr = 0.05\ntrain.seed = 18446744073709551616"),
+     r"\[train\] seed must lie in \[0, 2\*\*64\), got 18446744073709551616"),
+    (("stream.seed = 1", "stream.seed = 18446744073709551616"),
+     r"\[stream\] seed must lie in \[0, 2\*\*64\), got 18446744073709551616"),
+    (("stream.seed = 1", "stream.seed = -1"), r"\[stream\] seed must lie in"),
 ])
 def test_settings_no_job_can_train_with_are_config_errors(tmp_path, capsys, command, edit,
                                                           message):
@@ -260,6 +265,17 @@ def test_settings_no_job_can_train_with_are_config_errors(tmp_path, capsys, comm
     assert main([command, "--config", cfg]) == 1
     assert re.search(r"^config error: " + message, capsys.readouterr().err)
     assert not (tmp_path / "o").exists()  # rejected before anything runs
+
+
+@pytest.mark.parametrize("command", ["run", "pareto"])
+def test_a_seed_past_the_last_64_bit_word_is_a_config_error(tmp_path, capsys, command):
+    # the second seed of ``--seeds 2`` is 2**64; it used to fail in job 2
+    cfg = write_cfg(tmp_path, PARETO_CFG + "train.seed = 18446744073709551615\n"
+                    f"output.dir = {tmp_path / 'o'}\n")
+    assert main([command, "--config", cfg, "--seeds", "2"]) == 1
+    assert re.search(r"^config error: \[train\] seed must lie in \[0, 2\*\*64\), "
+                     r"got 18446744073709551616 \(single\)$", capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
 
 
 def test_pareto_checks_every_grid_method(tmp_path, capsys):

@@ -88,6 +88,13 @@ def test_method_spec_validation():
             MethodSpec("gem", strength=bad)
     with pytest.raises(ValueError):
         MethodSpec("gem", solver="cvxpy")
+    # module counts are integers: 2.5 would train 2 modules and report 2.5
+    with pytest.raises(ValueError, match=r"^d_param must be an integer, got 2\.5$"):
+        MethodSpec("p_mgem", d_param=2.5)
+    with pytest.raises(ValueError, match=r"^d_data must be an integer, got 2\.0$"):
+        MethodSpec("d_mgem", d_data=2.0)
+    numpy_count = MethodSpec("md_mgem", d_param=np.int64(2), d_data=np.uint8(3))
+    assert (type(numpy_count.d_param), numpy_count.d_data) == (int, 3)
     assert MethodSpec("p_mgem", d_param=1).kind == "p_mgem"  # D=1 reduces to GEM
     assert MethodSpec("gem", solver="approx").label == "approx_gem"
 

@@ -160,6 +160,24 @@ def test_train_config_rejects_a_bad_lr():
             cfg(MethodSpec("gem"), lr=bad)
 
 
+@pytest.mark.parametrize("field,bad", [("iters_per_task", 2.5), ("batch_size", 4.0),
+                                       ("memory_per_task", 8.5), ("seed", 1.5)])
+def test_train_config_counts_and_seed_are_integers(field, bad):
+    kwargs = dict(lr=0.05, iters_per_task=40, batch_size=16, memory_per_task=24,
+                  method=MethodSpec("gem"), seed=0)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {bad}$"):
+        TrainConfig(**{**kwargs, field: bad})
+    assert TrainConfig(**{**kwargs, field: np.int64(kwargs[field])}) == TrainConfig(**kwargs)
+
+
+@pytest.mark.parametrize("seed", [2**64, 2**64 + 1, -1])
+def test_train_config_seed_is_a_64_bit_word(seed):
+    # 2**64 would alias seed 0's streams and then overflow ``derive_seed``
+    with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\*\*64\), got {seed}$"):
+        cfg(MethodSpec("gem"), seed=seed)
+    assert cfg(MethodSpec("gem"), seed=2**64 - 1).seed == 2**64 - 1
+
+
 def test_memory_too_large_rejected():
     stream = rotated_stream(n_train=20)
     with pytest.raises(ValueError):

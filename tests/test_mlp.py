@@ -47,10 +47,16 @@ def test_init_xavier_bounds():
     assert np.max(np.abs(block(p, spec, 0, 0))) <= s0
 
 
-@pytest.mark.parametrize("bad", [(5,), (3, 1), (0, 4, 2)])
+@pytest.mark.parametrize("bad", [(5,), (3, 1), (0, 4, 2), (2, 5.0, 3)])
 def test_spec_validation(bad):
     with pytest.raises(ValueError):
         MlpSpec(bad)
+
+
+def test_spec_takes_numpy_integer_sizes_and_truncates_nothing():
+    assert MlpSpec((np.int64(2), np.uint8(5), 3)).layer_sizes == (2, 5, 3)
+    with pytest.raises(ValueError, match=r"^layer size must be an integer, got 2\.7$"):
+        MlpSpec((2.7, 5, 3))  # used to become (2, 5, 3)
 
 
 def test_uniform_logits_loss_is_log_c():
@@ -230,7 +236,8 @@ def test_group_grads_rejects_sizes_that_do_not_split_the_rows(sizes):
 
 def reference_backprop(params, spec, data, sizes):
     """The column-sum formulation of ``_backprop``, kept as its reference:
-    a separate bias sum per layer and ``.sum`` over the classes."""
+    a separate bias sum per layer, and a softmax denominator that adds the
+    classes one by one, in order."""
     X, y = data.features, data.labels
     n = X.shape[0]
     lead = params.shape[:-1]
@@ -246,7 +253,11 @@ def reference_backprop(params, spec, data, sizes):
     logits += b
     top = logits.T.copy().max(axis=0).T[..., None]
     shifted = logits - top
-    log_p = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    e = np.exp(shifted)
+    z = e[..., 0].copy()
+    for k in range(1, spec.n_out):
+        z += e[..., k]
+    log_p = shifted - np.log(z)[..., None]
     target = (..., np.arange(n), y)
     nll = -log_p[target]
     n_groups = len(sizes)
@@ -283,10 +294,11 @@ def reference_backprop(params, spec, data, sizes):
 @pytest.mark.parametrize("n_classes", range(2, 13))
 def test_backprop_equals_the_column_sum_formulation_bitwise(n_classes, activation):
     # the ones column, the class-major softmax and the equal-size runs give
-    # the floats of a separate bias sum, ``.sum`` over the classes and one
-    # product per group; 7 and 8 classes straddle the ordered-sum rule, one
-    # group is over 256 rows, and the last three layouts are the engine's
-    # traced passes (d_data 1 and 2) and runs of equal groups between others
+    # the floats of a separate bias sum, an in-order class sum and one
+    # product per group; from 8 classes on a row-major ``.sum`` would add
+    # pairwise instead, one group is over 256 rows, and the last three
+    # layouts are the engine's traced passes (d_data 1 and 2) and runs of
+    # equal groups between others
     rng = rng_from(n_classes, "ones-column", activation)
     specs = [MlpSpec((2, 16, n_classes), activation),
              MlpSpec((3, 9, 7, n_classes), activation)]
@@ -301,6 +313,21 @@ def test_backprop_equals_the_column_sum_formulation_bitwise(n_classes, activatio
         assert nll.shape == want_nll.shape and grads.shape == want_grads.shape
         assert nll.tobytes() == want_nll.tobytes(), (spec, sizes, lead)
         assert grads.tobytes() == want_grads.tobytes(), (spec, sizes, lead)
+
+
+@pytest.mark.parametrize("n_classes", range(2, 13))
+def test_a_class_major_sum_adds_the_classes_in_order(n_classes):
+    # the softmax denominator of ``_backprop`` is ``.sum(axis=0)`` over a
+    # class-major ``(C, n)`` or ``(C, n, J)`` copy: numpy adds the class
+    # rows one by one, in order, for every class count; a pairwise sum
+    # would give other bits from 8 classes on
+    rng = rng_from(n_classes, "class-sum")
+    for shape in [(2,), (16,), (300,), (1, 5), (16, 1), (16, 3), (300, 24)]:
+        e = np.exp(8.0 * rng.standard_normal((n_classes,) + shape))
+        want = e[0] + e[1]
+        for row in e[2:]:
+            want += row
+        assert e.sum(axis=0).tobytes() == want.tobytes(), shape
 
 
 def test_cut_datasets_keep_features_and_inputs_together():

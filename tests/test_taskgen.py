@@ -30,6 +30,17 @@ def test_spec_validation():
         StreamSpec(family="csv")  # csv needs paths
     with pytest.raises(ValueError, match="csv_paths needs the csv family, got 'rotated'"):
         spec(csv_paths=("a.csv",))  # only the csv family reads files
+    for field, bad in [("n_tasks", 2.5), ("n_train", 40.5), ("n_test", 30.0),
+                       ("n_features", 4.0), ("n_classes", 3.5), ("seed", 1.5)]:
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {bad}$"):
+            spec(**{field: bad})
+    # 2**64 would draw seed 0's streams, and a negative seed those of seed mod 2**64
+    for bad in (2**64, -1):
+        with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\*\*64\), got {bad}$"):
+            spec(seed=bad)
+        with pytest.raises(ValueError, match=r"^seed must lie in"):
+            StreamSpec(family="csv", csv_paths=("a.csv",), seed=bad)
+    assert spec(seed=np.uint64(2**64 - 1), n_train=np.int32(60)).seed == 2**64 - 1
 
 
 def test_generation_is_deterministic():
