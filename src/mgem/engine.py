@@ -150,10 +150,11 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
     one hidden layer of 16 to 100 units (``pareto2``), ``3,9,7,5`` and two
     hidden layers of 8 or 16 units. A hidden-to-hidden layer of 32 or more
     units (e.g. ``2,64,64,10``) gives other last bits for 16 rows than for
-    more (the backward product ``delta @ [W; b]^T`` from 32 units, the
-    forward product too at 64), so on such a net the minibatch and memory
-    rows of a step depend in the last bits on which rows share its pass,
-    and a traced run can differ from the same run untraced.
+    more in its backward product ``delta @ [W; b]^T`` (the forward products
+    ``[h, 1] @ [W; b]`` of ``2,64,64,10`` give the same bits for 16 rows as
+    for 304), so on such a net the minibatch and memory rows of a step
+    depend in the last bits on which rows share its pass, and a traced run
+    can differ from the same run untraced.
 
     The stored memories are a list of datasets, each memory split by split,
     with a list of split sizes; both grow once per task. The memory rows

@@ -10,9 +10,11 @@ how the engine trains jobs in lockstep; ``predict`` and ``accuracy`` take a
 stack too.
 
 The forward pass gives each layer's input a trailing column of ones. A
-layer's ``W`` and ``b`` are adjacent in the flat vector, so one matrix
-product of that input with a group's output deltas writes both the weight
-and the bias gradient, and no per-row reduction is left for the bias.
+layer's ``W`` and ``b`` are adjacent in the flat vector, one ``[W; b]``
+block, so each layer's forward is one product ``[h, 1] @ [W; b]``, whose
+last term adds the bias, and one matrix product of that input with a
+group's output deltas writes both the weight and the bias gradient: no
+per-row broadcast or reduction is left for the bias.
 The ones column adds a group's delta rows in row order, as a column sum
 does, so the gradients are the same floats. The softmax runs class-major,
 on one transposed copy of the logits, for every class count, and adds its
@@ -143,20 +145,18 @@ def init_params(spec: MlpSpec, seed: int) -> np.ndarray:
 
 
 def _weights(params: np.ndarray, spec: MlpSpec):
-    """Per-layer ``(W, b)`` views into a flat vector ``(P,)`` or a stack of
-    them ``(J, P)``; a stack gives ``W`` of shape ``(J, fan_in, fan_out)``
-    and ``b`` of shape ``(J, 1, fan_out)``, which broadcast over samples.
-    A hidden layer's ``b`` runs one entry on, into the next layer's ``W``
-    (``fan_out + 1`` entries), so that it spans the next layer's input with
-    its ones column (``_forward``)."""
+    """Per-layer ``[W; b]`` views into a flat vector ``(P,)`` or a stack of
+    them ``(J, P)``: a layer stores ``W`` row-major and then ``b``, so each
+    is one ``(fan_in + 1, fan_out)`` block, ``(J, fan_in + 1, fan_out)`` for
+    a stack. A layer input with its trailing ones column (``_forward``)
+    times that block is the layer's output, bias included."""
     layers = layer_slices(spec)
     shape = np.shape(params)
     if len(shape) not in (1, 2) or shape[-1] != layers[-1][1].stop:
         raise ValueError(f"parameter vector of shape {shape} does not fit {spec}")
     lead = shape[:-1]
-    return [(params[..., w].reshape(lead + (fan_in, fan_out)),
-             params[..., None, b.start:b.stop + (i < len(layers) - 1)])
-            for i, (w, b, fan_in, fan_out) in enumerate(layers)]
+    return [params[..., w.start:b.stop].reshape(lead + (fan_in + 1, fan_out))
+            for w, b, fan_in, fan_out in layers]
 
 
 def _check_features(spec: MlpSpec, features: np.ndarray):
@@ -179,31 +179,24 @@ def _forward(weights, spec: MlpSpec, X1: np.ndarray):
     activation derivative is read off the activation's output.
 
     Each input carries a trailing column of ones (``X1`` is the features
-    with it, ``Dataset.inputs``), so the weight-gradient product of
-    ``_backprop`` also gives the bias gradient. A forward product reads the
-    other columns, and ``b`` is added after it, as a separate step. A
-    hidden layer's ``b`` also adds an entry to the ones column
-    (``_weights``), which is set to 1 after the activation."""
+    with it, ``Dataset.inputs``), so every layer is one product with its
+    ``[W; b]`` block (``_weights``), whose last term adds the bias, and the
+    weight-gradient product of ``_backprop`` also gives the bias gradient.
+    A hidden layer writes its product into the columns before its ones
+    column, which is set to 1 first and which the activation leaves at 1."""
     n = X1.shape[0]
     hs = [X1]
-    x = X1[:, :-1]  # the input without its ones column
-    for W, b in weights[:-1]:
-        fan_out = W.shape[-1]
-        h = np.empty(W.shape[:-2] + (n, fan_out + 1))
-        ones = h[..., fan_out]
-        ones.fill(0.0)  # np.empty leaves it unset; the bias add lands on it
-        x = np.matmul(x, W, out=h[..., :fan_out])
-        h += b
+    for wb in weights[:-1]:
+        fan_out = wb.shape[-1]
+        h = np.empty(wb.shape[:-2] + (n, fan_out + 1))
+        h[..., fan_out] = 1.0
+        z = np.matmul(hs[-1], wb, out=h[..., :fan_out])
         if spec.activation == "relu":
             np.maximum(h, 0.0, out=h)
         else:
-            np.tanh(h, out=h)
-        ones.fill(1.0)
+            np.tanh(z, out=z)
         hs.append(h)
-    W, b = weights[-1]
-    logits = x @ W
-    logits += b
-    return logits, hs
+    return hs[-1] @ weights[-1], hs
 
 
 def predict(params: np.ndarray, spec: MlpSpec, features) -> np.ndarray:
@@ -228,10 +221,13 @@ def _backprop(params: np.ndarray, spec: MlpSpec, data: Dataset, sizes):
     one parameter vector ``(P,)`` or a stack of them ``(J, P)``.
 
     The rows of ``data`` form contiguous groups of ``sizes`` rows. One
-    forward and one backward pass serve every group: ``delta`` is scaled
-    by each row's own group size, so a group's weight and bias gradient is
-    the segment product ``[h_g, 1]^T delta_g`` (the per-example-gradient
-    trick, without materialising a gradient per sample). A layer stores
+    forward pass, one product ``[h, 1] @ [W; b]`` per layer (``_forward``),
+    and one backward pass, which takes each layer's input deltas from the
+    same ``[W; b]`` views (``_weights``), serve every group: ``delta`` is
+    scaled by each row's own group size, so a group's weight and bias
+    gradient is the segment product ``[h_g, 1]^T delta_g`` (the
+    per-example-gradient trick, without materialising a gradient per
+    sample). A layer stores
     ``W`` row-major and then ``b``, so ``[g_W; g_b]`` is one
     ``(fan_in + 1, fan_out)`` block of a gradient row, and one
     ``np.matmul`` per layer writes both: the ones column of each layer
@@ -263,7 +259,8 @@ def _backprop(params: np.ndarray, spec: MlpSpec, data: Dataset, sizes):
         raise ValueError(f"group sizes {sizes} do not split {n} samples")
 
     lead = params.shape[:-1]
-    logits, hs = _forward(_weights(params, spec), spec, data.inputs)
+    weights = _weights(params, spec)
+    logits, hs = _forward(weights, spec, data.inputs)
     n_groups = len(sizes)
     # (first group, rows, group size, group count) of each run of
     # consecutive equal-size groups: one stacked product per run and layer
@@ -301,8 +298,7 @@ def _backprop(params: np.ndarray, spec: MlpSpec, data: Dataset, sizes):
             # delta for each input column, the ones column's too, from
             # [W; b]; that one is scaled by 1, never by 0 (an overflow
             # there cannot raise), and then dropped
-            wb = params[..., w.start:b.stop].reshape(lead + (fan_in + 1, fan_out))
-            delta = delta @ wb.swapaxes(-1, -2)
+            delta = delta @ weights[i].swapaxes(-1, -2)
             if spec.activation == "relu":
                 delta *= h > 0.0
             else:

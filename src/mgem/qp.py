@@ -32,20 +32,21 @@ Three routes are provided:
 
 ``solve_batch`` solves many instances at once, each by the exact or the
 approximate route: a ``QpInstance`` may hold a stack of instances that share
-m, n and form, and the exact instances of every stack with the same m run
-through one Lawson-Hanson core on ``(B, m, m)`` arrays, each advancing
-through its own pivots and Newton steps under masks. ``solve_exact`` and
-``solve_approx`` are its one-instance case. Every result is the one the
-instance gets alone, bit for bit: each stacked product is the per-instance
-product (Gram, ``K u``, ``K_j . d`` as a 1 x m by m x 1 product, the
-direction), and each round solves every free-set system as one ``(B, m, m)``
-stack, ``K`` on the free block and the identity elsewhere.
+m, n and form, and the exact instances of every stack with the same m and
+form run through one Lawson-Hanson core on ``(B, m, m)`` arrays, each
+advancing through its own pivots and Newton steps under masks.
+``solve_exact`` and ``solve_approx`` are its one-instance case. Every
+result is the one the instance gets alone, bit for bit: each stacked
+product is the per-instance product (Gram, ``K u``, ``K_j . d`` as a 1 x m
+by m x 1 product, the direction), and each round solves every free-set
+system as one ``(B, m, m)`` stack, ``K`` on the free block and the
+identity elsewhere.
 
 A row whose squared norm is below ``MIN_ROW_SQNORM`` carries no direction
 (e.g. the gradient of a fully fit memory) and is left out of its instance:
 its multiplier is 0 and it adds no constraint. ``rows_dropped`` of a
-``DualSolution`` counts such rows. One helper, ``_rows``, validates an
-instance and makes this decision from one pass of squared row norms, for
+``DualSolution`` counts such rows. One helper, ``_rows``, validates
+instances and makes this decision from one pass of squared row norms, for
 every route and for ``lower_bounds`` and ``kkt_residual``, so they all
 agree on a row at the threshold.
 """
@@ -140,36 +141,42 @@ def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(A, x[..., None])[..., 0]
 
 
-def _rows(rows, target, strength, form):
-    """Validate a stack and decide which rows count, for every route and
-    diagnostic: ``(sq, out, lb, cg)``, the squared row norms, the rows left
-    out (``sq < MIN_ROW_SQNORM``), the lower bounds of ``v`` (the strength
-    in the box form, else 0; 0 for a row left out) and ``C g``. A row
-    holding NaN or Inf has a non-finite norm."""
-    sq = np.einsum("bij,bij->bi", rows, rows)
-    if not (np.isfinite(sq).all()
-            and np.isfinite(target).all()
-            and np.isfinite(strength).all()):
+def _rows(stacks, form):
+    """Validate ``(rows, target, strength)`` stacks of one m and form, and
+    decide which rows count, for every route and diagnostic: ``(sq, out,
+    lb, cg)`` over the stacks' instances in order, the squared row norms,
+    the rows left out (``sq < MIN_ROW_SQNORM``), the lower bounds of ``v``
+    (the strength in the box form, else 0; 0 for a row left out) and
+    ``C g``. The norms and ``C g`` are taken stack by stack, so each keeps
+    its rows' memory layout; the rest is m-sized work on the joined
+    ``(B, m)`` arrays. A row holding NaN or Inf has a non-finite norm."""
+    sq = np.concatenate([np.einsum("bij,bij->bi", rows, rows) for rows, _, _ in stacks])
+    strength = np.concatenate([strength for _, _, strength in stacks])
+    if not (np.isfinite(sq).all() and np.isfinite(strength).all()
+            and all(np.isfinite(target).all() for _, target, _ in stacks)):
         raise ValueError("QP instance contains NaN or Inf")
     if (strength < 0.0).any():
         raise ValueError("strength must be entrywise >= 0")
     out = sq < MIN_ROW_SQNORM
-    return sq, out, np.where(out | (form != BOX_FORM), 0.0, strength), _matvec(rows, target)
+    cg = np.concatenate([_matvec(rows, target) for rows, target, _ in stacks])
+    return sq, out, np.where(out | (form != BOX_FORM), 0.0, strength), cg
 
 
-def _gram(rows, target, strength, form):
-    """Validated stacked ``(K, h, lb, out)`` from ``_rows``: at
-    ``v = lb + u`` the dual gradient is ``K u + h`` (``gamma = 0`` in the
-    box form). A row left out (``out``) has 0 for its Gram row and column,
-    its ``h`` entry and its lower bound, so no solver ever frees it."""
-    _, out, lb, cg = _rows(rows, target, strength, form)
-    K = rows @ np.swapaxes(rows, -1, -2)
+def _gram(stacks, form):
+    """Validated ``(K, h, lb, out)`` of stacks of one m and form, from
+    ``_rows``: at ``v = lb + u`` the dual gradient is ``K u + h``
+    (``gamma = 0`` in the box form). Each stack's Gram product keeps its
+    rows' layout. A row left out (``out``) has 0 for its Gram row and
+    column, its ``h`` entry and its lower bound, so no solver ever frees
+    it."""
+    _, out, lb, cg = _rows(stacks, form)
+    K = np.concatenate([rows @ np.swapaxes(rows, -1, -2) for rows, _, _ in stacks])
     dropped = np.count_nonzero(out)
     if dropped:
         K = np.where(out[..., :, None] | out[..., None, :], 0.0, K)
     h = cg + _matvec(K, lb)
     if form == REGULARIZED_FORM:
-        h -= strength
+        h -= np.concatenate([strength for _, _, strength in stacks])
     if dropped:
         h[out] = 0.0
     return K, h, lb, out
@@ -183,7 +190,7 @@ def _kkt(u: np.ndarray, grad: np.ndarray):
 
 def lower_bounds(inst: QpInstance) -> np.ndarray:
     """The lower bounds of ``v`` (``_rows``), stacked like ``inst``."""
-    lb = _rows(*_stack(inst), inst.form)[2]
+    lb = _rows([_stack(inst)], inst.form)[2]
     return lb if inst.target.ndim == 2 else lb[0]
 
 
@@ -210,7 +217,7 @@ def kkt_residual(inst: QpInstance, v: np.ndarray) -> float:
     """
     if inst.target.ndim != 1:
         raise ValueError("kkt_residual takes one instance, not a stack")
-    K, h, lb, out = (a[0] for a in _gram(*_stack(inst), inst.form))
+    K, h, lb, out = (a[0] for a in _gram([_stack(inst)], inst.form))
     u = np.where(out, 0.0, np.asarray(v, dtype=np.float64) - lb)
     return float(_kkt(u, K @ u + h))
 
@@ -254,7 +261,11 @@ def _lawson_hanson(K: np.ndarray, h: np.ndarray, tol: float, max_iter: int):
     pivot and Newton step solves on its free set, all in one ``(B, m, m)``
     stack (``K`` on the free block, the identity elsewhere), and all move
     at once. A stopped instance moves by ``0 * d`` and stays where it is.
-    Returns ``u``, the solve counts and the KKT residuals.
+    The gradient ``K u + h`` is taken once per round, after the move (at
+    ``u = 0`` it is ``h``). Returns ``u``, the solve counts and the KKT
+    residuals, taken from the last round's gradient: the loop stops only at
+    the top of a round, before any move, so that gradient is at the final
+    ``u``, and the last top-of-loop KKT test already holds the residuals.
     """
     B, m = h.shape
     u = np.zeros((B, m))
@@ -265,15 +276,17 @@ def _lawson_hanson(K: np.ndarray, h: np.ndarray, tol: float, max_iter: int):
     running = np.full(B, m > 0)         # with no rows, u = 0 is optimal
     every = np.arange(B)
     eye = np.eye(m)
+    grad = h  # K u + h at u = 0
     for rounds in itertools.count():
         if rounds >= max_iter:  # no instance has more solves than rounds
             running &= solves < max_iter
-        grad = _matvec(K, u) + h
         pivot = running & ~newton
+        residual = None
         if np.count_nonzero(pivot):
             # the top of the loop: stop at KKT, else pivot on the most
             # negative gradient
-            done = pivot & (_kkt(u, grad) <= tol)
+            residual = _kkt(u, grad)
+            done = pivot & (residual <= tol)
             pivot ^= done
             running ^= done
             w = np.where(free, 0.0, -grad)
@@ -336,7 +349,8 @@ def _lawson_hanson(K: np.ndarray, h: np.ndarray, tol: float, max_iter: int):
         u[out] = 0.0
         free[out] = False
         newton = t != limit
-    return u, solves, _kkt(u, _matvec(K, u) + h)
+        grad = _matvec(K, u) + h
+    return u, solves, _kkt(u, grad) if residual is None else residual
 
 
 def solve_batch(insts, solvers, tol: float = DEFAULT_TOL,
@@ -344,10 +358,15 @@ def solve_batch(insts, solvers, tol: float = DEFAULT_TOL,
     """Solve every instance of ``insts`` (each one instance or a stack),
     by the route ``solvers[i]`` names: ``EXACT`` or ``APPROX``.
 
-    Returns one ``DualSolution`` per entry, stacked like it. The exact
-    instances of every entry with the same m share one Lawson-Hanson core
-    (``tol``, ``max_iter`` as in ``solve_exact``); the approximate ones are
-    one closed form per entry. Each result equals the one its instance gets
+    Returns one ``DualSolution`` per entry, stacked like it. The entries
+    with the same m, form and route form one core: it is validated, and its
+    m-sized work (lower bounds, ``h``, the rows left out) done, once, on the
+    joined ``(B, m)`` arrays of its entries (``_rows``, ``_gram``). Its
+    exact instances share one Lawson-Hanson core (``tol``, ``max_iter`` as
+    in ``solve_exact``), its approximate ones one closed form. The n-wide
+    products (row norms, ``C g``, the Gram matrix, the direction) stay per
+    entry. Bad input raises the error that checking the entries one by one,
+    in order, raises first. Each result equals the one its instance gets
     alone, bit for bit.
     """
     if tol <= 0.0:
@@ -356,48 +375,56 @@ def solve_batch(insts, solvers, tol: float = DEFAULT_TOL,
     if len(solvers) != len(insts):
         raise ValueError(f"got {len(solvers)} solvers for {len(insts)} instances")
     stacks = [_stack(inst) for inst in insts]
-    v, lb, out, solves, residual = ([None] * len(insts) for _ in range(5))
-    exact = {}   # m -> [(entry, K, h)]
-    for i, (inst, solver, (rows, target, strength)) in enumerate(zip(insts, solvers, stacks)):
-        if solver == EXACT:
-            K, h, lb[i], out[i] = _gram(rows, target, strength, inst.form)
-            exact.setdefault(inst.m, []).append((i, K, h))
-        elif solver == APPROX:
-            if inst.form != BOX_FORM:
-                raise ValueError("approximate solver handles the box_lower_bound form only")
-            sq, out[i], lb[i], cg = _rows(rows, target, strength, BOX_FORM)
-            nu = np.divide(-cg, sq, out=np.zeros_like(sq), where=~out[i])
-            v[i] = np.maximum(nu, lb[i])
-            solves[i] = np.zeros(len(rows), dtype=np.int64)
-        else:
-            raise ValueError(f"unknown solver {solver!r}")
-    for group in exact.values():
-        u, n_solves, res = _lawson_hanson(np.concatenate([g[1] for g in group]),
-                                          np.concatenate([g[2] for g in group]),
-                                          tol, max_iter)
-        at = 0
-        for i, _, _ in group:
-            end = at + len(lb[i])
-            v[i], solves[i], residual[i] = lb[i] + u[at:end], n_solves[at:end], res[at:end]
-            at = end
 
-    sols = []
-    for i, (inst, (rows, target, strength)) in enumerate(zip(insts, stacks)):
-        direction = target + _matvec(np.swapaxes(rows, -1, -2), v[i])
-        if residual[i] is None:   # approximate: the box form's KKT residual at v
-            grad = np.where(out[i], 0.0, _matvec(rows, direction))
-            residual[i] = _kkt(v[i] - lb[i], grad)
-            converged = np.ones(len(rows), dtype=bool)
+    def check_each(n):  # the error that checking entries 0..n-1 one by one raises first
+        for stack, inst in zip(stacks[:n], insts):
+            _rows([stack], inst.form)
+
+    groups = {}  # (m, form, solver) -> entries
+    for i, (inst, solver) in enumerate(zip(insts, solvers)):
+        if solver not in (EXACT, APPROX) or (solver == APPROX and inst.form != BOX_FORM):
+            check_each(i)
+            raise ValueError(f"unknown solver {solver!r}" if solver not in (EXACT, APPROX) else
+                             "approximate solver handles the box_lower_bound form only")
+        groups.setdefault((inst.m, inst.form, solver), []).append(i)
+    try:
+        built = [(entries, solver, (_gram if solver == EXACT else _rows)(
+                      [stacks[i] for i in entries], form))
+                 for (_, form, solver), entries in groups.items()]
+    except ValueError:
+        check_each(len(insts))
+        raise
+
+    sols = [None] * len(insts)
+    for entries, solver, arrays in built:
+        if solver == EXACT:
+            K, h, lb, out = arrays
+            u, solves, residual = _lawson_hanson(K, h, tol, max_iter)
+            v, converged = lb + u, residual <= tol
         else:
-            converged = residual[i] <= tol
-        dropped = out[i].sum(axis=-1)
-        if inst.target.ndim == 2:
-            sols.append(DualSolution(v[i], direction, solves[i], residual[i], converged,
-                                     dropped))
-        else:
-            sols.append(DualSolution(v[i][0], direction[0], int(solves[i][0]),
-                                     float(residual[i][0]), bool(converged[0]),
-                                     int(dropped[0])))
+            sq, out, lb, cg = arrays
+            v = np.maximum(np.divide(-cg, sq, out=np.zeros_like(sq), where=~out), lb)
+            solves, residual = np.zeros(len(sq), dtype=np.int64), None
+            converged = np.ones(len(sq), dtype=bool)
+        dropped = out.sum(axis=-1)
+        at = 0
+        for i in entries:
+            rows, target, _ = stacks[i]
+            cut = slice(at, at + len(target))
+            at = cut.stop
+            direction = target + _matvec(np.swapaxes(rows, -1, -2), v[cut])
+            if residual is None:  # approximate: the box form's KKT residual at v
+                grad = np.where(out[cut], 0.0, _matvec(rows, direction))
+                res = _kkt(v[cut] - lb[cut], grad)
+            else:
+                res = residual[cut]
+            if insts[i].target.ndim == 2:
+                sols[i] = DualSolution(v[cut], direction, solves[cut], res, converged[cut],
+                                       dropped[cut])
+            else:
+                j = cut.start
+                sols[i] = DualSolution(v[j], direction[0], int(solves[j]), float(res[0]),
+                                       bool(converged[j]), int(dropped[j]))
     return sols
 
 
@@ -423,37 +450,41 @@ def solve_enumerate(inst: QpInstance) -> DualSolution:
     coordinates solve the Gram-space stationarity system with the rest
     pinned to their bounds, and the candidate is kept iff it is feasible
     and the pinned coordinates have non-negative dual gradient, both to
-    ``1e-9 * (1 + max|h| + max(|K| |u|))``. Singular subsystems are
-    skipped. The dual is convex, so every kept candidate is optimal; the
-    one returned has the smallest KKT residual ``max|min(u, K u + h)|``,
-    the first enumerated on ties. On a near-singular face with huge
+    ``1e-9 * (1 + max|h| + max(|K| |u|))``. The subsets of one size solve
+    as one stack, each as it would alone (``_solve_stack``); singular
+    subsystems are skipped. The dual is convex, so every kept candidate is
+    optimal; the one returned has the smallest KKT residual
+    ``max|min(u, K u + h)|``, the first enumerated on ties. On a near-singular face with huge
     multipliers that residual exposes the face's error, where the
     objective's values of the candidates differ only by rounding.
     """
     if inst.target.ndim != 1:
         raise ValueError("solve_enumerate takes one instance, not a stack")
-    K, h, lb, out = (a[0] for a in _gram(*_stack(inst), inst.form))
+    K, h, lb, out = (a[0] for a in _gram([_stack(inst)], inst.form))
     m = inst.m
     if m > _ENUM_MAX_M:
         raise ValueError(f"enumeration supports m <= {_ENUM_MAX_M}, got {m}")
 
     h_scale = 1.0 + np.abs(h).max(initial=0.0)
     absK = np.abs(K)
+    # row `mask` of `faces` is that mask's free set
+    faces = (np.arange(2 ** m)[:, None] >> np.arange(m) & 1).astype(bool)
+    us = np.zeros((2 ** m, m))
+    kept = np.ones(2 ** m, dtype=bool)
+    n_free = faces.sum(axis=1)
+    for size in range(1, m + 1):
+        masks = np.flatnonzero(n_free == size)
+        idx = faces[masks].nonzero()[1].reshape(-1, size)
+        x, singular = _solve_stack(K[idx[:, :, None], idx[:, None, :]], -h[idx])
+        us[masks[:, None], idx] = x
+        if singular is not None:
+            kept[masks[singular]] = False
+    kept &= np.isfinite(us).all(axis=1)
 
     best_u = None
     best_res = np.inf
-    tried = 0
-    for mask in range(2 ** m):
-        free = np.array([mask >> k & 1 for k in range(m)], dtype=bool)
-        u = np.zeros(m)
-        if free.any():
-            try:
-                u[free] = np.linalg.solve(K[np.ix_(free, free)], -h[free])
-            except np.linalg.LinAlgError:
-                continue
-            if not np.all(np.isfinite(u)):
-                continue
-        tried += 1
+    for mask in kept.nonzero()[0]:
+        u, free = us[mask], faces[mask]
         grad = K @ u + h
         # scaled by the terms of K u + h: a near-singular face fixes u only
         # to about eps * cond * |u|, an error the pinned rows' gradients see
@@ -466,8 +497,8 @@ def solve_enumerate(inst: QpInstance) -> DualSolution:
     if best_u is None:
         raise RuntimeError("no active set satisfied the KKT conditions")
     v = lb + best_u
-    return DualSolution(v, inst.target + inst.constraint_rows.T @ v, tried,
-                        best_res, True, int(out.sum()))
+    return DualSolution(v, inst.target + inst.constraint_rows.T @ v,
+                        int(np.count_nonzero(kept)), best_res, True, int(out.sum()))
 
 
 def solve_approx(inst: QpInstance) -> DualSolution:

@@ -8,6 +8,8 @@ from mgem.mlp import (
     Dataset,
     MlpSpec,
     _backprop,
+    _forward,
+    _weights,
     accuracy,
     fd_gradient,
     group_grads,
@@ -236,21 +238,25 @@ def test_group_grads_rejects_sizes_that_do_not_split_the_rows(sizes):
 
 def reference_backprop(params, spec, data, sizes):
     """The column-sum formulation of ``_backprop``, kept as its reference:
-    a separate bias sum per layer, and a softmax denominator that adds the
+    a forward product ``[h, 1] @ [W; b]`` per layer, a separate bias sum
+    per layer in the backward, and a softmax denominator that adds the
     classes one by one, in order."""
     X, y = data.features, data.labels
     n = X.shape[0]
     lead = params.shape[:-1]
-    ws = [(params[..., w].reshape(lead + (fan_in, fan_out)), params[..., None, b])
-          for w, b, fan_in, fan_out in layer_slices(spec)]
+    ws = [params[..., w].reshape(lead + (fan_in, fan_out)) for w, _, fan_in, fan_out
+          in layer_slices(spec)]
+    wbs = [np.concatenate([W, params[..., None, b]], axis=-2)
+           for W, (_, b, _, _) in zip(ws, layer_slices(spec))]
+
+    def layer(h, wb):
+        return np.concatenate([h, np.ones(h.shape[:-1] + (1,))], axis=-1) @ wb
+
     hs = [X]
-    for W, b in ws[:-1]:
-        z = hs[-1] @ W
-        z += b
+    for wb in wbs[:-1]:
+        z = layer(hs[-1], wb)
         hs.append(np.maximum(z, 0.0, out=z) if spec.activation == "relu" else np.tanh(z, out=z))
-    W, b = ws[-1]
-    logits = hs[-1] @ W
-    logits += b
+    logits = layer(hs[-1], wbs[-1])
     top = logits.T.copy().max(axis=0).T[..., None]
     shifted = logits - top
     e = np.exp(shifted)
@@ -282,7 +288,7 @@ def reference_backprop(params, spec, data, sizes):
                           out=g_w[..., g, :, :])
                 delta[..., rows, :].sum(axis=-2, out=g_b[..., g, :])
         if i > 0:
-            delta = delta @ ws[i][0].swapaxes(-1, -2)
+            delta = delta @ ws[i].swapaxes(-1, -2)
             if spec.activation == "relu":
                 delta *= h > 0.0
             else:
@@ -313,6 +319,33 @@ def test_backprop_equals_the_column_sum_formulation_bitwise(n_classes, activatio
         assert nll.shape == want_nll.shape and grads.shape == want_grads.shape
         assert nll.tobytes() == want_nll.tobytes(), (spec, sizes, lead)
         assert grads.tobytes() == want_grads.tobytes(), (spec, sizes, lead)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("lead", [(), (3,), (24,)], ids=["vector", "stack3", "stack24"])
+def test_each_forward_layer_is_one_product_with_its_bias_row(lead, activation):
+    # each layer of ``_forward`` is ``[h, 1] @ [W; b]``, built here with its
+    # own concatenations, bit for bit, and every hidden layer's ones column
+    # is exactly 1
+    rng = rng_from(len(lead), "one-product", activation)
+    for layers in [(2, 16, 4), (3, 9, 7, 5), (2, 64, 64, 10)]:
+        spec = MlpSpec(layers, activation)
+        params = 0.5 * rng.standard_normal(lead + (n_params(spec),))
+        X = rng.standard_normal((40, spec.n_in))
+        logits, hs = _forward(_weights(params, spec), spec, Dataset(X, np.zeros(40)).inputs)
+        h = X
+        for i, (w, b, fan_in, fan_out) in enumerate(layer_slices(spec)):
+            wb = np.concatenate([params[..., w].reshape(lead + (fan_in, fan_out)),
+                                 params[..., None, b]], axis=-2)
+            z = np.concatenate([h, np.ones(h.shape[:-1] + (1,))], axis=-1) @ wb
+            if i == len(layers) - 2:
+                assert logits.tobytes() == z.tobytes(), (layers, lead)
+                break
+            h = np.maximum(z, 0.0) if activation == "relu" else np.tanh(z)
+            out = hs[i + 1]
+            assert out.shape == lead + (40, fan_out + 1)
+            assert out[..., :-1].tobytes() == np.ascontiguousarray(h).tobytes(), (layers, i)
+            assert (out[..., -1] == 1.0).all()
 
 
 @pytest.mark.parametrize("n_classes", range(2, 13))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -500,6 +502,53 @@ def test_batched_solve_rejects_bad_input():
         qp.solve_batch([reg([[1.0, 0.0]], [1.0, 1.0], [0.5])], [qp.APPROX])
     with pytest.raises(ValueError):
         qp.QpInstance(np.zeros((2, 1, 3)), np.zeros((3, 3)), np.zeros((2, 1)))
+
+
+def test_batched_solve_raises_the_first_bad_entry_error():
+    # the entries fall in different (m, form, solver) cores, which validate
+    # together; the error is still the one checking entry by entry, in
+    # order, meets first
+    good = box([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], [0.0, 0.5])
+    negative = box([[1.0, 2.0]], [1.0, 1.0], [-0.5])
+    nan = box(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), [np.nan, 1.0], np.zeros(3))
+    nan_stack = qp.QpInstance(np.ones((2, 1, 2)), np.ones((2, 2)), [[0.0], [np.inf]])
+    approx_reg = reg([[1.0, 0.0]], [1.0, 1.0], [0.5])
+    cases = [
+        ([good, negative, nan], [qp.EXACT, qp.APPROX, qp.EXACT], "strength must be"),
+        ([good, nan, negative], [qp.EXACT, qp.EXACT, qp.APPROX], "NaN or Inf"),
+        ([good, nan_stack, negative], [qp.APPROX, qp.EXACT, qp.EXACT], "NaN or Inf"),
+        ([negative, good, nan], [qp.EXACT, qp.EXACT, qp.EXACT], "strength must be"),
+        ([good, nan, good], [qp.EXACT, qp.EXACT, "newton"], "NaN or Inf"),
+        ([good, good, nan], [qp.EXACT, "newton", qp.EXACT], "unknown solver 'newton'"),
+        ([negative, approx_reg], [qp.EXACT, qp.APPROX], "strength must be"),
+        ([good, approx_reg, nan], [qp.EXACT, qp.APPROX, qp.EXACT], "box_lower_bound form only"),
+    ]
+    for insts, solvers, error in cases:
+        with pytest.raises(ValueError, match=error):
+            qp.solve_batch(insts, solvers)
+
+
+def test_lawson_hanson_residual_is_the_kkt_residual_at_the_returned_point():
+    # the core returns the residuals of its last round's gradient; they
+    # equal those recomputed at the returned u, bit for bit. The stack's
+    # rows 0 and 1 are near-parallel, 5 rows in 3 dimensions at scales
+    # 1e-2 to 1e4: with OpenBLAS 0.3.31 its instances stop at the KKT
+    # tolerance (60), on a stall (1), a singular free set (1) and an
+    # unbounded dual (2), and at max_iter 1 and 2 most stop at the cap
+    rng = rng_from(3, "lawson-hanson-stops")
+    B = 64
+    rows = rng.standard_normal((B, 5, 3)) * 10.0 ** rng.uniform(-2, 4, size=(B, 5, 1))
+    rows[:, 1] = rows[:, 0] + 10.0 ** rng.uniform(-7, -3, size=(B, 1)) * rng.standard_normal((B, 3))
+    g = rng.standard_normal((B, 3)) * 10.0 ** rng.uniform(0, 3, size=(B, 1))
+    q = rng.choice([0.0, 0.5], size=(B, 1)) * np.ones((B, 5))
+    K, h, _, _ = qp._gram([(rows, g, q)], qp.BOX_FORM)
+    unbounded = reg([[1.0, 0.0], [-1.0, 0.0]], [0.3, -0.2], [1.0, 1.0])
+    K2, h2, _, _ = qp._gram([qp._stack(unbounded)], unbounded.form)
+    for (K, h), max_iter in itertools.product([(K, h), (K2, h2)], [1, 2, qp.DEFAULT_MAX_ITER]):
+        u, solves, residual = qp._lawson_hanson(K, h, qp.DEFAULT_TOL, max_iter)
+        want = qp._kkt(u, qp._matvec(K, u) + h)
+        assert residual.dtype == want.dtype and residual.tobytes() == want.tobytes(), max_iter
+    assert not (residual <= qp.DEFAULT_TOL).any()  # the unbounded dual stops unconverged
 
 
 def test_singular_system_in_a_stack_fails_only_its_own_solve():
