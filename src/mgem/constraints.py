@@ -16,11 +16,12 @@ parameter vector, one per module (``resolve_partition``).
 
 Every variant reads its rows from one stacked forward/backward pass per
 step over every split of every stored memory, then slices them per module.
-The engine keeps its stored memories in the order of that pass, each
-memory split by split, with the split sizes as its row groups; a memory of
-``gem`` or ``p_mgem`` is one split. The engine's traced inner
-products read the same rows; on a traced step they are the memory groups of
-the step's one pass, between its minibatch and its training sets.
+The engine keeps each stored memory split as one dataset, in the order of
+that pass (memory by memory, split by split), and each split is one row
+group of it; a memory of ``gem`` or ``p_mgem`` is one split. The engine's
+traced inner products read the same rows; on a traced step they are the
+memory groups of the step's one pass, between its minibatch and its
+training sets.
 
 Per-module problems are independent (the joint QP is block-diagonal), so
 solving them separately and concatenating the directions equals the joint

@@ -136,9 +136,9 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
     parameter stack; returns one ``RunResult`` per config, in order.
 
     All configs must share one ``_group_key``. Row ``j`` of every stack is
-    job ``j`` for the whole run. On task 1 no job has a memory, so every
-    job is the same model: the group trains ``params[:1]``, copies it to
-    every row at the end of the task and evaluates it once.
+    job ``j`` from task 2 on. On task 1 no job has a memory, so every job
+    is the same model: the group trains a one-row stack, evaluates it once
+    and then repeats it to one row per job.
 
     Every step makes one stacked pass for all jobs: its minibatch, then the
     memory splits when it solves QPs or traces, then the current and past
@@ -156,8 +156,8 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
     depend in the last bits on which rows share its pass, and a traced run
     can differ from the same run untraced.
 
-    The stored memories are a list of datasets, each memory split by split,
-    with a list of split sizes; both grow once per task. The memory rows
+    Each stored memory split is one dataset, in one list that grows once
+    per task, memory by memory and split by split. The memory rows
     feed the QP and the finiteness check of memory gradients, and on a
     traced step the memory inner products of every method: a
     memory's ``<g_s, z>`` is the size-weighted sum of its splits' inner
@@ -191,13 +191,14 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
     constrained_kind = lead.method.kind != "single"
     methods = [cfg.method for cfg in cfgs]
     spans = [resolve_partition(mlp, cfg.partition_mode, cfg.method.d_param) for cfg in cfgs]
-    params = np.tile(init_params(mlp, lead.seed), (J, 1))
+    # task 1: no job has a memory, so every job is the same model, one row
+    params = init_params(mlp, lead.seed)[None]
 
     R = np.zeros((J, T, T))
     traces = [[] for _ in cfgs]
     unconverged, rows_dropped = np.zeros((2, J), dtype=np.int64)
     d = lead.method.d_data
-    memories, sizes = [], []  # every stored memory, split by split, and the split sizes
+    splits = []  # every stored memory split, memory by memory, as one dataset each
 
     def check(stack, which, it):
         """Raise the ``FloatingPointError`` of the first job whose row of
@@ -215,26 +216,22 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
     for t_pos, task in enumerate(stream.tasks, start=1):
         batch_rng = rng_from(lead.seed, "batch", t_pos)
         n_train = task.train.n_samples
-        # task 1: no job has a memory, so every job is the same model, row 0
-        one_row = not sizes
-        stack = params[:1] if one_row else params
+        one_row = not splits
         solved = constrained_kind and not one_row
         traced = trace and t_pos >= 2
-        G = len(sizes)
+        G = len(splits)
         if solved:
             plan = assembly_plan(methods, spans, G)
         # each step's one pass: its minibatch, then the memory splits when
         # it solves or traces, then the current and past training sets when
         # it traces
         trace_sets = [t.train for t in (task,) + stream.tasks[:t_pos - 1]] if traced else []
-        stored = memories if solved or traced else []
-        parts = stored + trace_sets
-        pass_sizes = [lead.batch_size] + (sizes if stored else [])
-        pass_sizes += [data.n_samples for data in trace_sets]
-        weights = np.reshape(sizes, (-1, d)) / lead.memory_per_task
+        parts = (splits if solved or traced else []) + trace_sets
+        pass_sizes = [lead.batch_size] + [p.n_samples for p in parts]
+        weights = np.reshape([s.n_samples for s in splits], (-1, d)) / lead.memory_per_task
         for it in range(lead.iters_per_task):
             batch = task.train.take(batch_rng.integers(0, n_train, size=lead.batch_size))
-            out = _backprop(stack, mlp, Dataset.concat([batch, *parts]), pass_sizes)[1]
+            out = _backprop(params, mlp, Dataset.concat([batch, *parts]), pass_sizes)[1]
             g_t, mem_rows = out[:, 0], out[:, 1:1 + G]  # no memory rows: empty
             check(g_t, 0, it)
             check(mem_rows, 1, it)
@@ -263,19 +260,18 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
                         bwd_inners=tuple(row[1:]),
                         min_memory_inner=min(mem),
                     ))
-            stack -= lead.lr * z
-            check(stack, 2, it)
+            params -= lead.lr * z
+            check(params, 2, it)
 
         mem_rng = rng_from(lead.seed, "memory", t_pos)
         sel = np.sort(mem_rng.choice(n_train, size=lead.memory_per_task, replace=False))
-        splits = split_memory(lead.memory_per_task, d, derive_seed(lead.seed, "memsplit", t_pos))
-        memories.append(task.train.take(sel[np.concatenate(splits)]))
-        sizes += [len(idx) for idx in splits]
+        splits += [task.train.take(sel[idx]) for idx in
+                   split_memory(lead.memory_per_task, d, derive_seed(lead.seed, "memsplit", t_pos))]
 
-        if one_row:
-            params[1:] = stack
         for k, other in enumerate(stream.tasks):
-            R[:, t_pos - 1, k] = accuracy(stack, mlp, other.test)
+            R[:, t_pos - 1, k] = accuracy(params, mlp, other.test)
+        if one_row:
+            params = np.repeat(params, J, axis=0)
 
     constrained = lead.iters_per_task * (T - 1) if constrained_kind else 0
     return [RunResult(

@@ -27,7 +27,6 @@ its own pass wherever the layers' products give the same bits at every row
 count (see ``engine.run_group``).
 """
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -70,39 +69,37 @@ class MlpSpec:
 @dataclass(eq=False)
 class Dataset:
     """Feature matrix ``(n_samples, n_features)`` with integer labels;
-    read-only once made."""
+    read-only once made. A dataset owns one copy of its samples: ``inputs``
+    is the features with a trailing column of ones, the first layer's input
+    in a gradient pass (``_forward``), and ``features`` is its view without
+    that column; ``take`` and ``concat`` cut both at once."""
 
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        self.features = np.ascontiguousarray(self.features, dtype=np.float64)
+        features = np.asarray(self.features, dtype=np.float64)
         labels = np.asarray(self.labels)
         with np.errstate(invalid="ignore"):  # a NaN or huge label fails the check below
-            self.labels = np.ascontiguousarray(labels, dtype=np.int64)
+            self.labels = labels.astype(np.int64)
         if not np.array_equal(self.labels, labels):
             raise ValueError("labels must be integers")
-        if self.features.ndim != 2 or self.labels.ndim != 1:
+        if features.ndim != 2 or self.labels.ndim != 1:
             raise ValueError("features must be 2-D, labels 1-D")
-        if self.features.shape[0] != self.labels.shape[0]:
+        if features.shape[0] != self.labels.shape[0]:
             raise ValueError("features and labels disagree on sample count")
-        if self.features.shape[0] < 1:
+        if features.shape[0] < 1:
             raise ValueError("dataset needs at least one sample")
-        if not np.all(np.isfinite(self.features)):
+        if not np.all(np.isfinite(features)):
             raise ValueError("features contain NaN or Inf")
         if np.any(self.labels < 0):
             raise ValueError("labels must be non-negative")
+        self.inputs = _with_ones(features)
+        self.features = self.inputs[:, :-1]
 
     @property
     def n_samples(self) -> int:
         return self.features.shape[0]
-
-    @functools.cached_property
-    def inputs(self) -> np.ndarray:
-        """``features`` with a trailing column of ones, the first layer's
-        input in a gradient pass (``_forward``); made once, and cut with
-        the features by ``take`` and ``concat``."""
-        return _with_ones(self.features)
 
     @classmethod
     def _from_checked(cls, inputs: np.ndarray, labels: np.ndarray) -> "Dataset":

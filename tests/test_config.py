@@ -260,3 +260,10 @@ def test_readme_example_parses_and_names_every_key():
     # a commented-out key still counts as named
     named = set(re.findall(r"(?m)^#?\s*([a-z_]+(?:\.[a-z0-9_]+)+) =", example))
     assert named == SCHEMA_KEYS
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```")[0]
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("TransferSummary(acc=")

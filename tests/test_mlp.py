@@ -378,6 +378,32 @@ def test_cut_datasets_keep_features_and_inputs_together():
         assert np.array_equal(data.inputs, np.hstack([features, np.ones((len(labels), 1))]))
 
 
+def test_a_dataset_owns_its_samples():
+    # a dataset copies its caller's features and labels once: changing the
+    # caller's arrays after a pass changes neither the pass nor the accuracy
+    spec = MlpSpec((2, 5, 3))
+    rng = rng_from(5, "owns")
+    X = rng.standard_normal((12, 2))
+    y = rng.integers(0, 3, size=12)
+    assert X.flags.c_contiguous and X.dtype == np.float64 and y.dtype == np.int64
+    params = init_params(spec, seed=1)
+    data = Dataset(X, y)
+    loss, grad = loss_and_grad(params, spec, data)
+    features, inputs, labels = data.features.copy(), data.inputs.copy(), data.labels.copy()
+    hits = accuracy(params, spec, data)
+    X[0, 0] = 50.0
+    X[1:] *= -1.0
+    y[:] = (y + 1) % 3
+    assert np.array_equal(data.features, features) and np.array_equal(data.inputs, inputs)
+    assert np.array_equal(data.labels, labels)
+    loss_after, grad_after = loss_and_grad(params, spec, data)
+    assert loss_after == loss and grad_after.tobytes() == grad.tobytes()
+    assert accuracy(params, spec, data) == hits
+    # one array: the features are the inputs without their ones column
+    assert np.shares_memory(data.features, data.inputs)
+    assert np.all(data.inputs[:, -1] == 1.0)
+
+
 @pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
 @pytest.mark.parametrize("layers", [(2, 16, 4), (3, 9, 7, 5)])
