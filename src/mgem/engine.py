@@ -20,8 +20,9 @@ makes one gradient pass stacked over all of them, and each step assembles
 the per-module QPs of every job at once (``constraints.assemble_step``) and
 solves them in one ``qp.solve_batch`` call. Row ``j`` of the stack is job
 ``j`` for the whole run, and each job's result is bit-identical to its run
-alone. The first job whose values stop being finite stops the group at that
-step with the error it raises alone. ``run`` is the one-job case.
+alone. The first job whose values stop being finite, or whose memory rows
+the solver rejects, stops the group at that step with the error it raises
+alone. ``run`` is the one-job case.
 
 ``run_jobs`` runs independent jobs (one ``TrainConfig`` each, over a shared
 stream and model spec): it groups them by the data they draw, cuts the
@@ -169,14 +170,18 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
     inner products, and one stacked evaluation per task fills the accuracy
     rows. Each job's result is the one it gets alone, bit for bit.
 
-    Each step checks, in ``CHECKS`` order, that the minibatch gradients, the
-    memory gradients (none where its pass has no memory rows) and the
-    updated parameters are finite. The first check with a non-finite row
-    stops the group: it raises the error of that row's job (the first such
-    row), the one ``run`` raises for it alone, tagged with the row and its
-    ``(task, iteration, check)``; no pass runs after that step. Each job
-    trains as it would alone, so that point is its own, whatever group it
-    is in.
+    Each step checks, in ``CHECKS`` order, that the minibatch gradients,
+    the memory gradients (none where its pass has no memory rows) and the
+    updated parameters are finite; the gradient rows of the pass take one
+    scan, and the failing row is looked for only when it fails. On a step
+    that solves QPs the memory check is the solver's: a job fails it where
+    a module slice of one of its memory rows has a squared norm that is not
+    finite, which a row of finite entries can also overflow to. The first
+    check with a failing row stops the group: it raises the error of that
+    row's job (the first such row), the one ``run`` raises for it alone,
+    tagged with the row and its ``(task, iteration, check)``; no pass runs
+    after that step. Each job trains as it would alone, so that point is
+    its own, whatever group it is in.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -213,6 +218,17 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
             err.point = (t_pos, it, which)
             raise err
 
+    def module_norms(plan, rows):
+        """Each job's largest squared norm of a module slice of its memory
+        rows, cut from ``rows`` as ``assemble_step`` cuts them for the
+        solver: not finite for exactly the jobs whose rows the solver
+        rejects (``qp._rows``), a row with a non-finite entry among them."""
+        sq = np.zeros(J)
+        for p in plan:
+            cut = rows[p.take][:, :, p.span]
+            sq[p.jobs] = np.maximum(sq[p.jobs], np.einsum("bij,bij->bi", cut, cut).max(axis=1))
+        return sq
+
     for t_pos, task in enumerate(stream.tasks, start=1):
         batch_rng = rng_from(lead.seed, "batch", t_pos)
         n_train = task.train.n_samples
@@ -233,12 +249,17 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
             batch = task.train.take(batch_rng.integers(0, n_train, size=lead.batch_size))
             out = _backprop(params, mlp, Dataset.concat([batch, *parts]), pass_sizes)[1]
             g_t, mem_rows = out[:, 0], out[:, 1:1 + G]  # no memory rows: empty
-            check(g_t, 0, it)
-            check(mem_rows, 1, it)
+            if not np.isfinite(out[:, :1 + G]).all():  # one scan; find the row on failure
+                check(g_t, 0, it)
+                check(module_norms(plan, mem_rows) if solved else mem_rows, 1, it)
             z = np.empty_like(g_t) if solved else g_t
             if solved:
-                sols = qp.solve_batch(assemble_step(plan, g_t, mem_rows),
-                                      [p.solver for p in plan])
+                try:
+                    sols = qp.solve_batch(assemble_step(plan, g_t, mem_rows),
+                                          [p.solver for p in plan])
+                except ValueError:  # a finite row whose squared norm overflows
+                    check(module_norms(plan, mem_rows), 1, it)
+                    raise
                 unsolved = np.zeros(J, dtype=bool)
                 for p, sol in zip(plan, sols):
                     z[p.jobs, p.span] = sol.direction

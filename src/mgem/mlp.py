@@ -196,21 +196,38 @@ def _forward(weights, spec: MlpSpec, X1: np.ndarray):
     return hs[-1] @ weights[-1], hs
 
 
+def _classes(params: np.ndarray, spec: MlpSpec, X1: np.ndarray) -> np.ndarray:
+    """Argmax class of each row of the ones-column input ``X1``."""
+    logits, _ = _forward(_weights(params, spec), spec, X1)
+    return np.argmax(logits, axis=-1).astype(np.int64)
+
+
 def predict(params: np.ndarray, spec: MlpSpec, features) -> np.ndarray:
     """Argmax class per sample; ties break to the lowest class index. A
     ``(J, P)`` stack of parameter vectors gives a ``(J, n)`` array."""
     X = np.asarray(features, dtype=np.float64)
     _check_features(spec, X)
-    logits, _ = _forward(_weights(params, spec), spec, _with_ones(X))
-    return np.argmax(logits, axis=-1).astype(np.int64)
+    return _classes(params, spec, _with_ones(X))
 
 
 def accuracy(params: np.ndarray, spec: MlpSpec, data: Dataset):
     """Fraction of ``data`` classified right: a float for one parameter
     vector, a ``(J,)`` array for a ``(J, P)`` stack, each entry the float
-    its row gives alone."""
-    hits = np.mean(predict(params, spec, data.features) == data.labels, axis=-1)
+    its row gives alone. Reads ``data.inputs``, the dataset's one array."""
+    _check_features(spec, data.features)
+    hits = np.mean(_classes(params, spec, data.inputs) == data.labels, axis=-1)
     return float(hits) if hits.ndim == 0 else hits
+
+
+def _class_sum(e: np.ndarray) -> np.ndarray:
+    """Sum of the class rows ``e[0] + e[1] + ...``, added one by one, in
+    order, whatever the shape of a row. (numpy's ``e.sum(axis=0)`` does
+    that too, except on a ``(C, 1)`` or ``(C, 1, 1)`` array, which it
+    reduces as one contiguous row, pairwise from 8 classes on.)"""
+    total = e[0].copy()
+    for row in e[1:]:
+        total += row
+    return total
 
 
 def _backprop(params: np.ndarray, spec: MlpSpec, data: Dataset, sizes):
@@ -240,10 +257,8 @@ def _backprop(params: np.ndarray, spec: MlpSpec, data: Dataset, sizes):
     The softmax and its delta are taken on one class-major copy of the
     logits, ``(C, n)`` or ``(C, n, J)`` (``.T``), transposed back once:
     every step is an elementwise pass over whole class rows, and the
-    denominator ``.sum(axis=0)`` adds the class rows one by one, in order.
-    The one exception is numpy's: a pass of one sample and one parameter
-    vector reduces to a single row of C entries, which numpy sums pairwise
-    from 8 entries on.
+    denominator (``_class_sum``) adds the class rows one by one, in order,
+    for a pass of any shape.
 
     Returns ``(nll, grads)``: ``nll`` of shape ``(n,)`` or ``(J, n)``,
     ``grads`` of shape ``(G, P)`` or ``(J, G, P)`` for ``G = len(sizes)``.
@@ -273,7 +288,7 @@ def _backprop(params: np.ndarray, spec: MlpSpec, data: Dataset, sizes):
     s = logits.T.copy()
     s -= s.max(axis=0)
     e = np.exp(s)
-    s -= np.log(e.sum(axis=0))  # log p
+    s -= np.log(_class_sum(e))  # log p
     nll = -s[y, samples].T
     delta = np.exp(s, out=e)
     delta[y, samples] -= 1.0

@@ -1,3 +1,4 @@
+import multiprocessing
 import re
 from dataclasses import replace
 from functools import partial
@@ -7,7 +8,16 @@ import pytest
 
 from mgem import qp
 from mgem.constraints import MethodSpec
-from mgem.engine import TrainConfig, _chunks, _group_key, pareto_sweep, run, run_group, run_jobs
+from mgem.engine import (
+    JobError,
+    TrainConfig,
+    _chunks,
+    _group_key,
+    pareto_sweep,
+    run,
+    run_group,
+    run_jobs,
+)
 from mgem.mlp import Dataset, MlpSpec, init_params, loss_and_grad
 from mgem.seeds import rng_from
 from mgem.taskgen import StreamSpec, Task, TaskStream, generate
@@ -575,6 +585,104 @@ def test_a_group_raises_the_first_check_that_fails(monkeypatch):
                        ) as err:
         run_group(rotated_stream(n_tasks=3, n_train=60), MLP, cfgs)
     assert (err.value.row, err.value.point) == (1, (2, 3, 0))
+
+
+def test_a_batch_of_one_trains_in_lockstep_as_alone():
+    # a pass of one sample for one model (task 1, and alone every
+    # untraced single step) adds its 10 softmax classes in order, as the
+    # group's two-model passes do, so each job's run is its run alone
+    stream = rotated_stream(n_tasks=3, n_features=2, n_classes=10)
+    mlp = MlpSpec((2, 16, 10))
+    cfgs = [replace(TrainConfig(lr=0.05, iters_per_task=30, batch_size=1, memory_per_task=8,
+                                method=MethodSpec("single")), partition_mode=mode)
+            for mode in ("by_layer", "equal_flat")]
+    for c, together in zip(cfgs, run_group(stream, mlp, cfgs)):
+        assert_same_run(run(stream, mlp, c), together)
+
+
+def poison_memory_rows(monkeypatch, stream, cfgs, step, poisons):
+    """Spy on the engine's pass: at pass ``step`` of each job ``r`` in
+    ``poisons``, apply ``poisons[r]`` to that job's first memory row. A
+    job is found by its parameters at that pass, recorded from its run
+    alone, so the spy finds it in any group or chunk; returns the stack
+    rows it poisons, in this process."""
+    import mgem.engine as engine_mod
+    original = engine_mod._backprop
+    at_step = {}
+
+    def recording(params, spec, data, sizes):
+        calls.append(params[0].copy())
+        return original(params, spec, data, sizes)
+
+    for r in poisons:
+        calls = []
+        monkeypatch.setattr(engine_mod, "_backprop", recording)
+        run(stream, MLP, cfgs[r])
+        at_step[calls[step].tobytes()] = poisons[r]
+
+    hits = []
+
+    def poisoning(params, spec, data, sizes):
+        nll, grads = original(params, spec, data, sizes)
+        for r in range(len(params)):
+            poison = at_step.get(params[r].tobytes())
+            if poison is not None:
+                poison(grads[r, 1])
+                hits.append(r)
+        return nll, grads
+
+    monkeypatch.setattr(engine_mod, "_backprop", poisoning)
+    return hits
+
+
+def overflowing(row):
+    # every entry finite, the largest ~1e155: the squared norm is inf
+    row *= 1e155 / np.abs(row).max()
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_a_memory_row_whose_norm_overflows_fails_its_jobs_memory_check(monkeypatch, threads):
+    # the solver rejects a row whose squared norm is not finite; that
+    # rejection is the step's memory check for the job it belongs to
+    # (here p_mgem's, the group's last row), tagged with its row and point
+    stream = rotated_stream(n_tasks=3, n_train=60)
+    cfgs = [cfg(m, iters=6) for m in (MethodSpec("gem", strength=0.1),
+                                      MethodSpec("gem", strength=0.5),
+                                      MethodSpec("p_mgem", d_param=2, strength=0.3))]
+    hits = poison_memory_rows(monkeypatch, stream, cfgs, 6 + 3, {2: overflowing})
+    message = "memory gradients became non-finite at task 2, iteration 3; lower lr"
+    with np.errstate(over="ignore"):
+        with pytest.raises(FloatingPointError, match=f"^{message}$") as err:
+            run_group(stream, MLP, cfgs)
+        assert hits == [2]
+        assert (err.value.row, err.value.point) == (2, (2, 3, 1))
+        with pytest.raises(JobError, match=re.escape(
+                f"job 3 of 3 (p_mgem, q=0.3, seed=0) failed: {message}")):
+            run_jobs(run_group, stream, MLP, cfgs, threads)
+    assert multiprocessing.active_children() == []
+
+
+def test_an_overflowing_norm_and_a_nan_entry_tie_on_the_memory_check(monkeypatch):
+    # at the same step row 1's memory row overflows its squared norm and
+    # row 2's holds a NaN: both fail the memory check, and row 1 (job 2 of
+    # 3), the first, is named, in one group or one job per worker
+    stream = rotated_stream(n_tasks=3, n_train=60)
+    cfgs = [cfg(MethodSpec("gem", strength=q), iters=6) for q in (0.1, 0.5, 0.2)]
+
+    def nan(row):
+        row[0] = np.nan
+
+    hits = poison_memory_rows(monkeypatch, stream, cfgs, 6 + 3, {1: overflowing, 2: nan})
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="^memory gradients") as err:
+            run_group(stream, MLP, cfgs)
+        assert hits == [1, 2]
+        assert (err.value.row, err.value.point) == (1, (2, 3, 1))
+        for threads in (1, 3):
+            with pytest.raises(JobError, match=re.escape(
+                    "job 2 of 3 (gem, q=0.5, seed=0) failed: memory gradients became "
+                    "non-finite at task 2, iteration 3")):
+                run_jobs(run_group, stream, MLP, cfgs, threads)
 
 
 def test_the_assembly_plan_is_made_once_per_solved_task(monkeypatch):

@@ -8,6 +8,7 @@ from mgem.mlp import (
     Dataset,
     MlpSpec,
     _backprop,
+    _class_sum,
     _forward,
     _weights,
     accuracy,
@@ -350,17 +351,42 @@ def test_each_forward_layer_is_one_product_with_its_bias_row(lead, activation):
 
 @pytest.mark.parametrize("n_classes", range(2, 13))
 def test_a_class_major_sum_adds_the_classes_in_order(n_classes):
-    # the softmax denominator of ``_backprop`` is ``.sum(axis=0)`` over a
-    # class-major ``(C, n)`` or ``(C, n, J)`` copy: numpy adds the class
-    # rows one by one, in order, for every class count; a pairwise sum
-    # would give other bits from 8 classes on
+    # the softmax denominator of ``_backprop`` sums a class-major ``(C, n)``
+    # or ``(C, n, J)`` copy over its classes: it adds the class rows one by
+    # one, in order, for every class count and every pass shape, one
+    # sample and one model (``(C, 1)``, ``(C, 1, 1)``) included; a pairwise
+    # sum would give other bits from 8 classes on
     rng = rng_from(n_classes, "class-sum")
-    for shape in [(2,), (16,), (300,), (1, 5), (16, 1), (16, 3), (300, 24)]:
+    for shape in [(1,), (2,), (16,), (300,), (1, 1), (1, 5), (16, 1), (16, 3), (300, 24)]:
         e = np.exp(8.0 * rng.standard_normal((n_classes,) + shape))
         want = e[0] + e[1]
         for row in e[2:]:
             want += row
-        assert e.sum(axis=0).tobytes() == want.tobytes(), shape
+        assert _class_sum(e).tobytes() == want.tobytes(), shape
+
+
+def test_accuracy_reads_the_datasets_one_array(monkeypatch):
+    # an evaluation passes ``Dataset.inputs`` as it is: no ones-column copy
+    # of the test set is made, and the floats are those of ``predict``
+    import mgem.mlp as mlp_mod
+    spec = MlpSpec((3, 9, 4))
+    rng = rng_from(4, "accuracy-inputs")
+    stack = np.stack([init_params(spec, seed) for seed in range(3)])
+    stack += 0.5 * rng.standard_normal(stack.shape)
+    data = Dataset(rng.standard_normal((41, 3)), rng.integers(0, 4, size=41))
+    want = [float(np.mean(predict(row, spec, data.features) == data.labels)) for row in stack]
+    assert len(set(want)) > 1
+
+    def no_copy(X):
+        raise AssertionError("accuracy copied its dataset")
+
+    monkeypatch.setattr(mlp_mod, "_with_ones", no_copy)
+    one = accuracy(stack[1], spec, data)
+    assert type(one) is float and one == want[1]
+    assert accuracy(stack, spec, data).tolist() == want
+    with pytest.raises(ValueError, match=r"features shape \(41, 3\) incompatible with input "
+                                         r"size 2"):
+        accuracy(init_params(MlpSpec((2, 4)), 0), MlpSpec((2, 4)), data)
 
 
 def test_cut_datasets_keep_features_and_inputs_together():
