@@ -11,8 +11,6 @@ __version__ = "0.1.0"
 
 from .mlp import Dataset, MlpSpec, accuracy, init_params, loss_and_grad, predict
 from .qp import (
-    BOX_FORM,
-    REGULARIZED_FORM,
     DualSolution,
     QpInstance,
     kkt_residual,

@@ -36,7 +36,10 @@ On glibc, ``main`` serves allocations below 32 MiB from the heap and keeps
 (``_keep_heap_top``); pool workers inherit the settings.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime or solver-budget
-failure (a failing job is named in the message). Settings that no job can
+failure (a failing job is named in the message). A command runs with
+numpy's floating-point warnings off, and pool workers inherit that: a run
+that diverges is caught by its finiteness checks, so a failing command
+prints its one error line and no ``RuntimeWarning``. Settings that no job can
 train with are config errors, raised before any job starts.
 """
 
@@ -45,6 +48,8 @@ import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from .config import ConfigError, RunConfigFile, _integer, default_pareto_methods, parse_config
 from .engine import TrainConfig, check_memory, pareto_sweep, run_group, run_jobs
@@ -253,7 +258,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     _keep_heap_top()
     try:
-        return args.fn(args)
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

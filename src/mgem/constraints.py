@@ -41,7 +41,7 @@ import numpy as np
 
 from .layout import layer_slices, n_params
 from .mlp import MlpSpec
-from .qp import APPROX, BOX_FORM, EXACT, QpInstance
+from .qp import APPROX, EXACT, QpInstance
 from .seeds import integer_fields, rng_from
 
 METHOD_KINDS = ("single", "gem", "p_mgem", "d_mgem", "md_mgem")
@@ -160,7 +160,7 @@ def assembly_plan(methods, spans, n_rows: int) -> list:
 
 
 def assemble_step(plan, g_t: np.ndarray, rows: np.ndarray) -> list:
-    """Assemble the box-form instances of one step for the jobs of a stack.
+    """Assemble the instances of one step for the jobs of a stack.
 
     ``plan`` comes from ``assembly_plan``, ``g_t`` holds the ``(J, P)``
     minibatch gradients and ``rows`` the ``(J, G, P)`` memory gradient rows,
@@ -174,7 +174,6 @@ def assemble_step(plan, g_t: np.ndarray, rows: np.ndarray) -> list:
                 constraint_rows=rows[p.take][:, :, p.span],
                 target=g_t[p.jobs, p.span],
                 strength=p.strength,
-                form=BOX_FORM,
             ) for p in plan]
 
 
@@ -194,7 +193,7 @@ def build_instances(method: MethodSpec, g_t: np.ndarray, rows: np.ndarray, spans
     if not len(rows):
         return []
     plan = assembly_plan([method], [spans], len(rows))
-    return [QpInstance(i.constraint_rows[0], i.target[0], i.strength[0], i.form)
+    return [QpInstance(i.constraint_rows[0], i.target[0], i.strength[0])
             for i in assemble_step(plan, g_t[None], rows[None])]
 
 

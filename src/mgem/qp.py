@@ -2,20 +2,19 @@
 
 All solvers minimize, over multipliers ``v`` of length ``m``,
 
-    f(v) = 0.5 * || C^T v + g ||^2            (box_lower_bound form)
-    f(v) = 0.5 * || C^T v + g ||^2 - gamma^T v  (linear_regularized form)
+    f(v) = 0.5 * || C^T v + g ||^2,  subject to  v >= q,
 
-subject to per-coordinate lower bounds ``v >= q`` (box form, ``q`` is the
-memory strength) or ``v >= 0`` (regularized form, where ``gamma`` holds the
-primal margins). ``C`` stacks the constraint gradients as rows, and the
-primal update direction is recovered as ``z = g + C^T v``: the minimizer of
-``0.5 * || g - z ||^2`` subject to ``<c_k, z> >= gamma_k`` (regularized form)
-by strong duality.
+where ``C`` stacks the constraint gradients as rows, ``g`` is the target
+gradient and ``q`` the per-row memory strength: a constant floor on the
+multipliers, GEM's memory strength (Lopez-Paz & Ranzato, NeurIPS 2017).
+The update direction is recovered as ``z = g + C^T v``. With ``q = 0`` it
+is the minimizer of ``0.5 * || g - z ||^2`` subject to ``<c_k, z> >= 0``
+by strong duality; a floor ``q > 0`` pushes ``z`` further along every row.
 
-With ``u = v - lb`` (``lb`` the lower bounds) both forms become one
-nonnegative QP on the m x m Gram matrix ``K = C C^T``:
+With ``u = v - lb`` (``lb`` the lower bounds) this is one nonnegative QP on
+the m x m Gram matrix ``K = C C^T``:
 
-    min 0.5 * u^T K u + h^T u,  u >= 0,  h = C (g + C^T lb) - gamma
+    min 0.5 * u^T K u + h^T u,  u >= 0,  h = C (g + C^T lb)
 
 Three routes are provided:
 
@@ -32,9 +31,9 @@ Three routes are provided:
 
 ``solve_batch`` solves many instances at once, each by the exact or the
 approximate route: a ``QpInstance`` may hold a stack of instances that share
-m, n and form, and the exact instances of every stack with the same m and
-form run through one Lawson-Hanson core on ``(B, m, m)`` arrays, each
-advancing through its own pivots and Newton steps under masks.
+m and n, and the exact instances of every stack with the same m run through
+one Lawson-Hanson core on ``(B, m, m)`` arrays, each advancing through its
+own pivots and Newton steps under masks.
 ``solve_exact`` and ``solve_approx`` are its one-instance case. Every
 result is the one the instance gets alone, bit for bit: each stacked
 product is the per-instance product (Gram, ``K u``, ``K_j . d`` as a 1 x m
@@ -56,9 +55,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-BOX_FORM = "box_lower_bound"
-REGULARIZED_FORM = "linear_regularized"
-_FORMS = (BOX_FORM, REGULARIZED_FORM)
 EXACT = "exact"
 APPROX = "approx"
 
@@ -71,19 +67,17 @@ _ENUM_MAX_M = 12
 @dataclass(eq=False)
 class QpInstance:
     """One assembled inequality system for a single update step, or a
-    stack of ``B`` such systems with equal m, n and form: rows ``(B, m, n)``,
+    stack of ``B`` such systems with equal m and n: rows ``(B, m, n)``,
     target ``(B, n)``, strength ``(B, m)``. A target with two axes marks a
     stack.
 
-    ``strength`` is the per-row lower bound ``q`` in the box form, or the
-    per-row primal margin ``gamma`` in the regularized form; entrywise >= 0
-    either way.
+    ``strength`` is the per-row floor ``q`` on the multipliers, entrywise
+    >= 0.
     """
 
     constraint_rows: np.ndarray
     target: np.ndarray
     strength: np.ndarray
-    form: str = BOX_FORM
 
     def __post_init__(self):
         self.target = np.asarray(self.target, dtype=np.float64)
@@ -98,8 +92,6 @@ class QpInstance:
         if self.constraint_rows.size == 0:
             self.constraint_rows = self.constraint_rows.reshape(lead + (0, self.target.shape[-1]))
             self.strength = self.strength.reshape(lead + (0,))
-        if self.form not in _FORMS:
-            raise ValueError(f"unknown form {self.form!r}")
         if (self.constraint_rows.ndim != len(lead) + 2
                 or self.constraint_rows.shape[:-2] != lead):
             raise ValueError("constraint rows and target disagree on the stack size")
@@ -141,15 +133,15 @@ def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(A, x[..., None])[..., 0]
 
 
-def _rows(stacks, form):
-    """Validate ``(rows, target, strength)`` stacks of one m and form, and
-    decide which rows count, for every route and diagnostic: ``(sq, out,
-    lb, cg)`` over the stacks' instances in order, the squared row norms,
-    the rows left out (``sq < MIN_ROW_SQNORM``), the lower bounds of ``v``
-    (the strength in the box form, else 0; 0 for a row left out) and
-    ``C g``. The norms and ``C g`` are taken stack by stack, so each keeps
-    its rows' memory layout; the rest is m-sized work on the joined
-    ``(B, m)`` arrays. A row holding NaN or Inf has a non-finite norm."""
+def _rows(stacks):
+    """Validate ``(rows, target, strength)`` stacks of one m, and decide
+    which rows count, for every route and diagnostic: ``(sq, out, lb, cg)``
+    over the stacks' instances in order, the squared row norms, the rows
+    left out (``sq < MIN_ROW_SQNORM``), the lower bounds of ``v`` (the
+    strength; 0 for a row left out) and ``C g``. The norms and ``C g`` are
+    taken stack by stack, so each keeps its rows' memory layout; the rest
+    is m-sized work on the joined ``(B, m)`` arrays. A row holding NaN or
+    Inf has a non-finite norm."""
     sq = np.concatenate([np.einsum("bij,bij->bi", rows, rows) for rows, _, _ in stacks])
     strength = np.concatenate([strength for _, _, strength in stacks])
     if not (np.isfinite(sq).all() and np.isfinite(strength).all()
@@ -159,24 +151,21 @@ def _rows(stacks, form):
         raise ValueError("strength must be entrywise >= 0")
     out = sq < MIN_ROW_SQNORM
     cg = np.concatenate([_matvec(rows, target) for rows, target, _ in stacks])
-    return sq, out, np.where(out | (form != BOX_FORM), 0.0, strength), cg
+    return sq, out, np.where(out, 0.0, strength), cg
 
 
-def _gram(stacks, form):
-    """Validated ``(K, h, lb, out)`` of stacks of one m and form, from
-    ``_rows``: at ``v = lb + u`` the dual gradient is ``K u + h``
-    (``gamma = 0`` in the box form). Each stack's Gram product keeps its
-    rows' layout. A row left out (``out``) has 0 for its Gram row and
-    column, its ``h`` entry and its lower bound, so no solver ever frees
-    it."""
-    _, out, lb, cg = _rows(stacks, form)
+def _gram(stacks):
+    """Validated ``(K, h, lb, out)`` of stacks of one m, from ``_rows``: at
+    ``v = lb + u`` the dual gradient is ``K u + h``. Each stack's Gram
+    product keeps its rows' layout. A row left out (``out``) has 0 for its
+    Gram row and column, its ``h`` entry and its lower bound, so no solver
+    ever frees it."""
+    _, out, lb, cg = _rows(stacks)
     K = np.concatenate([rows @ np.swapaxes(rows, -1, -2) for rows, _, _ in stacks])
     dropped = np.count_nonzero(out)
     if dropped:
         K = np.where(out[..., :, None] | out[..., None, :], 0.0, K)
     h = cg + _matvec(K, lb)
-    if form == REGULARIZED_FORM:
-        h -= np.concatenate([strength for _, _, strength in stacks])
     if dropped:
         h[out] = 0.0
     return K, h, lb, out
@@ -190,7 +179,7 @@ def _kkt(u: np.ndarray, grad: np.ndarray):
 
 def lower_bounds(inst: QpInstance) -> np.ndarray:
     """The lower bounds of ``v`` (``_rows``), stacked like ``inst``."""
-    lb = _rows([_stack(inst)], inst.form)[2]
+    lb = _rows([_stack(inst)])[2]
     return lb if inst.target.ndim == 2 else lb[0]
 
 
@@ -199,10 +188,7 @@ def dual_objective(inst: QpInstance, v: np.ndarray) -> float:
     if inst.target.ndim != 1:
         raise ValueError("dual_objective takes one instance, not a stack")
     r = inst.constraint_rows.T @ v + inst.target
-    f = 0.5 * float(r @ r)
-    if inst.form == REGULARIZED_FORM:
-        f -= float(inst.strength @ v)
-    return f
+    return 0.5 * float(r @ r)
 
 
 def kkt_residual(inst: QpInstance, v: np.ndarray) -> float:
@@ -217,7 +203,7 @@ def kkt_residual(inst: QpInstance, v: np.ndarray) -> float:
     """
     if inst.target.ndim != 1:
         raise ValueError("kkt_residual takes one instance, not a stack")
-    K, h, lb, out = (a[0] for a in _gram([_stack(inst)], inst.form))
+    K, h, lb, out = (a[0] for a in _gram([_stack(inst)]))
     u = np.where(out, 0.0, np.asarray(v, dtype=np.float64) - lb)
     return float(_kkt(u, K @ u + h))
 
@@ -254,9 +240,13 @@ def _lawson_hanson(K: np.ndarray, h: np.ndarray, tol: float, max_iter: int):
 
     An instance stops when its KKT residual drops to ``tol``, when it has
     made ``max_iter`` active-set solves (one per pivot, one per Newton
-    step), on a round-off stall, on an unbounded dual (margins no direction
-    meets), or when its free rows turn singular; it keeps its feasible
-    iterate. Each round takes every running instance one solve further:
+    step), on a round-off stall, on an unbounded dual, or when its free
+    rows turn singular; it keeps its feasible iterate. The dual of an
+    instance from ``_gram`` is bounded below: a ray ``d >= 0`` with
+    ``K d = 0`` has ``C^T d = 0``, so ``h^T d = 0``. The unbounded-dual
+    stop (a pivot ray with no curvature and no bound ahead, ``t = inf``) is
+    met only by round-off, and stays as a guard against a run that would
+    never end. Each round takes every running instance one solve further:
     those at the top of the loop test KKT and pick their pivot, then every
     pivot and Newton step solves on its free set, all in one ``(B, m, m)``
     stack (``K`` on the free block, the identity elsewhere), and all move
@@ -359,7 +349,7 @@ def solve_batch(insts, solvers, tol: float = DEFAULT_TOL,
     by the route ``solvers[i]`` names: ``EXACT`` or ``APPROX``.
 
     Returns one ``DualSolution`` per entry, stacked like it. The entries
-    with the same m, form and route form one core: it is validated, and its
+    with the same m and route form one core: it is validated, and its
     m-sized work (lower bounds, ``h``, the rows left out) done, once, on the
     joined ``(B, m)`` arrays of its entries (``_rows``, ``_gram``). Its
     exact instances share one Lawson-Hanson core (``tol``, ``max_iter`` as
@@ -377,20 +367,19 @@ def solve_batch(insts, solvers, tol: float = DEFAULT_TOL,
     stacks = [_stack(inst) for inst in insts]
 
     def check_each(n):  # the error that checking entries 0..n-1 one by one raises first
-        for stack, inst in zip(stacks[:n], insts):
-            _rows([stack], inst.form)
+        for stack in stacks[:n]:
+            _rows([stack])
 
-    groups = {}  # (m, form, solver) -> entries
+    groups = {}  # (m, solver) -> entries
     for i, (inst, solver) in enumerate(zip(insts, solvers)):
-        if solver not in (EXACT, APPROX) or (solver == APPROX and inst.form != BOX_FORM):
+        if solver not in (EXACT, APPROX):
             check_each(i)
-            raise ValueError(f"unknown solver {solver!r}" if solver not in (EXACT, APPROX) else
-                             "approximate solver handles the box_lower_bound form only")
-        groups.setdefault((inst.m, inst.form, solver), []).append(i)
+            raise ValueError(f"unknown solver {solver!r}")
+        groups.setdefault((inst.m, solver), []).append(i)
     try:
         built = [(entries, solver, (_gram if solver == EXACT else _rows)(
-                      [stacks[i] for i in entries], form))
-                 for (_, form, solver), entries in groups.items()]
+                      [stacks[i] for i in entries]))
+                 for (_, solver), entries in groups.items()]
     except ValueError:
         check_each(len(insts))
         raise
@@ -413,7 +402,7 @@ def solve_batch(insts, solvers, tol: float = DEFAULT_TOL,
             cut = slice(at, at + len(target))
             at = cut.stop
             direction = target + _matvec(np.swapaxes(rows, -1, -2), v[cut])
-            if residual is None:  # approximate: the box form's KKT residual at v
+            if residual is None:  # approximate: the KKT residual at v
                 grad = np.where(out[cut], 0.0, _matvec(rows, direction))
                 res = _kkt(v[cut] - lb[cut], grad)
             else:
@@ -436,8 +425,10 @@ def solve_exact(inst: QpInstance, tol: float = DEFAULT_TOL,
     Past the Gram product, all work up to ``direction = g + C^T v`` is on
     m-sized arrays. Stops when the KKT residual drops to ``tol``.
     ``iterations`` counts the active-set solves and ``max_iter`` caps them.
-    On the cap, a round-off stall or an unbounded dual (margins no direction
-    meets), the feasible iterate is returned with ``converged=False``.
+    On the cap, a round-off stall, singular free rows or an unbounded dual,
+    the feasible iterate is returned with ``converged=False``. The dual is
+    bounded below, so only round-off meets the unbounded-dual stop; it
+    stays as a guard.
     """
     return solve_batch([inst], [EXACT], tol, max_iter)[0]
 
@@ -460,7 +451,7 @@ def solve_enumerate(inst: QpInstance) -> DualSolution:
     """
     if inst.target.ndim != 1:
         raise ValueError("solve_enumerate takes one instance, not a stack")
-    K, h, lb, out = (a[0] for a in _gram([_stack(inst)], inst.form))
+    K, h, lb, out = (a[0] for a in _gram([_stack(inst)]))
     m = inst.m
     if m > _ENUM_MAX_M:
         raise ValueError(f"enumeration supports m <= {_ENUM_MAX_M}, got {m}")
@@ -502,8 +493,8 @@ def solve_enumerate(inst: QpInstance) -> DualSolution:
 
 
 def solve_approx(inst: QpInstance) -> DualSolution:
-    """Two-stage approximate dual solve (box form only); the one-instance
-    case of ``solve_batch``.
+    """Two-stage approximate dual solve; the one-instance case of
+    ``solve_batch``.
 
     Stage one solves the unconstrained problem with the Gram matrix
     ``C C^T`` replaced by its diagonal: ``nu_k = -<c_k, g> / ||c_k||^2``.

@@ -5,7 +5,8 @@ independent route: the production QP solver against exhaustive active-set
 enumeration, the closed-form approximate solver against the exact one where
 it must coincide, analytic backprop against central finite differences, the
 per-module/joint solve equality, and the memory-strength ordering of the
-modular variants against plain GEM.
+modular variants against plain GEM. Every QP instance is of the one form the
+solvers and the engine use: a floor on the dual multipliers.
 
 The suites are shared by the CLI ``selfcheck`` command, the unit tests, and
 the acceptance gate; ``quick=True`` shrinks the instance counts.
@@ -32,13 +33,14 @@ class SuiteResult:
 
 
 def random_box_instance(rng, n_max=8, m_max=3, q_choices=(0.0, 0.1, 0.5)):
-    """A random well-posed box-form instance for the oracle battery."""
+    """A random well-posed instance for the oracle battery: one floor ``q``
+    on every multiplier."""
     n = int(rng.integers(2, n_max + 1))
     m = int(rng.integers(1, m_max + 1))
     rows = rng.standard_normal((m, n))
     g = rng.standard_normal(n)
     q = float(rng.choice(q_choices))
-    return qp.QpInstance(rows, g, np.full(m, q), form=qp.BOX_FORM)
+    return qp.QpInstance(rows, g, np.full(m, q))
 
 
 def check_oracle_equivalence(n_instances=1000, quick=False):
@@ -112,20 +114,20 @@ def check_block_consistency(n_cases=100, quick=False):
     """Joint block-diagonal solve vs concatenated per-block solves.
 
     The joint instance embeds each block-local row in the full space (zeros
-    outside its block); separability makes both routes agree.
+    outside its block), each row with its own floor; separability makes
+    both routes agree.
     """
     if quick:
         n_cases = max(20, n_cases // 5)
     rng = rng_from(_ROOT_SEED, "blocks")
     worst = 0.0
-    for case in range(n_cases):
+    for _ in range(n_cases):
         n_blocks = int(rng.integers(2, 4))
         sizes = _random_block_sizes(rng, n_blocks)
         n = sum(sizes)
         bounds = np.cumsum([0] + sizes)
         n_rows = int(rng.integers(1, 3))
         g = rng.standard_normal(n)
-        form = qp.BOX_FORM if case % 2 == 0 else qp.REGULARIZED_FORM
 
         z_parts = []
         joint_rows = []
@@ -135,7 +137,7 @@ def check_block_consistency(n_cases=100, quick=False):
             rows = rng.standard_normal((n_rows, hi - lo))
             strength = rng.uniform(0.0, 0.5, size=n_rows)
             z_parts.append(qp.solve_exact(
-                qp.QpInstance(rows, g[lo:hi], strength, form=form), tol=1e-12
+                qp.QpInstance(rows, g[lo:hi], strength), tol=1e-12
             ).direction)
             for r in range(n_rows):
                 full = np.zeros(n)
@@ -143,7 +145,7 @@ def check_block_consistency(n_cases=100, quick=False):
                 joint_rows.append(full)
             joint_strength.extend(strength)
         z_joint = qp.solve_exact(
-            qp.QpInstance(np.vstack(joint_rows), g, np.asarray(joint_strength), form=form),
+            qp.QpInstance(np.vstack(joint_rows), g, np.asarray(joint_strength)),
             tol=1e-12,
         ).direction
         worst = max(worst, float(np.max(np.abs(z_joint - np.concatenate(z_parts)))))
@@ -153,10 +155,15 @@ def check_block_consistency(n_cases=100, quick=False):
 def check_strength_ordering(n_cases=500, quick=False, tol=1e-7):
     """Modular variants vs memory strength vs plain GEM, one past task.
 
-    With per-module margins summing to at least the scalar margin (parameter
-    split) or each at least the scalar margin (memory split), the exact
-    solutions must order the past-task inner product:
-    modular >= memory-strength >= plain, within ``tol``.
+    Plain GEM has floor 0 on its one multiplier, memory strength floor
+    ``q``. The parameter split puts floor ``q`` on each module's
+    multiplier; the memory split has one row per split, the splits
+    averaging to the pooled memory gradient ``g_hat``, each with floor
+    ``q``. The exact solutions must order the past-task inner product
+    ``<g_hat, z>``: modular >= memory-strength >= plain, within ``tol``.
+    With one row the floor gives ``<g_hat, z> = max(<g_hat, g> + q
+    ||g_hat||^2, 0)``, so the parameter split's per-module sum of such
+    terms is at least memory strength's.
     """
     if quick:
         n_cases = max(100, n_cases // 5)
@@ -170,33 +177,23 @@ def check_strength_ordering(n_cases=500, quick=False, tol=1e-7):
         bounds = np.cumsum([0] + sizes)
         g_t = rng.standard_normal(n)
         g_hat = rng.standard_normal(n)
-        gamma = float(rng.uniform(0.0, 1.0))
+        q = float(rng.uniform(0.0, 1.0))
 
-        z_gem = qp.solve_exact(
-            qp.QpInstance(g_hat, g_t, [0.0], form=qp.REGULARIZED_FORM), tol=1e-12
-        ).direction
-        z_ms = qp.solve_exact(
-            qp.QpInstance(g_hat, g_t, [gamma], form=qp.REGULARIZED_FORM), tol=1e-12
-        ).direction
+        z_gem = qp.solve_exact(qp.QpInstance(g_hat, g_t, [0.0]), tol=1e-12).direction
+        z_ms = qp.solve_exact(qp.QpInstance(g_hat, g_t, [q]), tol=1e-12).direction
 
-        # parameter-wise: per-block margins with sum >= gamma
-        w = rng.uniform(0.1, 1.0, size=D)
-        gam_p = gamma * float(rng.uniform(1.0, 1.5)) * w / w.sum()
+        # parameter-wise: floor q on each module's multiplier
         z_p = np.empty(n)
         for d in range(D):
             lo, hi = bounds[d], bounds[d + 1]
             z_p[lo:hi] = qp.solve_exact(
-                qp.QpInstance(g_hat[lo:hi], g_t[lo:hi], [gam_p[d]],
-                              form=qp.REGULARIZED_FORM), tol=1e-12
+                qp.QpInstance(g_hat[lo:hi], g_t[lo:hi], [q]), tol=1e-12
             ).direction
 
-        # data-wise: split gradients averaging to g_hat, margins >= gamma
+        # data-wise: split gradients averaging to g_hat, floor q on each
         t = rng.standard_normal((D, n))
         splits = g_hat + (t - t.mean(axis=0))
-        gam_d = gamma + rng.uniform(0.0, 1.0, size=D)
-        z_d = qp.solve_exact(
-            qp.QpInstance(splits, g_t, gam_d, form=qp.REGULARIZED_FORM), tol=1e-12
-        ).direction
+        z_d = qp.solve_exact(qp.QpInstance(splits, g_t, np.full(D, q)), tol=1e-12).direction
 
         i_gem = float(g_hat @ z_gem)
         i_ms = float(g_hat @ z_ms)

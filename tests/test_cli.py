@@ -10,7 +10,8 @@ import pytest
 
 from mgem.cli import _build_parser, main
 
-PARETO2 = Path(__file__).resolve().parent.parent / "scripts" / "configs" / "pareto2.cfg"
+CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
+PARETO2 = CONFIGS / "pareto2.cfg"
 
 RUN_CFG = """
 stream.family = rotated
@@ -313,6 +314,19 @@ def test_degraded_run_exits_two(tmp_path, monkeypatch):
                     + f"output.dir = {tmp_path / 'o'}\n")
     assert main(["run", "--config", cfg]) == 2
     assert (tmp_path / "o" / "summary.csv").exists()  # report still written
+
+
+def test_a_failing_run_prints_only_its_error_line(tmp_path, capsys):
+    # p_mgem at q = 1e10 (job 3) overflows in the forward pass on task 2;
+    # its numpy warnings would precede the error line (and, under the
+    # tests' error::RuntimeWarning filter, raise), so the command runs
+    # with them off
+    text = (CONFIGS / "rotated5.cfg").read_text(encoding="utf-8")
+    cfg = write_cfg(tmp_path, re.sub(r"(?m)^method\.3\.q = .*$", "method.3.q = 1e10", text))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: job 3 of 6 (p_mgem, q=1e+10, seed=0) failed: memory gradients became "
+        "non-finite at task 2, iteration 18; lower lr\n")
 
 
 def test_run_with_csv_stream(tmp_path):

@@ -423,7 +423,7 @@ def test_every_exact_instance_of_a_run_is_certified_by_enumeration(monkeypatch):
     for inst, sol in seen:
         for i in range(len(inst.target)):
             single = qp.QpInstance(inst.constraint_rows[i], inst.target[i],
-                                   inst.strength[i], inst.form)
+                                   inst.strength[i])
             v, ref = sol.multipliers[i], qp.solve_enumerate(single)
             assert sol.converged[i]
             assert np.max(np.abs(v - ref.multipliers), initial=0.0) <= 1e-6

@@ -9,19 +9,11 @@ from mgem import qp
 from mgem.seeds import rng_from
 
 
-def box(rows, g, q):
-    return qp.QpInstance(rows, g, q, form=qp.BOX_FORM)
-
-
-def reg(rows, g, gamma):
-    return qp.QpInstance(rows, g, gamma, form=qp.REGULARIZED_FORM)
-
-
 # --- hand-derived single-constraint KKT cases -------------------------------
 
 def test_single_conflicting_constraint():
     # <c, g> = -1 < 0: multiplier lands where <c, z> = 0
-    inst = box([[0.0, 1.0]], [1.0, -1.0], [0.0])
+    inst = qp.QpInstance([[0.0, 1.0]], [1.0, -1.0], [0.0])
     for solver in (qp.solve_exact, qp.solve_enumerate, qp.solve_approx):
         sol = solver(inst)
         np.testing.assert_allclose(sol.multipliers, [1.0], atol=1e-12)
@@ -29,7 +21,7 @@ def test_single_conflicting_constraint():
 
 
 def test_single_constraint_lower_bound_active():
-    inst = box([[0.0, 1.0]], [1.0, 1.0], [0.5])
+    inst = qp.QpInstance([[0.0, 1.0]], [1.0, 1.0], [0.5])
     for solver in (qp.solve_exact, qp.solve_enumerate, qp.solve_approx):
         sol = solver(inst)
         np.testing.assert_allclose(sol.multipliers, [0.5], atol=1e-12)
@@ -37,14 +29,14 @@ def test_single_constraint_lower_bound_active():
 
 
 def test_full_conflict_collapses_component():
-    inst = box([[1.0, 0.0]], [-1.0, 0.0], [0.0])
+    inst = qp.QpInstance([[1.0, 0.0]], [-1.0, 0.0], [0.0])
     sol = qp.solve_enumerate(inst)
     np.testing.assert_allclose(sol.multipliers, [1.0], atol=1e-12)
     np.testing.assert_allclose(sol.direction, [0.0, 0.0], atol=1e-12)
 
 
 def test_unconstrained_instance_returns_target():
-    inst = box(np.zeros((0, 3)), [1.0, 2.0, 3.0], np.zeros(0))
+    inst = qp.QpInstance(np.zeros((0, 3)), [1.0, 2.0, 3.0], np.zeros(0))
     for solver in (qp.solve_exact, qp.solve_enumerate, qp.solve_approx):
         sol = solver(inst)
         assert sol.multipliers.size == 0
@@ -59,7 +51,7 @@ def test_zero_conflict_shortcut_is_exact():
     g = np.array([0.3, -0.2, 0.7])
     rows = np.array([[0.1, -0.5, 0.4], [0.2, 0.0, 0.1]])
     assert np.all(rows @ g > 0)
-    inst = box(rows, g, [0.0, 0.0])
+    inst = qp.QpInstance(rows, g, [0.0, 0.0])
     for solver in (qp.solve_exact, qp.solve_enumerate, qp.solve_approx):
         sol = solver(inst)
         assert np.array_equal(sol.direction, g)
@@ -70,19 +62,9 @@ def test_gem_no_increase_with_zero_strength():
     rng = rng_from(77, "noinc")
     for _ in range(50):
         rows = rng.standard_normal((3, 5))
-        inst = box(rows, rng.standard_normal(5), np.zeros(3))
+        inst = qp.QpInstance(rows, rng.standard_normal(5), np.zeros(3))
         sol = qp.solve_exact(inst)
         assert np.min(rows @ sol.direction) >= -1e-8
-
-
-def test_regularized_form_meets_primal_margins():
-    rng = rng_from(78, "margins")
-    for _ in range(50):
-        rows = rng.standard_normal((3, 6))
-        gamma = rng.uniform(0.0, 1.0, size=3)
-        inst = reg(rows, rng.standard_normal(6), gamma)
-        sol = qp.solve_exact(inst, tol=1e-12)
-        assert np.all(rows @ sol.direction >= gamma - 1e-8)
 
 
 def test_box_solution_respects_lower_bound_exactly():
@@ -90,14 +72,14 @@ def test_box_solution_respects_lower_bound_exactly():
     for _ in range(50):
         m = int(rng.integers(1, 4))
         q = float(rng.choice([0.0, 0.1, 0.5]))
-        inst = box(rng.standard_normal((m, 5)), rng.standard_normal(5), np.full(m, q))
+        inst = qp.QpInstance(rng.standard_normal((m, 5)), rng.standard_normal(5), np.full(m, q))
         for sol in (qp.solve_exact(inst), qp.solve_approx(inst)):
             assert np.all(sol.multipliers >= q)
 
 
 def test_direction_identity():
     rng = rng_from(80, "dirid")
-    inst = box(rng.standard_normal((3, 7)), rng.standard_normal(7), np.full(3, 0.1))
+    inst = qp.QpInstance(rng.standard_normal((3, 7)), rng.standard_normal(7), np.full(3, 0.1))
     sol = qp.solve_exact(inst)
     np.testing.assert_array_equal(
         sol.direction, inst.target + inst.constraint_rows.T @ sol.multipliers)
@@ -107,8 +89,8 @@ def test_exact_objective_no_worse_than_start_or_oracle():
     rng = rng_from(81, "mono")
     for _ in range(30):
         m = int(rng.integers(1, 4))
-        inst = box(rng.standard_normal((m, 6)), rng.standard_normal(6),
-                   np.full(m, float(rng.choice([0.0, 0.3]))))
+        inst = qp.QpInstance(rng.standard_normal((m, 6)), rng.standard_normal(6),
+                             np.full(m, float(rng.choice([0.0, 0.3]))))
         f = qp.dual_objective(inst, qp.solve_exact(inst).multipliers)
         assert f <= qp.dual_objective(inst, qp.lower_bounds(inst))
         assert f <= qp.dual_objective(inst, qp.solve_enumerate(inst).multipliers) + 1e-9
@@ -116,7 +98,7 @@ def test_exact_objective_no_worse_than_start_or_oracle():
 
 def test_unconverged_flagged_not_raised():
     # two orthogonal conflicting rows: each needs its own pivot
-    inst = box(np.eye(2), [-1.0, -1.0], [0.1, 0.1])
+    inst = qp.QpInstance(np.eye(2), [-1.0, -1.0], [0.1, 0.1])
     assert qp.solve_exact(inst).iterations >= 2
     sol = qp.solve_exact(inst, max_iter=1)
     assert sol.iterations <= 1
@@ -124,36 +106,40 @@ def test_unconverged_flagged_not_raised():
     assert np.all(sol.multipliers >= 0.1)
 
 
-def test_infeasible_margins_flagged_not_raised():
-    # <c, z> >= 1 and <-c, z> >= 1 cannot both hold: the dual is unbounded
-    inst = reg([[1.0, 0.0], [-1.0, 0.0]], [0.3, 0.2], [1.0, 1.0])
-    sol = qp.solve_exact(inst)
-    assert not sol.converged
-    assert sol.iterations < qp.DEFAULT_MAX_ITER
-    assert np.all(sol.multipliers >= 0.0)
+# a Gram-space dual that is unbounded below: the ray d = (1, 1) has K d = 0
+# and h . d < 0. An instance's (K, h) is bounded below but for round-off,
+# so the core's guard is driven directly. It is the pair of the margins
+# <c, z> >= 1 and <-c, z> >= 1, which no direction meets
+UNBOUNDED_K = np.array([[[1.0, -1.0], [-1.0, 1.0]]])
+UNBOUNDED_H = np.array([[-0.7, -1.3]])
+
+
+def test_unbounded_dual_stops_unconverged_not_raised():
+    u, solves, residual = qp._lawson_hanson(UNBOUNDED_K, UNBOUNDED_H, qp.DEFAULT_TOL,
+                                             qp.DEFAULT_MAX_ITER)
+    assert residual[0] > qp.DEFAULT_TOL
+    assert solves[0] < qp.DEFAULT_MAX_ITER
+    assert np.all(u >= 0.0)
 
 
 def test_nonfinite_input_rejected():
     with pytest.raises(ValueError):
-        qp.solve_exact(box([[1.0, np.nan]], [0.0, 0.0], [0.0]))
+        qp.solve_exact(qp.QpInstance([[1.0, np.nan]], [0.0, 0.0], [0.0]))
     with pytest.raises(ValueError):
-        qp.solve_exact(box([[1.0, 0.0]], [np.inf, 0.0], [0.0]))
+        qp.solve_exact(qp.QpInstance([[1.0, 0.0]], [np.inf, 0.0], [0.0]))
 
 
-@pytest.mark.parametrize("form", [qp.BOX_FORM, qp.REGULARIZED_FORM])
-def test_degenerate_row_left_out(form):
+def test_degenerate_row_left_out():
     # a row below MIN_ROW_SQNORM adds no constraint: multiplier 0, counted,
     # and the rest solves like the instance built without it
-    rng = rng_from(82, "leftout", form)
+    rng = rng_from(82, "leftout")
     rows = rng.standard_normal((3, 4))
     rows[1] *= 1e-7
     g, strength = rng.standard_normal(4), np.array([0.1, 0.2, 0.3])
-    inst = qp.QpInstance(rows, g, strength, form=form)
-    without = qp.QpInstance(rows[[0, 2]], g, strength[[0, 2]], form=form)
-    routes = [qp.solve_exact, qp.solve_enumerate]
-    if form == qp.BOX_FORM:
-        routes.append(qp.solve_approx)
-        assert qp.lower_bounds(inst).tolist() == [0.1, 0.0, 0.3]
+    inst = qp.QpInstance(rows, g, strength)
+    without = qp.QpInstance(rows[[0, 2]], g, strength[[0, 2]])
+    routes = [qp.solve_exact, qp.solve_enumerate, qp.solve_approx]
+    assert qp.lower_bounds(inst).tolist() == [0.1, 0.0, 0.3]
     for solve in routes:
         sol, ref = solve(inst), solve(without)
         assert sol.rows_dropped == 1 and ref.rows_dropped == 0
@@ -168,7 +154,7 @@ def test_degenerate_row_left_out(form):
     # every row left out (an all-zero row among them): the target exactly
     rows[[0, 2]] *= [[0.0], [1e-9]]
     for solve in routes:
-        sol = solve(qp.QpInstance(rows, g, strength, form=form))
+        sol = solve(qp.QpInstance(rows, g, strength))
         assert sol.rows_dropped == 3
         assert np.array_equal(sol.multipliers, np.zeros(3))
         assert np.array_equal(sol.direction, g)
@@ -189,7 +175,7 @@ def test_routes_agree_on_a_row_at_the_threshold():
         if above != ((rows @ rows.T)[0, 0] >= qp.MIN_ROW_SQNORM):
             break
     assert n == 44
-    inst = box(rows, rng.standard_normal(n), [0.5, 0.5])
+    inst = qp.QpInstance(rows, rng.standard_normal(n), [0.5, 0.5])
     exact = qp.solve_exact(inst)
     dropped = {solve(inst).rows_dropped for solve in (qp.solve_approx, qp.solve_enumerate)}
     assert dropped == {exact.rows_dropped}
@@ -201,7 +187,7 @@ def test_enumerate_rejects_large_m():
     rng = rng_from(83, "toolarge")
     rows = rng.standard_normal((13, 4))
     with pytest.raises(ValueError):
-        qp.solve_enumerate(box(rows, rng.standard_normal(4), np.zeros(13)))
+        qp.solve_enumerate(qp.QpInstance(rows, rng.standard_normal(4), np.zeros(13)))
 
 
 def test_enumerate_certifies_large_multipliers_on_a_near_singular_face():
@@ -220,7 +206,7 @@ def test_enumerate_certifies_large_multipliers_on_a_near_singular_face():
             [1.5282978845880792, -0.5897209691128361, -0.5938899476723107],
             [-1.0077272615159014, 0.22181820034011665, -1.3949195607997773]]
     g = [3.647839315431756, -5.015196657143112, 0.23443458049743787]
-    inst = box(rows, g, np.zeros(7))
+    inst = qp.QpInstance(rows, g, np.zeros(7))
     ref, sol = qp.solve_exact(inst), qp.solve_enumerate(inst)
     assert ref.converged
     assert np.abs(sol.multipliers).max() > 1e4
@@ -253,16 +239,11 @@ def test_enumerate_returns_the_most_accurate_kkt_point(rows, g):
     # whose objective differs from the optimum's only by rounding; the
     # enumerator keeps the candidate with the smallest KKT residual, which
     # is solve_exact's converged optimum
-    inst = box(rows, g, np.full(7, 0.5))
+    inst = qp.QpInstance(rows, g, np.full(7, 0.5))
     ref, sol = qp.solve_exact(inst), qp.solve_enumerate(inst)
     assert ref.converged
     assert sol.kkt_residual == qp.kkt_residual(inst, sol.multipliers) <= 1e-10
     np.testing.assert_allclose(sol.direction, ref.direction, rtol=0, atol=1e-9)
-
-
-def test_approx_requires_box_form():
-    with pytest.raises(ValueError):
-        qp.solve_approx(reg([[1.0, 0.0]], [1.0, 1.0], [0.5]))
 
 
 # --- kkt_residual ------------------------------------------------------------
@@ -270,20 +251,20 @@ def test_approx_requires_box_form():
 def test_kkt_residual_zero_at_enumerated_optimum():
     rng = rng_from(84, "kktzero")
     for _ in range(20):
-        inst = box(rng.standard_normal((3, 5)), rng.standard_normal(5),
-                   np.full(3, float(rng.choice([0.0, 0.1, 0.5]))))
+        inst = qp.QpInstance(rng.standard_normal((3, 5)), rng.standard_normal(5),
+                             np.full(3, float(rng.choice([0.0, 0.1, 0.5]))))
         sol = qp.solve_enumerate(inst)
         assert qp.kkt_residual(inst, sol.multipliers) <= 1e-9
 
 
 def test_kkt_residual_positive_off_optimum():
     # unconstrained optimum is interior, so v pinned at q is suboptimal
-    inst = box([[0.0, 1.0]], [1.0, -1.0], [0.2])
+    inst = qp.QpInstance([[0.0, 1.0]], [1.0, -1.0], [0.2])
     assert qp.kkt_residual(inst, np.array([0.2])) > 0.0
 
 
 def test_kkt_residual_empty_instance():
-    inst = box(np.zeros((0, 2)), [1.0, 2.0], np.zeros(0))
+    inst = qp.QpInstance(np.zeros((0, 2)), [1.0, 2.0], np.zeros(0))
     assert qp.kkt_residual(inst, np.zeros(0)) == 0.0
 
 
@@ -301,7 +282,7 @@ def test_kkt_residual_rejects_a_stack():
 
 # --- oracle equivalence ------------------------------------------------------
 
-def test_enumerate_matches_exact_on_mixed_forms():
+def test_enumerate_matches_exact_on_shared_and_per_row_floors():
     rng = rng_from(85, "mixed")
     worst = 0.0
     for i in range(200):
@@ -310,9 +291,9 @@ def test_enumerate_matches_exact_on_mixed_forms():
         rows = rng.standard_normal((m, n))
         g = rng.standard_normal(n)
         if i % 2 == 0:
-            inst = box(rows, g, np.full(m, float(rng.choice([0.0, 0.1, 0.5]))))
+            inst = qp.QpInstance(rows, g, np.full(m, float(rng.choice([0.0, 0.1, 0.5]))))
         else:
-            inst = reg(rows, g, rng.uniform(0.0, 1.0, size=m))
+            inst = qp.QpInstance(rows, g, rng.uniform(0.0, 1.0, size=m))
         sol_cd = qp.solve_exact(inst, tol=1e-12)
         sol_en = qp.solve_enumerate(inst)
         diff = np.max(np.abs(sol_cd.direction - sol_en.direction))
@@ -324,7 +305,7 @@ def test_enumerate_matches_exact_on_mixed_forms():
 
 
 def _hard_rows(kind, rng):
-    """Rows of one hard instance, and a point z0 inside every row's half-space."""
+    """Rows of one hard instance."""
     if kind == "anti_parallel":
         # a and -a turned by delta: cos(angle) about -0.995 or -0.99995
         a = rng.standard_normal(6)
@@ -332,30 +313,26 @@ def _hard_rows(kind, rng):
         b -= (b @ a) / (a @ a) * a
         b /= np.linalg.norm(b)
         delta = float(rng.choice([1e-1, 1e-2]))
-        rows = np.vstack([a, -a + delta * np.linalg.norm(a) * b, rng.standard_normal(6)])
-        return rows, b + 0.5 * delta * a / np.linalg.norm(a)
+        return np.vstack([a, -a + delta * np.linalg.norm(a) * b, rng.standard_normal(6)])
     if kind == "duplicated":  # singular Gram matrix
-        rows = rng.standard_normal((3, 5))[[0, 1, 0, 2, 1]]
-    elif kind == "more_rows_than_dims":
-        rows = rng.standard_normal((7, 3))
-    else:
-        rows = rng.standard_normal((12, 16))
-    return rows, rng.standard_normal(rows.shape[1])
+        return rng.standard_normal((3, 5))[[0, 1, 0, 2, 1]]
+    if kind == "more_rows_than_dims":
+        return rng.standard_normal((7, 3))
+    return rng.standard_normal((12, 16))
 
 
-@pytest.mark.parametrize("form", [qp.BOX_FORM, qp.REGULARIZED_FORM])
+@pytest.mark.parametrize("floors", ["shared", "per_row"])
 @pytest.mark.parametrize("kind", ["anti_parallel", "duplicated",
                                   "more_rows_than_dims", "m12"])
-def test_exact_matches_enumerate_on_hard_instances(kind, form):
-    rng = rng_from(87, kind, form)
+def test_exact_matches_enumerate_on_hard_instances(kind, floors):
+    rng = rng_from(87, kind, floors)
     for _ in range(3 if kind == "m12" else 20):
-        rows, z0 = _hard_rows(kind, rng)
-        rows = np.where((rows @ z0 < 0.0)[:, None], -rows, rows)
-        if form == qp.BOX_FORM:
+        rows = _hard_rows(kind, rng)
+        if floors == "shared":
             strength = np.full(len(rows), float(rng.choice([0.0, 0.1, 0.5])))
-        else:  # margins z0 meets, so the primal is feasible
-            strength = rng.uniform(0.0, 1.0, size=len(rows)) * (rows @ z0)
-        inst = qp.QpInstance(rows, rng.standard_normal(rows.shape[1]), strength, form=form)
+        else:
+            strength = rng.uniform(0.0, 1.0, size=len(rows))
+        inst = qp.QpInstance(rows, rng.standard_normal(rows.shape[1]), strength)
         sol = qp.solve_exact(inst)
         ref = qp.solve_enumerate(inst)
         assert sol.converged
@@ -378,7 +355,7 @@ def test_approx_equals_enumerate_for_orthogonal_rows():
         nu = -(rows @ g) / np.einsum("ij,ij->i", rows, rows)
         if np.any(nu <= 0.0):
             continue  # want every multiplier interior at q=0
-        inst = box(rows, g, np.zeros(3))
+        inst = qp.QpInstance(rows, g, np.zeros(3))
         np.testing.assert_allclose(qp.solve_approx(inst).direction,
                                    qp.solve_enumerate(inst).direction, atol=1e-9)
 
@@ -388,7 +365,7 @@ def test_approx_equals_enumerate_for_orthogonal_rows():
 def test_exact_solver_properties(seed, q):
     rng = np.random.default_rng(seed)
     m, n = int(rng.integers(1, 4)), int(rng.integers(2, 7))
-    inst = box(rng.standard_normal((m, n)), rng.standard_normal(n), np.full(m, q))
+    inst = qp.QpInstance(rng.standard_normal((m, n)), rng.standard_normal(n), np.full(m, q))
     sol = qp.solve_exact(inst)
     assert sol.converged
     assert sol.kkt_residual <= qp.DEFAULT_TOL
@@ -410,7 +387,7 @@ def _same(a, b):
 
 
 def _item(inst, i):
-    return qp.QpInstance(inst.constraint_rows[i], inst.target[i], inst.strength[i], inst.form)
+    return qp.QpInstance(inst.constraint_rows[i], inst.target[i], inst.strength[i])
 
 
 def _random_batch(rng):
@@ -424,11 +401,10 @@ def _random_batch(rng):
             rows = np.hstack([rows, rng.standard_normal((m, 5))])[:, :n]
         g = rng.standard_normal(n)
         if rng.random() < 0.5:
-            inst = box(rows, g, np.full(m, float(rng.choice([0.0, 0.1, 0.5]))))
-            solver = qp.APPROX if rng.random() < 0.4 else qp.EXACT
+            inst = qp.QpInstance(rows, g, np.full(m, float(rng.choice([0.0, 0.1, 0.5]))))
         else:
-            inst = reg(rows, g, rng.uniform(0.0, 1.0, size=m))
-            solver = qp.EXACT
+            inst = qp.QpInstance(rows, g, rng.uniform(0.0, 1.0, size=m))
+        solver = qp.APPROX if rng.random() < 0.4 else qp.EXACT
         entries.append((inst, solver, [inst]))
     # a stack of instances with one m and n
     B, m, n = int(rng.integers(1, 6)), int(rng.integers(0, 5)), int(rng.integers(1, 8))
@@ -449,9 +425,6 @@ def _random_batch(rng):
             row = inst.constraint_rows[at]
             if row.any():
                 row *= np.sqrt(qp.MIN_ROW_SQNORM / (row @ row))
-    # an unbounded dual: margins no direction meets
-    unbounded = reg([[1.0, 0.0], [-1.0, 0.0]], rng.standard_normal(2), [1.0, 1.0])
-    entries.append((unbounded, qp.EXACT, [unbounded]))
     return entries
 
 
@@ -463,7 +436,7 @@ def _alone(inst, solver, max_iter):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, qp.DEFAULT_MAX_ITER]))
-@example(95797, 1)  # a 1e-3-scaled row of n = 1 below MIN_ROW_SQNORM
+@example(1599, 1)  # a 1e-3-scaled row of n = 1 below MIN_ROW_SQNORM
 def test_batched_solve_equals_each_instance_alone(seed, max_iter):
     rng = np.random.default_rng(seed)
     entries = _random_batch(rng)
@@ -484,35 +457,32 @@ def test_batched_solve_equals_each_instance_alone(seed, max_iter):
     rows = rng.standard_normal((4, 6))
     rows[1] *= 1e-8
     g = rng.standard_normal(6)
-    without = box(np.delete(rows, 1, axis=0), g, np.full(3, 0.5))
+    without = qp.QpInstance(np.delete(rows, 1, axis=0), g, np.full(3, 0.5))
     for solver in (qp.EXACT, qp.APPROX):
-        sol = _alone(box(rows, g, np.full(4, 0.5)), solver, max_iter)
+        sol = _alone(qp.QpInstance(rows, g, np.full(4, 0.5)), solver, max_iter)
         assert sol.multipliers[1] == 0.0 and sol.rows_dropped == 1
         np.testing.assert_allclose(sol.direction, _alone(without, solver, max_iter).direction,
                                    rtol=0, atol=1e-12)
 
 
 def test_batched_solve_rejects_bad_input():
-    inst = box([[1.0, 0.0]], [1.0, 1.0], [0.0])
+    inst = qp.QpInstance([[1.0, 0.0]], [1.0, 1.0], [0.0])
     with pytest.raises(ValueError):
         qp.solve_batch([inst], [qp.EXACT, qp.EXACT])
     with pytest.raises(ValueError):
         qp.solve_batch([inst], ["newton"])
     with pytest.raises(ValueError):
-        qp.solve_batch([reg([[1.0, 0.0]], [1.0, 1.0], [0.5])], [qp.APPROX])
-    with pytest.raises(ValueError):
         qp.QpInstance(np.zeros((2, 1, 3)), np.zeros((3, 3)), np.zeros((2, 1)))
 
 
 def test_batched_solve_raises_the_first_bad_entry_error():
-    # the entries fall in different (m, form, solver) cores, which validate
+    # the entries fall in different (m, solver) cores, which validate
     # together; the error is still the one checking entry by entry, in
     # order, meets first
-    good = box([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], [0.0, 0.5])
-    negative = box([[1.0, 2.0]], [1.0, 1.0], [-0.5])
-    nan = box(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), [np.nan, 1.0], np.zeros(3))
+    good = qp.QpInstance([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], [0.0, 0.5])
+    negative = qp.QpInstance([[1.0, 2.0]], [1.0, 1.0], [-0.5])
+    nan = qp.QpInstance(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), [np.nan, 1.0], np.zeros(3))
     nan_stack = qp.QpInstance(np.ones((2, 1, 2)), np.ones((2, 2)), [[0.0], [np.inf]])
-    approx_reg = reg([[1.0, 0.0]], [1.0, 1.0], [0.5])
     cases = [
         ([good, negative, nan], [qp.EXACT, qp.APPROX, qp.EXACT], "strength must be"),
         ([good, nan, negative], [qp.EXACT, qp.EXACT, qp.APPROX], "NaN or Inf"),
@@ -520,8 +490,6 @@ def test_batched_solve_raises_the_first_bad_entry_error():
         ([negative, good, nan], [qp.EXACT, qp.EXACT, qp.EXACT], "strength must be"),
         ([good, nan, good], [qp.EXACT, qp.EXACT, "newton"], "NaN or Inf"),
         ([good, good, nan], [qp.EXACT, "newton", qp.EXACT], "unknown solver 'newton'"),
-        ([negative, approx_reg], [qp.EXACT, qp.APPROX], "strength must be"),
-        ([good, approx_reg, nan], [qp.EXACT, qp.APPROX, qp.EXACT], "box_lower_bound form only"),
     ]
     for insts, solvers, error in cases:
         with pytest.raises(ValueError, match=error):
@@ -533,18 +501,18 @@ def test_lawson_hanson_residual_is_the_kkt_residual_at_the_returned_point():
     # equal those recomputed at the returned u, bit for bit. The stack's
     # rows 0 and 1 are near-parallel, 5 rows in 3 dimensions at scales
     # 1e-2 to 1e4: with OpenBLAS 0.3.31 its instances stop at the KKT
-    # tolerance (60), on a stall (1), a singular free set (1) and an
-    # unbounded dual (2), and at max_iter 1 and 2 most stop at the cap
+    # tolerance (60), on a stall (1), a singular free set (1) and, by
+    # round-off, an unbounded dual (2), and at max_iter 1 and 2 most stop
+    # at the cap; the last pair is unbounded below
     rng = rng_from(3, "lawson-hanson-stops")
     B = 64
     rows = rng.standard_normal((B, 5, 3)) * 10.0 ** rng.uniform(-2, 4, size=(B, 5, 1))
     rows[:, 1] = rows[:, 0] + 10.0 ** rng.uniform(-7, -3, size=(B, 1)) * rng.standard_normal((B, 3))
     g = rng.standard_normal((B, 3)) * 10.0 ** rng.uniform(0, 3, size=(B, 1))
     q = rng.choice([0.0, 0.5], size=(B, 1)) * np.ones((B, 5))
-    K, h, _, _ = qp._gram([(rows, g, q)], qp.BOX_FORM)
-    unbounded = reg([[1.0, 0.0], [-1.0, 0.0]], [0.3, -0.2], [1.0, 1.0])
-    K2, h2, _, _ = qp._gram([qp._stack(unbounded)], unbounded.form)
-    for (K, h), max_iter in itertools.product([(K, h), (K2, h2)], [1, 2, qp.DEFAULT_MAX_ITER]):
+    K, h, _, _ = qp._gram([(rows, g, q)])
+    pairs = [(K, h), (UNBOUNDED_K, UNBOUNDED_H)]
+    for (K, h), max_iter in itertools.product(pairs, [1, 2, qp.DEFAULT_MAX_ITER]):
         u, solves, residual = qp._lawson_hanson(K, h, qp.DEFAULT_TOL, max_iter)
         want = qp._kkt(u, qp._matvec(K, u) + h)
         assert residual.dtype == want.dtype and residual.tobytes() == want.tobytes(), max_iter

@@ -1,3 +1,5 @@
+import numpy as np
+
 from mgem import qp
 from mgem import selfcheck
 
@@ -36,6 +38,40 @@ def test_biased_exact_solver_is_caught(monkeypatch):
     monkeypatch.setattr(qp, "solve_exact", biased)
     passed, _ = selfcheck.check_oracle_equivalence(n_instances=30)
     assert not passed
+
+
+def _patch_floors(monkeypatch, floors):
+    """Patch ``qp.solve_exact`` to solve each instance with the floors
+    ``floors(inst)`` gives in place of its own."""
+    original = qp.solve_exact
+
+    def patched(inst, tol=qp.DEFAULT_TOL, max_iter=qp.DEFAULT_MAX_ITER):
+        inst = qp.QpInstance(inst.constraint_rows, inst.target, floors(inst))
+        return original(inst, tol=tol, max_iter=max_iter)
+
+    monkeypatch.setattr(qp, "solve_exact", patched)
+
+
+def test_a_module_floor_dropped_is_caught(monkeypatch):
+    def floors(inst):
+        # every module is 3 to 5 wide and a case has at least two, so an
+        # instance narrower than 6 is a module's: its floor goes to 0
+        return 0.0 * inst.strength if inst.target.shape[-1] < 6 else inst.strength
+
+    _patch_floors(monkeypatch, floors)
+    passed, detail = selfcheck.check_strength_ordering()
+    assert not passed, detail
+
+
+def test_a_split_row_floor_dropped_is_caught(monkeypatch):
+    def floors(inst):
+        # the memory split's instance is the only one with more than one
+        # row: its first row's floor goes to 0
+        return np.r_[0.0, inst.strength[1:]] if inst.m > 1 else inst.strength
+
+    _patch_floors(monkeypatch, floors)
+    passed, detail = selfcheck.check_strength_ordering()
+    assert not passed, detail
 
 
 def test_quick_mode_reduces_counts():
