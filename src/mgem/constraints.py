@@ -27,12 +27,13 @@ Per-module problems are independent (the joint QP is block-diagonal), so
 solving them separately and concatenating the directions equals the joint
 solve. The engine assembles the instances of every job of a lockstep stack
 at once (``assemble_step``): per module span and solver, the module views
-of all the jobs' rows form one stacked ``QpInstance`` for
-``qp.solve_batch``, which leaves degenerate rows out. The instances come
-back in the order of the task's assembly plan, whose entries (``StackPlan``)
-name the jobs, module span and solver of each. ``build_instances`` is the
-one-job case: it takes one job's rows and gives one instance per module in
-span order; ``assemble_direction`` concatenates the per-module directions.
+of all the jobs' rows form one ``(rows, target, strength)`` stack for
+``qp.solve_batch``, which leaves degenerate rows out. The stacks come back
+in the order of the run's assembly plan, whose entries (``StackPlan``) name
+the jobs, module span, solver and floors of each. ``build_instances`` is the
+one-job case: it takes one job's rows and gives one ``QpInstance`` per
+module in span order; ``assemble_direction`` concatenates the per-module
+directions.
 """
 
 from dataclasses import dataclass
@@ -127,10 +128,11 @@ def split_memory(n_samples: int, d_data: int, seed: int):
 
 @dataclass(eq=False)
 class StackPlan:
-    """One stacked QP of every step of a task: the stack rows ``jobs`` of its
+    """One stacked QP of every step of a run: the stack rows ``jobs`` of its
     items (item k belongs to job ``jobs[k]``), how to cut their rows
     (``take``: a slice when they are consecutive, else ``jobs``), the module
-    span, the solver, and the ``(len(jobs), G)`` lower bounds."""
+    span, the solver, and the ``(len(jobs),)`` floors, one per job, that
+    every memory row of the job's item shares."""
 
     jobs: np.ndarray
     take: object
@@ -139,11 +141,11 @@ class StackPlan:
     strength: np.ndarray
 
 
-def assembly_plan(methods, spans, n_rows: int) -> list:
-    """The ``StackPlan``s of a stack, one per module span and solver, for
-    steps with ``n_rows`` memory gradient rows per job. ``methods[r]`` and
-    ``spans[r]`` are the method and partition of stack row ``r``. It holds
-    for as long as ``n_rows`` does: for every step of a task."""
+def assembly_plan(methods, spans) -> list:
+    """The ``StackPlan``s of a stack, one per module span and solver.
+    ``methods[r]`` and ``spans[r]`` are the method and partition of stack
+    row ``r``. It holds for every step of a run, whatever its number of
+    memory gradient rows."""
     members = {}
     for r, job_spans in enumerate(spans):
         for span in job_spans:
@@ -152,10 +154,9 @@ def assembly_plan(methods, spans, n_rows: int) -> list:
     for (a, b, solver), group in members.items():
         lo, hi = group[0], group[-1] + 1
         group = np.asarray(group)
-        strength = np.array([methods[r].strength for r in group])
         plan.append(StackPlan(group, slice(lo, hi) if hi - lo == len(group) else group,
                               slice(a, b), solver,
-                              np.repeat(strength[:, None], n_rows, axis=1)))
+                              np.array([methods[r].strength for r in group])))
     return plan
 
 
@@ -164,17 +165,17 @@ def assemble_step(plan, g_t: np.ndarray, rows: np.ndarray) -> list:
 
     ``plan`` comes from ``assembly_plan``, ``g_t`` holds the ``(J, P)``
     minibatch gradients and ``rows`` the ``(J, G, P)`` memory gradient rows,
-    memory by memory and split by split. Returns one stacked ``QpInstance``
-    per entry of ``plan``, in plan order: item k holds the module slices of
-    job ``jobs[k]``'s rows, every row kept (the solver leaves degenerate
-    ones out). Each item is laid out as its job's instance alone would be, so
-    the solvers give each job its own result bit for bit.
+    memory by memory and split by split. Returns one ``(rows, target,
+    strength)`` stack per entry of ``plan``, in plan order, for
+    ``qp.solve_batch``: item k holds the module slices of job ``jobs[k]``'s
+    rows, every row kept (the solver leaves degenerate ones out), and its
+    floor broadcast to the ``G`` rows without a copy. Each item is laid out
+    as its job's instance alone would be, so the solvers give each job its
+    own result bit for bit.
     """
-    return [QpInstance(
-                constraint_rows=rows[p.take][:, :, p.span],
-                target=g_t[p.jobs, p.span],
-                strength=p.strength,
-            ) for p in plan]
+    return [(rows[p.take][:, :, p.span], g_t[p.jobs, p.span],
+             np.broadcast_to(p.strength[:, None], (len(p.jobs), rows.shape[1])))
+            for p in plan]
 
 
 def build_instances(method: MethodSpec, g_t: np.ndarray, rows: np.ndarray, spans) -> list:
@@ -192,9 +193,8 @@ def build_instances(method: MethodSpec, g_t: np.ndarray, rows: np.ndarray, spans
         raise ValueError("the single baseline does not assemble constraints")
     if not len(rows):
         return []
-    plan = assembly_plan([method], [spans], len(rows))
-    return [QpInstance(i.constraint_rows[0], i.target[0], i.strength[0])
-            for i in assemble_step(plan, g_t[None], rows[None])]
+    plan = assembly_plan([method], [spans])
+    return [QpInstance(c[0], g[0], q[0]) for c, g, q in assemble_step(plan, g_t[None], rows[None])]
 
 
 def assemble_direction(solutions, spans) -> np.ndarray:

@@ -164,7 +164,7 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
     memory's ``<g_s, z>`` is the size-weighted sum of its splits' inner
     products, ``sum_k (n_k / M) <g_sk, z>`` (a one-split memory's is its
     row's). The per-module QPs of every job are assembled together, from an
-    assembly plan made once per task, and solved in one batched call; each
+    assembly plan made once per run, and solved in one batched call; each
     direction ``g + C^T v`` is written into the jobs and module span of its
     plan entry in the update stack. Stacked products give every job's trace
     inner products, and one stacked evaluation per task fills the accuracy
@@ -174,14 +174,15 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
     the memory gradients (none where its pass has no memory rows) and the
     updated parameters are finite; the gradient rows of the pass take one
     scan, and the failing row is looked for only when it fails. On a step
-    that solves QPs the memory check is the solver's: a job fails it where
-    a module slice of one of its memory rows has a squared norm that is not
-    finite, which a row of finite entries can also overflow to. The first
-    check with a failing row stops the group: it raises the error of that
-    row's job (the first such row), the one ``run`` raises for it alone,
-    tagged with the row and its ``(task, iteration, check)``; no pass runs
-    after that step. Each job trains as it would alone, so that point is
-    its own, whatever group it is in.
+    that solves QPs the memory check is the solver's: the step assembles its
+    QP stacks before the scan, and a job fails it where a module slice of
+    one of its memory rows in those stacks has a squared norm
+    (``qp.row_sqnorms``) that is not finite, which a row of finite entries
+    can also overflow to. The first check with a failing row stops the
+    group: it raises the error of that row's job (the first such row), the
+    one ``run`` raises for it alone, tagged with the row and its ``(task,
+    iteration, check)``; no pass runs after that step. Each job trains as
+    it would alone, so that point is its own, whatever group it is in.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -218,16 +219,19 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
             err.point = (t_pos, it, which)
             raise err
 
-    def module_norms(plan, rows):
+    def module_norms(stacks):
         """Each job's largest squared norm of a module slice of its memory
-        rows, cut from ``rows`` as ``assemble_step`` cuts them for the
-        solver: not finite for exactly the jobs whose rows the solver
-        rejects (``qp._rows``), a row with a non-finite entry among them."""
+        rows, the rows of the step's ``stacks`` (one per plan entry) by
+        ``qp.row_sqnorms``: not finite for exactly the jobs whose rows the
+        solver rejects, a row with a non-finite entry among them."""
         sq = np.zeros(J)
-        for p in plan:
-            cut = rows[p.take][:, :, p.span]
-            sq[p.jobs] = np.maximum(sq[p.jobs], np.einsum("bij,bij->bi", cut, cut).max(axis=1))
+        for p, (rows, _, _) in zip(plan, stacks):
+            sq[p.jobs] = np.maximum(sq[p.jobs], qp.row_sqnorms(rows).max(axis=1))
         return sq
+
+    # one plan serves every solved step of the run; single solves nothing
+    plan = assembly_plan(methods, spans) if constrained_kind else []
+    solvers = [p.solver for p in plan]
 
     for t_pos, task in enumerate(stream.tasks, start=1):
         batch_rng = rng_from(lead.seed, "batch", t_pos)
@@ -236,8 +240,6 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
         solved = constrained_kind and not one_row
         traced = trace and t_pos >= 2
         G = len(splits)
-        if solved:
-            plan = assembly_plan(methods, spans, G)
         # each step's one pass: its minibatch, then the memory splits when
         # it solves or traces, then the current and past training sets when
         # it traces
@@ -249,16 +251,16 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
             batch = task.train.take(batch_rng.integers(0, n_train, size=lead.batch_size))
             out = _backprop(params, mlp, Dataset.concat([batch, *parts]), pass_sizes)[1]
             g_t, mem_rows = out[:, 0], out[:, 1:1 + G]  # no memory rows: empty
+            stacks = assemble_step(plan, g_t, mem_rows) if solved else []
             if not np.isfinite(out[:, :1 + G]).all():  # one scan; find the row on failure
                 check(g_t, 0, it)
-                check(module_norms(plan, mem_rows) if solved else mem_rows, 1, it)
+                check(module_norms(stacks) if solved else mem_rows, 1, it)
             z = np.empty_like(g_t) if solved else g_t
             if solved:
                 try:
-                    sols = qp.solve_batch(assemble_step(plan, g_t, mem_rows),
-                                          [p.solver for p in plan])
+                    sols = qp.solve_batch(stacks, solvers)
                 except ValueError:  # a finite row whose squared norm overflows
-                    check(module_norms(plan, mem_rows), 1, it)
+                    check(module_norms(stacks), 1, it)
                     raise
                 unsolved = np.zeros(J, dtype=bool)
                 for p, sol in zip(plan, sols):

@@ -30,24 +30,25 @@ Three routes are provided:
                         for a single constraint; one matrix-vector pass.
 
 ``solve_batch`` solves many instances at once, each by the exact or the
-approximate route: a ``QpInstance`` may hold a stack of instances that share
-m and n, and the exact instances of every stack with the same m run through
-one Lawson-Hanson core on ``(B, m, m)`` arrays, each advancing through its
-own pivots and Newton steps under masks.
-``solve_exact`` and ``solve_approx`` are its one-instance case. Every
-result is the one the instance gets alone, bit for bit: each stacked
-product is the per-instance product (Gram, ``K u``, ``K_j . d`` as a 1 x m
-by m x 1 product, the direction), and each round solves every free-set
-system as one ``(B, m, m)`` stack, ``K`` on the free block and the
-identity elsewhere.
+approximate route. It takes stacks of instances that share m and n as
+``(rows, target, strength)`` array triples of shapes ``(B, m, n)``,
+``(B, n)`` and ``(B, m)``, and the exact instances of every stack with the
+same m run through one Lawson-Hanson core on ``(B, m, m)`` arrays, each
+advancing through its own pivots and Newton steps under masks. A
+``QpInstance`` is one instance; ``solve_exact`` and ``solve_approx`` solve
+it as a stack of one (``_stack``). Every result is the one the instance
+gets alone, bit for bit: each stacked product is the per-instance product
+(Gram, ``K u``, ``K_j . d`` as a 1 x m by m x 1 product, the direction),
+and each round solves every free-set system as one ``(B, m, m)`` stack,
+``K`` on the free block and the identity elsewhere.
 
 A row whose squared norm is below ``MIN_ROW_SQNORM`` carries no direction
 (e.g. the gradient of a fully fit memory) and is left out of its instance:
 its multiplier is 0 and it adds no constraint. ``rows_dropped`` of a
 ``DualSolution`` counts such rows. One helper, ``_rows``, validates
-instances and makes this decision from one pass of squared row norms, for
-every route and for ``lower_bounds`` and ``kkt_residual``, so they all
-agree on a row at the threshold.
+stacks and makes this decision from one pass of squared row norms
+(``row_sqnorms``), for every route and for ``lower_bounds`` and
+``kkt_residual``, so they all agree on a row at the threshold.
 """
 
 import itertools
@@ -66,10 +67,11 @@ _ENUM_MAX_M = 12
 
 @dataclass(eq=False)
 class QpInstance:
-    """One assembled inequality system for a single update step, or a
-    stack of ``B`` such systems with equal m and n: rows ``(B, m, n)``,
-    target ``(B, n)``, strength ``(B, m)``. A target with two axes marks a
-    stack.
+    """One assembled inequality system for a single update step: ``(m, n)``
+    constraint rows, an ``(n,)`` target and ``(m,)`` strengths. One row may
+    be given as a vector and its strength as a scalar. A stack of systems
+    is not an instance but ``solve_batch``'s ``(rows, target, strength)``
+    triple.
 
     ``strength`` is the per-row floor ``q`` on the multipliers, entrywise
     >= 0.
@@ -81,35 +83,31 @@ class QpInstance:
 
     def __post_init__(self):
         self.target = np.asarray(self.target, dtype=np.float64)
-        if self.target.ndim not in (1, 2):
-            raise ValueError("target must be a vector or a stack of vectors")
-        lead = self.target.shape[:-1]
-        self.constraint_rows = np.asarray(self.constraint_rows, dtype=np.float64)
-        self.strength = np.asarray(self.strength, dtype=np.float64)
-        if not lead:
-            self.constraint_rows = np.atleast_2d(self.constraint_rows)
-            self.strength = np.atleast_1d(self.strength)
+        if self.target.ndim != 1:
+            raise ValueError("target must be a vector")
+        self.constraint_rows = np.atleast_2d(np.asarray(self.constraint_rows, dtype=np.float64))
+        if self.constraint_rows.ndim != 2:
+            raise ValueError("constraint rows must be a matrix")
+        self.strength = np.atleast_1d(np.asarray(self.strength, dtype=np.float64))
         if self.constraint_rows.size == 0:
-            self.constraint_rows = self.constraint_rows.reshape(lead + (0, self.target.shape[-1]))
-            self.strength = self.strength.reshape(lead + (0,))
-        if (self.constraint_rows.ndim != len(lead) + 2
-                or self.constraint_rows.shape[:-2] != lead):
-            raise ValueError("constraint rows and target disagree on the stack size")
-        if self.constraint_rows.shape[-1] != self.target.shape[-1]:
+            self.constraint_rows = self.constraint_rows.reshape(0, len(self.target))
+            self.strength = self.strength.reshape(0)
+        if self.constraint_rows.shape[1] != len(self.target):
             raise ValueError("constraint rows and target disagree on dimension")
-        if self.strength.shape != self.constraint_rows.shape[:-1]:
+        if self.strength.shape != self.constraint_rows.shape[:1]:
             raise ValueError("strength length must equal the number of rows")
 
     @property
     def m(self) -> int:
-        return self.constraint_rows.shape[-2]
+        return len(self.constraint_rows)
 
 
 @dataclass(eq=False)
 class DualSolution:
     """Multipliers, recovered direction, and convergence diagnostics, and
-    the number of rows left out (below ``MIN_ROW_SQNORM``); for a stacked
-    instance each field has the stack's leading axis."""
+    the number of rows left out (below ``MIN_ROW_SQNORM``). ``solve_batch``
+    gives one per stack, each field with the stack's leading axis; the
+    one-instance solvers give one instance's, with scalar diagnostics."""
 
     multipliers: np.ndarray
     direction: np.ndarray
@@ -120,10 +118,8 @@ class DualSolution:
 
 
 def _stack(inst: QpInstance):
-    """``(rows, target, strength)`` with a leading stack axis; one instance
-    is a stack of one (views, so each item keeps its memory layout)."""
-    if inst.target.ndim == 2:
-        return inst.constraint_rows, inst.target, inst.strength
+    """The ``(rows, target, strength)`` stack of one of ``inst``: views, so
+    the instance keeps its memory layout."""
     return inst.constraint_rows[None], inst.target[None], inst.strength[None]
 
 
@@ -131,6 +127,12 @@ def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``A @ x`` for stacks of matrices and vectors, as the per-item
     matrix-vector product."""
     return np.matmul(A, x[..., None])[..., 0]
+
+
+def row_sqnorms(rows: np.ndarray) -> np.ndarray:
+    """The squared norm of each row of a ``(B, m, n)`` stack, ``(B, m)``:
+    the norms by which ``_rows`` validates a stack and leaves rows out."""
+    return np.einsum("bij,bij->bi", rows, rows)
 
 
 def _rows(stacks):
@@ -142,7 +144,7 @@ def _rows(stacks):
     taken stack by stack, so each keeps its rows' memory layout; the rest
     is m-sized work on the joined ``(B, m)`` arrays. A row holding NaN or
     Inf has a non-finite norm."""
-    sq = np.concatenate([np.einsum("bij,bij->bi", rows, rows) for rows, _, _ in stacks])
+    sq = np.concatenate([row_sqnorms(rows) for rows, _, _ in stacks])
     strength = np.concatenate([strength for _, _, strength in stacks])
     if not (np.isfinite(sq).all() and np.isfinite(strength).all()
             and all(np.isfinite(target).all() for _, target, _ in stacks)):
@@ -178,22 +180,19 @@ def _kkt(u: np.ndarray, grad: np.ndarray):
 
 
 def lower_bounds(inst: QpInstance) -> np.ndarray:
-    """The lower bounds of ``v`` (``_rows``), stacked like ``inst``."""
-    lb = _rows([_stack(inst)])[2]
-    return lb if inst.target.ndim == 2 else lb[0]
+    """The lower bounds of ``v`` (``_rows``) of one instance."""
+    return _rows([_stack(inst)])[2][0]
 
 
 def dual_objective(inst: QpInstance, v: np.ndarray) -> float:
-    """The dual objective at ``v`` of one instance (not a stack)."""
-    if inst.target.ndim != 1:
-        raise ValueError("dual_objective takes one instance, not a stack")
+    """The dual objective at ``v`` of one instance."""
     r = inst.constraint_rows.T @ v + inst.target
     return 0.5 * float(r @ r)
 
 
 def kkt_residual(inst: QpInstance, v: np.ndarray) -> float:
     """Max violation of the bound-constrained KKT conditions at ``v``, for
-    one instance (not a stack).
+    one instance.
 
     Per coordinate the residual is ``|min(u_k, (K u + h)_k)|`` for
     ``u = v - lb`` on ``_gram``'s ``(K, h)``: zero iff ``v`` is feasible and
@@ -201,8 +200,6 @@ def kkt_residual(inst: QpInstance, v: np.ndarray) -> float:
     gradient, or stationary. A row left out adds nothing: its multiplier is
     taken as 0 and its residual is 0.
     """
-    if inst.target.ndim != 1:
-        raise ValueError("kkt_residual takes one instance, not a stack")
     K, h, lb, out = (a[0] for a in _gram([_stack(inst)]))
     u = np.where(out, 0.0, np.asarray(v, dtype=np.float64) - lb)
     return float(_kkt(u, K @ u + h))
@@ -343,48 +340,48 @@ def _lawson_hanson(K: np.ndarray, h: np.ndarray, tol: float, max_iter: int):
     return u, solves, _kkt(u, grad) if residual is None else residual
 
 
-def solve_batch(insts, solvers, tol: float = DEFAULT_TOL,
+def solve_batch(stacks, solvers, tol: float = DEFAULT_TOL,
                 max_iter: int = DEFAULT_MAX_ITER) -> list:
-    """Solve every instance of ``insts`` (each one instance or a stack),
+    """Solve every instance of ``stacks``, each a ``(rows, target,
+    strength)`` triple of shapes ``(B, m, n)``, ``(B, n)`` and ``(B, m)``,
     by the route ``solvers[i]`` names: ``EXACT`` or ``APPROX``.
 
-    Returns one ``DualSolution`` per entry, stacked like it. The entries
-    with the same m and route form one core: it is validated, and its
-    m-sized work (lower bounds, ``h``, the rows left out) done, once, on the
-    joined ``(B, m)`` arrays of its entries (``_rows``, ``_gram``). Its
-    exact instances share one Lawson-Hanson core (``tol``, ``max_iter`` as
-    in ``solve_exact``), its approximate ones one closed form. The n-wide
-    products (row norms, ``C g``, the Gram matrix, the direction) stay per
-    entry. Bad input raises the error that checking the entries one by one,
-    in order, raises first. Each result equals the one its instance gets
-    alone, bit for bit.
+    Returns one ``DualSolution`` per stack, each field with the stack's
+    leading axis. The stacks with the same m and route form one core: it is
+    validated, and its m-sized work (lower bounds, ``h``, the rows left out)
+    done, once, on the joined ``(B, m)`` arrays of its stacks (``_rows``,
+    ``_gram``). Its exact instances share one Lawson-Hanson core (``tol``,
+    ``max_iter`` as in ``solve_exact``), its approximate ones one closed
+    form. The n-wide products (row norms, ``C g``, the Gram matrix, the
+    direction) stay per stack. Bad input raises the error that checking the
+    stacks one by one, in order, raises first. Each result equals the one
+    its instance gets alone, bit for bit.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    insts, solvers = list(insts), list(solvers)
-    if len(solvers) != len(insts):
-        raise ValueError(f"got {len(solvers)} solvers for {len(insts)} instances")
-    stacks = [_stack(inst) for inst in insts]
+    stacks, solvers = list(stacks), list(solvers)
+    if len(solvers) != len(stacks):
+        raise ValueError(f"got {len(solvers)} solvers for {len(stacks)} stacks")
 
-    def check_each(n):  # the error that checking entries 0..n-1 one by one raises first
+    def check_each(n):  # the error that checking stacks 0..n-1 one by one raises first
         for stack in stacks[:n]:
             _rows([stack])
 
-    groups = {}  # (m, solver) -> entries
-    for i, (inst, solver) in enumerate(zip(insts, solvers)):
+    groups = {}  # (m, solver) -> stack indices
+    for i, ((rows, _, _), solver) in enumerate(zip(stacks, solvers)):
         if solver not in (EXACT, APPROX):
             check_each(i)
             raise ValueError(f"unknown solver {solver!r}")
-        groups.setdefault((inst.m, solver), []).append(i)
+        groups.setdefault((rows.shape[1], solver), []).append(i)
     try:
         built = [(entries, solver, (_gram if solver == EXACT else _rows)(
                       [stacks[i] for i in entries]))
                  for (_, solver), entries in groups.items()]
     except ValueError:
-        check_each(len(insts))
+        check_each(len(stacks))
         raise
 
-    sols = [None] * len(insts)
+    sols = [None] * len(stacks)
     for entries, solver, arrays in built:
         if solver == EXACT:
             K, h, lb, out = arrays
@@ -407,20 +404,16 @@ def solve_batch(insts, solvers, tol: float = DEFAULT_TOL,
                 res = _kkt(v[cut] - lb[cut], grad)
             else:
                 res = residual[cut]
-            if insts[i].target.ndim == 2:
-                sols[i] = DualSolution(v[cut], direction, solves[cut], res, converged[cut],
-                                       dropped[cut])
-            else:
-                j = cut.start
-                sols[i] = DualSolution(v[j], direction[0], int(solves[j]), float(res[0]),
-                                       bool(converged[j]), int(dropped[j]))
+            sols[i] = DualSolution(v[cut], direction, solves[cut], res, converged[cut],
+                                   dropped[cut])
     return sols
 
 
 def solve_exact(inst: QpInstance, tol: float = DEFAULT_TOL,
                 max_iter: int = DEFAULT_MAX_ITER) -> DualSolution:
     """Lawson-Hanson active-set method on the dual in Gram space
-    (``_lawson_hanson``); the one-instance case of ``solve_batch``.
+    (``_lawson_hanson``); ``solve_batch`` on the stack of one of ``inst``,
+    its fields unwrapped to one instance's.
 
     Past the Gram product, all work up to ``direction = g + C^T v`` is on
     m-sized arrays. Stops when the KKT residual drops to ``tol``.
@@ -430,12 +423,15 @@ def solve_exact(inst: QpInstance, tol: float = DEFAULT_TOL,
     bounded below, so only round-off meets the unbounded-dual stop; it
     stays as a guard.
     """
-    return solve_batch([inst], [EXACT], tol, max_iter)[0]
+    sol = solve_batch([_stack(inst)], [EXACT], tol, max_iter)[0]
+    return DualSolution(sol.multipliers[0], sol.direction[0], int(sol.iterations[0]),
+                        float(sol.kkt_residual[0]), bool(sol.converged[0]),
+                        int(sol.rows_dropped[0]))
 
 
 def solve_enumerate(inst: QpInstance) -> DualSolution:
     """Global optimum by exhaustive active-set enumeration (m <= 12), for
-    one instance (not a stack).
+    one instance.
 
     Every subset of coordinates is tried as the free set: the free
     coordinates solve the Gram-space stationarity system with the rest
@@ -449,8 +445,6 @@ def solve_enumerate(inst: QpInstance) -> DualSolution:
     multipliers that residual exposes the face's error, where the
     objective's values of the candidates differ only by rounding.
     """
-    if inst.target.ndim != 1:
-        raise ValueError("solve_enumerate takes one instance, not a stack")
     K, h, lb, out = (a[0] for a in _gram([_stack(inst)]))
     m = inst.m
     if m > _ENUM_MAX_M:
@@ -493,8 +487,8 @@ def solve_enumerate(inst: QpInstance) -> DualSolution:
 
 
 def solve_approx(inst: QpInstance) -> DualSolution:
-    """Two-stage approximate dual solve; the one-instance case of
-    ``solve_batch``.
+    """Two-stage approximate dual solve; ``solve_batch`` on the stack of
+    one of ``inst``, its fields unwrapped to one instance's.
 
     Stage one solves the unconstrained problem with the Gram matrix
     ``C C^T`` replaced by its diagonal: ``nu_k = -<c_k, g> / ||c_k||^2``.
@@ -503,4 +497,7 @@ def solve_approx(inst: QpInstance) -> DualSolution:
     the diagonal approximation is the true Gram matrix, so the result
     matches the exact solver for any ``q``.
     """
-    return solve_batch([inst], [APPROX])[0]
+    sol = solve_batch([_stack(inst)], [APPROX])[0]
+    return DualSolution(sol.multipliers[0], sol.direction[0], int(sol.iterations[0]),
+                        float(sol.kkt_residual[0]), bool(sol.converged[0]),
+                        int(sol.rows_dropped[0]))

@@ -1,7 +1,8 @@
 import argparse
 import ctypes
+import os
 import re
-import resource
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,7 +11,8 @@ import pytest
 
 from mgem.cli import _build_parser, main
 
-CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "scripts" / "configs"
 PARETO2 = CONFIGS / "pareto2.cfg"
 
 RUN_CFG = """
@@ -393,12 +395,23 @@ def test_usage_error_exit_code(capsys):
                     reason="keeping the heap top needs glibc's mallopt")
 def test_a_repeated_sweep_does_not_fault_its_heap_back_in(tmp_path):
     # without the heap-top pad, every stacked trace pass faults back the
-    # pages that glibc trimmed after the last one: 71-100k faults per command
-    def faults(out):
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        assert main(["pareto", "--config", str(PARETO2), "--threads", "1",
-                     "--out", str(out)]) == 0
-        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-
-    faults(tmp_path / "first")
-    assert faults(tmp_path / "second") < 2000
+    # pages that glibc trimmed after the last one: 54-100k faults per
+    # command. Both commands run in one fresh child, so the count does not
+    # depend on the heap that earlier tests leave in this process
+    child = """
+import contextlib, io, resource, sys
+from mgem.cli import main
+counts = []
+for out in sys.argv[2:]:
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["pareto", "--config", sys.argv[1], "--threads", "1", "--out", out]) == 0
+    counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*counts)
+"""
+    argv = [sys.executable, *(["-X", "dev"] if sys.flags.dev_mode else []), "-c", child,
+            str(PARETO2), str(tmp_path / "first"), str(tmp_path / "second")]
+    done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, check=True)
+    first, second = map(int, done.stdout.split())
+    assert second < 2000, (first, second)

@@ -160,6 +160,16 @@ def test_split_memory_rejects_too_small():
         split_memory(1, 2, seed=0)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: MethodSpec("p_mgem", d_param=0), "module counts must be >= 1"),
+    (lambda: MethodSpec("d_mgem", d_data=0), "module counts must be >= 1"),
+    (lambda: split_memory(10, 0, seed=0), "d_data must be >= 1"),
+], ids=["d_param", "d_data", "split_memory"])
+def test_module_counts_below_one_are_rejected(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 # --- instance assembly -------------------------------------------------------
 
 def test_no_past_tasks_yields_empty_batch():
@@ -311,7 +321,7 @@ def test_assembled_stacks_equal_each_job_alone():
     rows[3, 2, :20] = 0.0    # job 3 leaves out row 2 in its first module only
     rows[4] *= 1e-8          # job 4 leaves out every row
     jobs = range(len(methods))
-    plan = assembly_plan(methods, spans, rows.shape[1])
+    plan = assembly_plan(methods, spans)
     stacks = assemble_step(plan, g_t, rows)
     keys = [(p.span.start, p.span.stop, p.solver) for p in plan]
     assert {type(p.take) for p in plan} == {slice, np.ndarray}  # consecutive jobs or not
@@ -325,9 +335,8 @@ def test_assembled_stacks_equal_each_job_alone():
             alone = build_instances(methods[r], g_t[r], rows[r], spans[r])
             i = spans[r].index(p.span)
             inst = alone[i]
-            for got, want in ((stack.constraint_rows[k], inst.constraint_rows),
-                              (stack.target[k], inst.target),
-                              (stack.strength[k], inst.strength)):
+            for got, want in zip((a[k] for a in stack),
+                                 (inst.constraint_rows, inst.target, inst.strength)):
                 assert np.array_equal(got, want) and got.strides == want.strides
             ref = (qp.solve_approx(inst) if p.solver == "approx"
                    else qp.solve_exact(inst))

@@ -194,12 +194,16 @@ def test_memory_too_large_rejected():
         run(stream, MLP, cfg(MethodSpec("gem"), memory=24))
 
 
+def test_a_group_of_no_jobs_trains_nothing():
+    assert run_group(rotated_stream(), MLP, []) == []
+
+
 def test_unconverged_steps_flag_degraded(monkeypatch):
     stream = rotated_stream()
     original = qp.solve_batch
 
-    def flaky(insts, solvers, **kwargs):
-        sols = original(insts, solvers, **kwargs)
+    def flaky(stacks, solvers, **kwargs):
+        sols = original(stacks, solvers, **kwargs)
         for sol in sols:
             sol.converged = np.zeros_like(sol.converged)
         return sols
@@ -410,9 +414,9 @@ def test_every_exact_instance_of_a_run_is_certified_by_enumeration(monkeypatch):
     seen = []
     original = qp.solve_batch
 
-    def recording(insts, solvers, **kwargs):
-        sols = original(insts, solvers, **kwargs)
-        seen.extend((inst, sol) for inst, solver, sol in zip(insts, solvers, sols)
+    def recording(stacks, solvers, **kwargs):
+        sols = original(stacks, solvers, **kwargs)
+        seen.extend((stack, sol) for stack, solver, sol in zip(stacks, solvers, sols)
                     if solver == qp.EXACT)
         return sols
 
@@ -420,10 +424,9 @@ def test_every_exact_instance_of_a_run_is_certified_by_enumeration(monkeypatch):
     run_jobs(run_group, stream, MlpSpec((2, 16, 4)), cfgs, threads=1)
 
     sizes = []
-    for inst, sol in seen:
-        for i in range(len(inst.target)):
-            single = qp.QpInstance(inst.constraint_rows[i], inst.target[i],
-                                   inst.strength[i])
+    for (rows, target, strength), sol in seen:
+        for i in range(len(target)):
+            single = qp.QpInstance(rows[i], target[i], strength[i])
             v, ref = sol.multipliers[i], qp.solve_enumerate(single)
             assert sol.converged[i]
             assert np.max(np.abs(v - ref.multipliers), initial=0.0) <= 1e-6
@@ -685,16 +688,17 @@ def test_an_overflowing_norm_and_a_nan_entry_tie_on_the_memory_check(monkeypatch
                 run_jobs(run_group, stream, MLP, cfgs, threads)
 
 
-def test_the_assembly_plan_is_made_once_per_solved_task(monkeypatch):
-    # every job of the stack is in the plan, which serves every step of its
-    # task; a group of single jobs solves nothing and makes none
+def test_the_assembly_plan_is_made_once_per_constrained_run(monkeypatch):
+    # every job of the stack is in the plan, which serves every solved step
+    # of the run, over tasks of 1, 2 and 3 memories; a group of single jobs
+    # solves nothing and makes none
     import mgem.engine as engine_mod
     original = engine_mod.assembly_plan
     calls = []
 
-    def recording(methods, spans, n_rows):
-        plan = original(methods, spans, n_rows)
-        calls.append((n_rows, sorted({r for p in plan for r in p.jobs.tolist()})))
+    def recording(methods, spans):
+        plan = original(methods, spans)
+        calls.append(sorted({r for p in plan for r in p.jobs.tolist()}))
         return plan
 
     monkeypatch.setattr(engine_mod, "assembly_plan", recording)
@@ -705,7 +709,7 @@ def test_the_assembly_plan_is_made_once_per_solved_task(monkeypatch):
     for trace in (False, True):
         calls.clear()
         run_group(stream, MLP, constrained, trace=trace)
-        assert calls == [(n_rows, [0, 1, 2, 3]) for n_rows in (1, 2, 3)]
+        assert calls == [[0, 1, 2, 3]]
     calls.clear()
     run_group(stream, MLP, [cfg(MethodSpec("single"), iters=5)] * 2, trace=True)
     assert calls == []
@@ -753,7 +757,7 @@ def test_degenerate_memory_rows_are_left_out_and_counted_per_job(monkeypatch):
 
     def shrunk(plan, g_t, rows):
         rows = rows.copy()
-        strength = {r: q for p in plan for r, q in zip(p.jobs.tolist(), p.strength[:, 0])}
+        strength = {r: q for p in plan for r, q in zip(p.jobs.tolist(), p.strength)}
         for r, q in strength.items():
             if q == 0.5:
                 rows[r, 0] *= 1e-9

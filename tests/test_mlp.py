@@ -62,6 +62,32 @@ def test_spec_takes_numpy_integer_sizes_and_truncates_nothing():
         MlpSpec((2.7, 5, 3))  # used to become (2, 5, 3)
 
 
+def test_spec_rejects_an_unknown_activation():
+    with pytest.raises(ValueError, match="^unknown activation 'gelu'$"):
+        MlpSpec((2, 5, 3), activation="gelu")
+
+
+@pytest.mark.parametrize("features, labels, message", [
+    (np.zeros(3), [0, 1, 2], "features must be 2-D, labels 1-D"),
+    (np.zeros((3, 2)), [[0, 1, 2]], "features must be 2-D, labels 1-D"),
+    (np.zeros((3, 2)), [0, 1], "features and labels disagree on sample count"),
+    (np.zeros((0, 2)), np.zeros(0, dtype=int), "dataset needs at least one sample"),
+    ([[0.0, np.nan], [1.0, 2.0]], [0, 1], "features contain NaN or Inf"),
+    ([[0.0, 1.0], [-np.inf, 2.0]], [0, 1], "features contain NaN or Inf"),
+    (np.zeros((2, 2)), [0, -1], "labels must be non-negative"),
+], ids=["features_1d", "labels_2d", "count_mismatch", "no_samples", "nan", "inf",
+        "negative_label"])
+def test_dataset_rejects_bad_input(features, labels, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Dataset(features, labels)
+
+
+def test_dataset_take_of_no_rows_is_rejected():
+    data = Dataset(np.zeros((3, 2)), [0, 1, 2])
+    with pytest.raises(ValueError, match="^dataset needs at least one sample$"):
+        data.take(np.zeros(0, dtype=int))
+
+
 def test_uniform_logits_loss_is_log_c():
     spec = MlpSpec((3, 4))
     params = init_params(spec, seed=0)

@@ -268,16 +268,16 @@ def test_kkt_residual_empty_instance():
     assert qp.kkt_residual(inst, np.zeros(0)) == 0.0
 
 
-def test_kkt_residual_rejects_a_stack():
-    # each one-instance function rejects a stack by name
+def test_an_instance_rejects_stacked_rows_and_a_stacked_target():
+    # a QpInstance is one QP; a stack is solve_batch's (rows, target,
+    # strength) triple
     for m, n in ((1, 3), (3, 5)):
-        stack = qp.QpInstance(np.ones((2, m, n)), np.ones((2, n)), np.zeros((2, m)))
-        v = np.zeros((2, m))
-        for name, call in (("kkt_residual", lambda: qp.kkt_residual(stack, v)),
-                           ("dual_objective", lambda: qp.dual_objective(stack, v)),
-                           ("solve_enumerate", lambda: qp.solve_enumerate(stack))):
-            with pytest.raises(ValueError, match=f"{name} takes one instance, not a stack"):
-                call()
+        with pytest.raises(ValueError, match="constraint rows must be a matrix"):
+            qp.QpInstance(np.ones((2, m, n)), np.ones(n), np.zeros(m))
+        with pytest.raises(ValueError, match="target must be a vector"):
+            qp.QpInstance(np.ones((m, n)), np.ones((2, n)), np.zeros(m))
+        with pytest.raises(ValueError, match="target must be a vector"):
+            qp.QpInstance(np.ones((2, m, n)), np.ones((2, n)), np.zeros((2, m)))
 
 
 # --- oracle equivalence ------------------------------------------------------
@@ -386,13 +386,15 @@ def _same(a, b):
             and a.rows_dropped == b.rows_dropped)
 
 
-def _item(inst, i):
-    return qp.QpInstance(inst.constraint_rows[i], inst.target[i], inst.strength[i])
+def _item(stack, i):
+    rows, target, strength = stack
+    return qp.QpInstance(rows[i], target[i], strength[i])
 
 
 def _random_batch(rng):
-    """Entries ``(instance or stack, solver, the instances to solve alone)``;
-    some rows are below MIN_ROW_SQNORM, all zero, or at the threshold."""
+    """Entries ``(stack, solver, the instances to solve alone, the rows as
+    drawn)``: stacks of one instance and one stack of several; some rows are
+    below MIN_ROW_SQNORM, all zero, or at the threshold."""
     entries = []
     for _ in range(int(rng.integers(1, 10))):
         m, n = int(rng.integers(0, 13)), int(rng.integers(1, 16))
@@ -405,24 +407,23 @@ def _random_batch(rng):
         else:
             inst = qp.QpInstance(rows, g, rng.uniform(0.0, 1.0, size=m))
         solver = qp.APPROX if rng.random() < 0.4 else qp.EXACT
-        entries.append((inst, solver, [inst]))
+        entries.append((qp._stack(inst), solver, [inst], inst.constraint_rows))
     # a stack of instances with one m and n
     B, m, n = int(rng.integers(1, 6)), int(rng.integers(0, 5)), int(rng.integers(1, 8))
-    stack = qp.QpInstance(rng.standard_normal((B, m, n)), rng.standard_normal((B, n)),
-                          np.full((B, m), 0.1))
+    stack = (rng.standard_normal((B, m, n)), rng.standard_normal((B, n)), np.full((B, m), 0.1))
     solver = qp.EXACT if rng.random() < 0.7 else qp.APPROX
-    entries.append((stack, solver, [_item(stack, i) for i in range(B)]))
-    # rows left out on purpose, all zero or shrunk (the instances solved
-    # alone view the same rows)
-    for inst, _, _ in entries:
-        if inst.m and rng.random() < 0.3:
-            at = tuple(rng.integers(k) for k in inst.constraint_rows.shape[:-1])
-            inst.constraint_rows[at] *= rng.choice([0.0, 1e-10])
+    entries.append((stack, solver, [_item(stack, i) for i in range(B)], stack[0]))
+    # rows left out on purpose, all zero or shrunk (the stacks and the
+    # instances solved alone view the same rows)
+    for _, _, _, rows in entries:
+        if rows.shape[-2] and rng.random() < 0.3:
+            at = tuple(rng.integers(k) for k in rows.shape[:-1])
+            rows[at] *= rng.choice([0.0, 1e-10])
     # rows scaled onto the threshold itself, where rounding decides
-    for inst, _, _ in entries:
-        if inst.m and rng.random() < 0.3:
-            at = tuple(rng.integers(k) for k in inst.constraint_rows.shape[:-1])
-            row = inst.constraint_rows[at]
+    for _, _, _, rows in entries:
+        if rows.shape[-2] and rng.random() < 0.3:
+            at = tuple(rng.integers(k) for k in rows.shape[:-1])
+            row = rows[at]
             if row.any():
                 row *= np.sqrt(qp.MIN_ROW_SQNORM / (row @ row))
     return entries
@@ -443,10 +444,7 @@ def test_batched_solve_equals_each_instance_alone(seed, max_iter):
     order = rng.permutation(len(entries))
     for batch in (entries, [entries[k] for k in order]):
         sols = qp.solve_batch([e[0] for e in batch], [e[1] for e in batch], max_iter=max_iter)
-        for (inst, solver, alone), sol in zip(batch, sols):
-            if inst.target.ndim == 1:
-                assert _same(sol, _alone(alone[0], solver, max_iter))
-                continue
+        for (_, solver, alone, _), sol in zip(batch, sols):
             for i, single in enumerate(alone):
                 item = qp.DualSolution(sol.multipliers[i], sol.direction[i],
                                        int(sol.iterations[i]), float(sol.kkt_residual[i]),
@@ -466,23 +464,36 @@ def test_batched_solve_equals_each_instance_alone(seed, max_iter):
 
 
 def test_batched_solve_rejects_bad_input():
-    inst = qp.QpInstance([[1.0, 0.0]], [1.0, 1.0], [0.0])
+    stack = qp._stack(qp.QpInstance([[1.0, 0.0]], [1.0, 1.0], [0.0]))
     with pytest.raises(ValueError):
-        qp.solve_batch([inst], [qp.EXACT, qp.EXACT])
+        qp.solve_batch([stack], [qp.EXACT, qp.EXACT])
     with pytest.raises(ValueError):
-        qp.solve_batch([inst], ["newton"])
-    with pytest.raises(ValueError):
-        qp.QpInstance(np.zeros((2, 1, 3)), np.zeros((3, 3)), np.zeros((2, 1)))
+        qp.solve_batch([stack], ["newton"])
+    for tol in (0.0, -1e-10):
+        with pytest.raises(ValueError, match="^tol must be positive$"):
+            qp.solve_batch([stack], [qp.EXACT], tol=tol)
+
+
+@pytest.mark.parametrize("rows, target, strength, message", [
+    ([[1.0, 0.0]], [1.0, 1.0, 1.0], [0.0], "constraint rows and target disagree on dimension"),
+    (np.ones((2, 3)), np.ones(2), np.zeros(2), "constraint rows and target disagree on dimension"),
+    ([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], [0.0], "strength length must equal the number of rows"),
+    ([[1.0, 0.0]], [1.0, 1.0], [0.0, 0.5], "strength length must equal the number of rows"),
+], ids=["one_row_dimension", "dimension", "short_strength", "long_strength"])
+def test_an_instance_rejects_shapes_that_disagree(rows, target, strength, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        qp.QpInstance(rows, target, strength)
 
 
 def test_batched_solve_raises_the_first_bad_entry_error():
     # the entries fall in different (m, solver) cores, which validate
     # together; the error is still the one checking entry by entry, in
     # order, meets first
-    good = qp.QpInstance([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], [0.0, 0.5])
-    negative = qp.QpInstance([[1.0, 2.0]], [1.0, 1.0], [-0.5])
-    nan = qp.QpInstance(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), [np.nan, 1.0], np.zeros(3))
-    nan_stack = qp.QpInstance(np.ones((2, 1, 2)), np.ones((2, 2)), [[0.0], [np.inf]])
+    good = qp._stack(qp.QpInstance([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], [0.0, 0.5]))
+    negative = qp._stack(qp.QpInstance([[1.0, 2.0]], [1.0, 1.0], [-0.5]))
+    nan = qp._stack(qp.QpInstance(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), [np.nan, 1.0],
+                                  np.zeros(3)))
+    nan_stack = (np.ones((2, 1, 2)), np.ones((2, 2)), np.array([[0.0], [np.inf]]))
     cases = [
         ([good, negative, nan], [qp.EXACT, qp.APPROX, qp.EXACT], "strength must be"),
         ([good, nan, negative], [qp.EXACT, qp.EXACT, qp.APPROX], "NaN or Inf"),
@@ -491,9 +502,9 @@ def test_batched_solve_raises_the_first_bad_entry_error():
         ([good, nan, good], [qp.EXACT, qp.EXACT, "newton"], "NaN or Inf"),
         ([good, good, nan], [qp.EXACT, "newton", qp.EXACT], "unknown solver 'newton'"),
     ]
-    for insts, solvers, error in cases:
+    for stacks, solvers, error in cases:
         with pytest.raises(ValueError, match=error):
-            qp.solve_batch(insts, solvers)
+            qp.solve_batch(stacks, solvers)
 
 
 def test_lawson_hanson_residual_is_the_kkt_residual_at_the_returned_point():
@@ -533,7 +544,7 @@ def test_singular_system_in_a_stack_fails_only_its_own_solve():
 
 def test_empty_and_rowless_batches():
     assert qp.solve_batch([], []) == []
-    stack = qp.QpInstance(np.zeros((3, 0, 4)), np.ones((3, 4)), np.zeros((3, 0)))
+    stack = (np.zeros((3, 0, 4)), np.ones((3, 4)), np.zeros((3, 0)))
     for solver in (qp.EXACT, qp.APPROX):
         sol = qp.solve_batch([stack], [solver])[0]
         assert sol.multipliers.shape == (3, 0)

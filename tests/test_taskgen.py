@@ -43,6 +43,17 @@ def test_spec_validation():
     assert spec(seed=np.uint64(2**64 - 1), n_train=np.int32(60)).seed == 2**64 - 1
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(n_train=0), "n_train and n_test must be >= 1"),
+    (dict(n_test=0), "n_train and n_test must be >= 1"),
+    (dict(n_classes=1), "n_classes must be >= 2"),
+    (dict(family="permuted", n_features=0), "n_features must be >= 1"),
+], ids=["n_train", "n_test", "n_classes", "permuted_n_features"])
+def test_spec_rejects_counts_below_their_minimum(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        spec(**fields)
+
+
 def test_generation_is_deterministic():
     a, b = generate(spec()), generate(spec())
     for ta, tb in zip(a.tasks, b.tasks):
@@ -213,6 +224,31 @@ def test_load_csv_feature_width_must_match(tmp_path):
     write_csv(b, ["3.0,1", "4.0,0"], header="x0,label")
     with pytest.raises(ValueError, match="feature columns"):
         load_csv([str(a), str(b)])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty file"),
+    ("x0,x1,label\n", "no data rows"),
+    ("x0,x1,label\n\n  \n", "no data rows"),
+    ("x0,x1,label\n1.0,2.0,0\n", "need at least 2 rows to split train/test"),
+], ids=["empty", "header_only", "blank_lines_only", "one_row"])
+def test_load_csv_rejects_files_without_enough_rows(tmp_path, text, message):
+    f = tmp_path / "short.csv"
+    f.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"short\\.csv: {message}$"):
+        load_csv([str(f)])
+
+
+def test_load_csv_needs_a_path_and_skips_blank_lines(tmp_path):
+    with pytest.raises(ValueError, match="^no csv paths given$"):
+        load_csv([])
+    f, g = tmp_path / "blank.csv", tmp_path / "dense.csv"
+    write_csv(f, ["1.0,2.0,0", "", "2.0,1.0,1", "   ", "0.5,0.5,0"])
+    write_csv(g, ["1.0,2.0,0", "2.0,1.0,1", "0.5,0.5,0"])
+    blank, dense = load_csv([str(f)]).tasks[0], load_csv([str(g)]).tasks[0]
+    for a, b in ((blank.train, dense.train), (blank.test, dense.test)):
+        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a.labels, b.labels)
 
 
 def test_csv_family_through_generate(tmp_path):
