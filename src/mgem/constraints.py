@@ -169,12 +169,12 @@ def assemble_step(plan, g_t: np.ndarray, rows: np.ndarray) -> list:
     strength)`` stack per entry of ``plan``, in plan order, for
     ``qp.solve_batch``: item k holds the module slices of job ``jobs[k]``'s
     rows, every row kept (the solver leaves degenerate ones out), and its
-    floor broadcast to the ``G`` rows without a copy. Each item is laid out
+    floor repeated over the ``G`` rows. Each item is laid out
     as its job's instance alone would be, so the solvers give each job its
     own result bit for bit.
     """
     return [(rows[p.take][:, :, p.span], g_t[p.jobs, p.span],
-             np.broadcast_to(p.strength[:, None], (len(p.jobs), rows.shape[1])))
+             p.strength[:, None].repeat(rows.shape[1], axis=1))
             for p in plan]
 
 

@@ -172,17 +172,20 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
 
     Each step checks, in ``CHECKS`` order, that the minibatch gradients,
     the memory gradients (none where its pass has no memory rows) and the
-    updated parameters are finite; the gradient rows of the pass take one
-    scan, and the failing row is looked for only when it fails. On a step
-    that solves QPs the memory check is the solver's: the step assembles its
-    QP stacks before the scan, and a job fails it where a module slice of
-    one of its memory rows in those stacks has a squared norm
-    (``qp.row_sqnorms``) that is not finite, which a row of finite entries
-    can also overflow to. The first check with a failing row stops the
-    group: it raises the error of that row's job (the first such row), the
-    one ``run`` raises for it alone, tagged with the row and its ``(task,
-    iteration, check)``; no pass runs after that step. Each job trains as
-    it would alone, so that point is its own, whatever group it is in.
+    updated parameters are finite. A step that solves no QPs scans its
+    pass's gradient rows once. A step that solves QPs leaves the gradient
+    checks to ``qp.solve_batch``, which checks every stack's values before
+    it solves: every job's minibatch gradient is the target of its plan
+    entries, whose spans tile it, and its memory rows are their rows. Only
+    when the solver rejects a stack does the step look for the failing row:
+    a job fails the memory check where a module slice of one of its memory
+    rows has a squared norm (``qp.row_sqnorms``) that is not finite, which
+    a row of finite entries can also overflow to. The first check with a
+    failing row stops the group: it raises the error of that row's job (the
+    first such row), the one ``run`` raises for it alone, tagged with the
+    row and its ``(task, iteration, check)``; no pass runs after that step.
+    Each job trains as it would alone, so that point is its own, whatever
+    group it is in.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -251,15 +254,13 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
             batch = task.train.take(batch_rng.integers(0, n_train, size=lead.batch_size))
             out = _backprop(params, mlp, Dataset.concat([batch, *parts]), pass_sizes)[1]
             g_t, mem_rows = out[:, 0], out[:, 1:1 + G]  # no memory rows: empty
-            stacks = assemble_step(plan, g_t, mem_rows) if solved else []
-            if not np.isfinite(out[:, :1 + G]).all():  # one scan; find the row on failure
-                check(g_t, 0, it)
-                check(module_norms(stacks) if solved else mem_rows, 1, it)
             z = np.empty_like(g_t) if solved else g_t
             if solved:
+                stacks = assemble_step(plan, g_t, mem_rows)
                 try:
                     sols = qp.solve_batch(stacks, solvers)
-                except ValueError:  # a finite row whose squared norm overflows
+                except ValueError:  # the solver's check failed: find the row
+                    check(g_t, 0, it)
                     check(module_norms(stacks), 1, it)
                     raise
                 unsolved = np.zeros(J, dtype=bool)
@@ -268,6 +269,9 @@ def run_group(stream: TaskStream, mlp: MlpSpec, cfgs, trace: bool = False) -> li
                     unsolved[p.jobs[~sol.converged]] = True
                     rows_dropped[p.jobs] += sol.rows_dropped
                 unconverged += unsolved
+            elif not np.isfinite(out[:, :1 + G]).all():  # one scan; find the row on failure
+                check(g_t, 0, it)
+                check(mem_rows, 1, it)
             if traced:
                 # one (1, P) @ (P, 1) product per row after the minibatch:
                 # numpy's dot routine, as ``row @ z`` alone, so each inner

@@ -41,7 +41,7 @@ def summarize(R) -> TransferSummary:
     R = np.asarray(R, dtype=np.float64)
     if R.ndim != 2 or R.shape[0] != R.shape[1] or R.shape[0] < 1:
         raise ValueError("R must be a square matrix with T >= 1")
-    if np.any(R < 0.0) or np.any(R > 1.0):
+    if not ((R >= 0.0) & (R <= 1.0)).all():  # NaN fails both
         raise ValueError("accuracies must lie in [0, 1]")
     T = R.shape[0]
     acc = _mean(R[T - 1, :])

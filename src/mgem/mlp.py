@@ -213,8 +213,9 @@ def predict(params: np.ndarray, spec: MlpSpec, features) -> np.ndarray:
 def accuracy(params: np.ndarray, spec: MlpSpec, data: Dataset):
     """Fraction of ``data`` classified right: a float for one parameter
     vector, a ``(J,)`` array for a ``(J, P)`` stack, each entry the float
-    its row gives alone. Reads ``data.inputs``, the dataset's one array."""
-    _check_features(spec, data.features)
+    its row gives alone. Reads ``data.inputs``, the dataset's one array.
+    ``data`` must fit ``spec`` as in training (``check_data``)."""
+    check_data(spec, data)
     hits = np.mean(_classes(params, spec, data.inputs) == data.labels, axis=-1)
     return float(hits) if hits.ndim == 0 else hits
 

@@ -42,11 +42,18 @@ gets alone, bit for bit: each stacked product is the per-instance product
 and each round solves every free-set system as one ``(B, m, m)`` stack,
 ``K`` on the free block and the identity elsewhere.
 
+``solve_batch`` is the one place that decides whether input is
+acceptable. One helper, ``_check_shapes``, holds the shape rule of a
+triple, which ``QpInstance`` applies to itself as a stack of one; bad
+shapes raise a ``ValueError`` naming the array before any arithmetic.
+Bad values (NaN or Inf in a row's squared norm, the target or the
+strength; a negative strength) raise once per core, from ``_rows``.
+
 A row whose squared norm is below ``MIN_ROW_SQNORM`` carries no direction
 (e.g. the gradient of a fully fit memory) and is left out of its instance:
 its multiplier is 0 and it adds no constraint. ``rows_dropped`` of a
-``DualSolution`` counts such rows. One helper, ``_rows``, validates
-stacks and makes this decision from one pass of squared row norms
+``DualSolution`` counts such rows. ``_rows`` checks the values of stacks
+and makes this decision from one pass of squared row norms
 (``row_sqnorms``), for every route and for ``lower_bounds`` and
 ``kkt_residual``, so they all agree on a row at the threshold.
 """
@@ -71,7 +78,9 @@ class QpInstance:
     constraint rows, an ``(n,)`` target and ``(m,)`` strengths. One row may
     be given as a vector and its strength as a scalar. A stack of systems
     is not an instance but ``solve_batch``'s ``(rows, target, strength)``
-    triple.
+    triple. After that promotion the instance checks its shapes as a stack
+    of one, by ``solve_batch``'s rule (``_check_shapes``); its values are
+    checked where it is solved.
 
     ``strength`` is the per-row floor ``q`` on the multipliers, entrywise
     >= 0.
@@ -83,19 +92,12 @@ class QpInstance:
 
     def __post_init__(self):
         self.target = np.asarray(self.target, dtype=np.float64)
-        if self.target.ndim != 1:
-            raise ValueError("target must be a vector")
         self.constraint_rows = np.atleast_2d(np.asarray(self.constraint_rows, dtype=np.float64))
-        if self.constraint_rows.ndim != 2:
-            raise ValueError("constraint rows must be a matrix")
         self.strength = np.atleast_1d(np.asarray(self.strength, dtype=np.float64))
-        if self.constraint_rows.size == 0:
+        if self.constraint_rows.size == 0 and self.target.ndim == 1:
             self.constraint_rows = self.constraint_rows.reshape(0, len(self.target))
             self.strength = self.strength.reshape(0)
-        if self.constraint_rows.shape[1] != len(self.target):
-            raise ValueError("constraint rows and target disagree on dimension")
-        if self.strength.shape != self.constraint_rows.shape[:1]:
-            raise ValueError("strength length must equal the number of rows")
+        _check_shapes(*_stack(self))
 
     @property
     def m(self) -> int:
@@ -123,6 +125,25 @@ def _stack(inst: QpInstance):
     return inst.constraint_rows[None], inst.target[None], inst.strength[None]
 
 
+def _check_shapes(rows: np.ndarray, target: np.ndarray, strength: np.ndarray):
+    """Raise the ``ValueError`` that names the first array of a ``(rows,
+    target, strength)`` stack that breaks the shape rule: ``(B, m, n)``
+    rows, a ``(B, n)`` target and ``(B, m)`` strengths. ``QpInstance``
+    checks its own arrays as a stack of one, so an instance's messages
+    are the same with the stack axis left out."""
+    if target.ndim != 2:
+        raise ValueError("target must be a vector")
+    if rows.ndim != 3:
+        raise ValueError("constraint rows must be a matrix")
+    for name, a in (("target", target), ("strength", strength)):
+        if a.shape[:1] != rows.shape[:1]:
+            raise ValueError(f"{name} must stack {len(rows)} instances, as the constraint rows do")
+    if target.shape[1] != rows.shape[2]:
+        raise ValueError("constraint rows and target disagree on dimension")
+    if strength.shape != rows.shape[:2]:
+        raise ValueError("strength length must equal the number of rows")
+
+
 def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``A @ x`` for stacks of matrices and vectors, as the per-item
     matrix-vector product."""
@@ -136,14 +157,15 @@ def row_sqnorms(rows: np.ndarray) -> np.ndarray:
 
 
 def _rows(stacks):
-    """Validate ``(rows, target, strength)`` stacks of one m, and decide
-    which rows count, for every route and diagnostic: ``(sq, out, lb, cg)``
-    over the stacks' instances in order, the squared row norms, the rows
-    left out (``sq < MIN_ROW_SQNORM``), the lower bounds of ``v`` (the
-    strength; 0 for a row left out) and ``C g``. The norms and ``C g`` are
-    taken stack by stack, so each keeps its rows' memory layout; the rest
-    is m-sized work on the joined ``(B, m)`` arrays. A row holding NaN or
-    Inf has a non-finite norm."""
+    """Check the values of ``(rows, target, strength)`` stacks of one m,
+    whose shapes ``_check_shapes`` has passed, and decide which rows count,
+    for every route and diagnostic: ``(sq, out, lb, cg)`` over the stacks'
+    instances in order, the squared row norms, the rows left out (``sq <
+    MIN_ROW_SQNORM``), the lower bounds of ``v`` (the strength; 0 for a row
+    left out) and ``C g``. The norms and ``C g`` are taken stack by stack,
+    so each keeps its rows' memory layout; the rest is m-sized work on the
+    joined ``(B, m)`` arrays. A row holding NaN or Inf has a non-finite
+    norm."""
     sq = np.concatenate([row_sqnorms(rows) for rows, _, _ in stacks])
     strength = np.concatenate([strength for _, _, strength in stacks])
     if not (np.isfinite(sq).all() and np.isfinite(strength).all()
@@ -347,39 +369,34 @@ def solve_batch(stacks, solvers, tol: float = DEFAULT_TOL,
     by the route ``solvers[i]`` names: ``EXACT`` or ``APPROX``.
 
     Returns one ``DualSolution`` per stack, each field with the stack's
-    leading axis. The stacks with the same m and route form one core: it is
-    validated, and its m-sized work (lower bounds, ``h``, the rows left out)
-    done, once, on the joined ``(B, m)`` arrays of its stacks (``_rows``,
-    ``_gram``). Its exact instances share one Lawson-Hanson core (``tol``,
-    ``max_iter`` as in ``solve_exact``), its approximate ones one closed
-    form. The n-wide products (row norms, ``C g``, the Gram matrix, the
-    direction) stay per stack. Bad input raises the error that checking the
-    stacks one by one, in order, raises first. Each result equals the one
-    its instance gets alone, bit for bit.
+    leading axis. The stacks with the same m and route form one core: its
+    values are checked, and its m-sized work (lower bounds, ``h``, the rows
+    left out) done, once, on the joined ``(B, m)`` arrays of its stacks
+    (``_rows``, ``_gram``). Its exact instances share one Lawson-Hanson
+    core (``tol``, ``max_iter`` as in ``solve_exact``), its approximate
+    ones one closed form. The n-wide products (row norms, ``C g``, the Gram
+    matrix, the direction) stay per stack. Each result equals the one its
+    instance gets alone, bit for bit.
+
+    Bad input raises the first ``ValueError`` met in this order: ``tol``;
+    the solver count; for each stack in order, its solver name and then its
+    shapes (``_check_shapes``, before any arithmetic); then, for each core
+    in the order of its first stack, its values (``_rows``: NaN or Inf,
+    then a negative strength).
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     stacks, solvers = list(stacks), list(solvers)
     if len(solvers) != len(stacks):
         raise ValueError(f"got {len(solvers)} solvers for {len(stacks)} stacks")
-
-    def check_each(n):  # the error that checking stacks 0..n-1 one by one raises first
-        for stack in stacks[:n]:
-            _rows([stack])
-
     groups = {}  # (m, solver) -> stack indices
-    for i, ((rows, _, _), solver) in enumerate(zip(stacks, solvers)):
+    for i, (stack, solver) in enumerate(zip(stacks, solvers)):
         if solver not in (EXACT, APPROX):
-            check_each(i)
             raise ValueError(f"unknown solver {solver!r}")
-        groups.setdefault((rows.shape[1], solver), []).append(i)
-    try:
-        built = [(entries, solver, (_gram if solver == EXACT else _rows)(
-                      [stacks[i] for i in entries]))
-                 for (_, solver), entries in groups.items()]
-    except ValueError:
-        check_each(len(stacks))
-        raise
+        _check_shapes(*stack)
+        groups.setdefault((stack[0].shape[1], solver), []).append(i)
+    built = [(entries, solver, (_gram if solver == EXACT else _rows)([stacks[i] for i in entries]))
+             for (_, solver), entries in groups.items()]
 
     sols = [None] * len(stacks)
     for entries, solver, arrays in built:
@@ -409,6 +426,15 @@ def solve_batch(stacks, solvers, tol: float = DEFAULT_TOL,
     return sols
 
 
+def _solve_alone(inst: QpInstance, solver: str, *args) -> DualSolution:
+    """``solve_batch`` by ``solver`` on the stack of one of ``inst``, its
+    fields unwrapped to one instance's."""
+    sol = solve_batch([_stack(inst)], [solver], *args)[0]
+    return DualSolution(sol.multipliers[0], sol.direction[0], int(sol.iterations[0]),
+                        float(sol.kkt_residual[0]), bool(sol.converged[0]),
+                        int(sol.rows_dropped[0]))
+
+
 def solve_exact(inst: QpInstance, tol: float = DEFAULT_TOL,
                 max_iter: int = DEFAULT_MAX_ITER) -> DualSolution:
     """Lawson-Hanson active-set method on the dual in Gram space
@@ -423,10 +449,7 @@ def solve_exact(inst: QpInstance, tol: float = DEFAULT_TOL,
     bounded below, so only round-off meets the unbounded-dual stop; it
     stays as a guard.
     """
-    sol = solve_batch([_stack(inst)], [EXACT], tol, max_iter)[0]
-    return DualSolution(sol.multipliers[0], sol.direction[0], int(sol.iterations[0]),
-                        float(sol.kkt_residual[0]), bool(sol.converged[0]),
-                        int(sol.rows_dropped[0]))
+    return _solve_alone(inst, EXACT, tol, max_iter)
 
 
 def solve_enumerate(inst: QpInstance) -> DualSolution:
@@ -497,7 +520,4 @@ def solve_approx(inst: QpInstance) -> DualSolution:
     the diagonal approximation is the true Gram matrix, so the result
     matches the exact solver for any ``q``.
     """
-    sol = solve_batch([_stack(inst)], [APPROX])[0]
-    return DualSolution(sol.multipliers[0], sol.direction[0], int(sol.iterations[0]),
-                        float(sol.kkt_residual[0]), bool(sol.converged[0]),
-                        int(sol.rows_dropped[0]))
+    return _solve_alone(inst, APPROX)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qp
+from .constraints import MethodSpec, assemble_direction, build_instances
 from .mlp import Dataset, MlpSpec, fd_gradient, group_grads, init_params, loss_and_grad
 from .seeds import rng_from
 
@@ -152,6 +153,14 @@ def check_block_consistency(n_cases=100, quick=False):
     return worst <= 1e-8, f"max |z_joint - z_per_block| = {worst:.3e} over {n_cases} cases"
 
 
+def _direction(method, g_t, rows, spans):
+    """The exact update direction of one step of ``method``, assembled as
+    the engine assembles it: one instance per module (``build_instances``),
+    the module directions joined by ``assemble_direction``."""
+    sols = [qp.solve_exact(inst, tol=1e-12) for inst in build_instances(method, g_t, rows, spans)]
+    return assemble_direction(sols, spans)
+
+
 def check_strength_ordering(n_cases=500, quick=False, tol=1e-7):
     """Modular variants vs memory strength vs plain GEM, one past task.
 
@@ -163,7 +172,8 @@ def check_strength_ordering(n_cases=500, quick=False, tol=1e-7):
     ``<g_hat, z>``: modular >= memory-strength >= plain, within ``tol``.
     With one row the floor gives ``<g_hat, z> = max(<g_hat, g> + q
     ||g_hat||^2, 0)``, so the parameter split's per-module sum of such
-    terms is at least memory strength's.
+    terms is at least memory strength's. Each variant's instances are
+    those the engine assembles for its ``MethodSpec`` (``_direction``).
     """
     if quick:
         n_cases = max(100, n_cases // 5)
@@ -174,26 +184,21 @@ def check_strength_ordering(n_cases=500, quick=False, tol=1e-7):
         D = int(rng.integers(2, 4))
         sizes = [int(rng.integers(3, 6)) for _ in range(D)]
         n = sum(sizes)
-        bounds = np.cumsum([0] + sizes)
         g_t = rng.standard_normal(n)
         g_hat = rng.standard_normal(n)
         q = float(rng.uniform(0.0, 1.0))
 
-        z_gem = qp.solve_exact(qp.QpInstance(g_hat, g_t, [0.0]), tol=1e-12).direction
-        z_ms = qp.solve_exact(qp.QpInstance(g_hat, g_t, [q]), tol=1e-12).direction
+        whole = (slice(0, n),)
+        modules = tuple(slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes)))
 
+        z_gem = _direction(MethodSpec("gem"), g_t, g_hat[None], whole)
+        z_ms = _direction(MethodSpec("gem", strength=q), g_t, g_hat[None], whole)
         # parameter-wise: floor q on each module's multiplier
-        z_p = np.empty(n)
-        for d in range(D):
-            lo, hi = bounds[d], bounds[d + 1]
-            z_p[lo:hi] = qp.solve_exact(
-                qp.QpInstance(g_hat[lo:hi], g_t[lo:hi], [q]), tol=1e-12
-            ).direction
-
+        z_p = _direction(MethodSpec("p_mgem", d_param=D, strength=q), g_t, g_hat[None], modules)
         # data-wise: split gradients averaging to g_hat, floor q on each
         t = rng.standard_normal((D, n))
         splits = g_hat + (t - t.mean(axis=0))
-        z_d = qp.solve_exact(qp.QpInstance(splits, g_t, np.full(D, q)), tol=1e-12).direction
+        z_d = _direction(MethodSpec("d_mgem", d_data=D, strength=q), g_t, splits, whole)
 
         i_gem = float(g_hat @ z_gem)
         i_ms = float(g_hat @ z_ms)

@@ -188,6 +188,18 @@ def test_train_config_seed_is_a_64_bit_word(seed):
     assert cfg(MethodSpec("gem"), seed=2**64 - 1).seed == 2**64 - 1
 
 
+def test_a_test_label_past_the_models_classes_is_rejected():
+    # the training labels fit the 3-class model, task 1's test labels do
+    # not: the first evaluation raises, as training on them would
+    stream = rotated_stream()
+    first = stream.tasks[0]
+    labels = first.test.labels.copy()
+    labels[-1] = MLP.n_out
+    bad = Task(first.train, Dataset(first.test.features, labels), first.descriptor)
+    with pytest.raises(ValueError, match=f"^label out of range for {MLP.n_out} classes$"):
+        run(TaskStream((bad,) + stream.tasks[1:]), MLP, cfg(MethodSpec("gem"), iters=2))
+
+
 def test_memory_too_large_rejected():
     stream = rotated_stream(n_train=20)
     with pytest.raises(ValueError):

@@ -50,6 +50,16 @@ def test_summarize_validates_input():
         summarize(np.zeros((0, 0)))
 
 
+@pytest.mark.parametrize("T, where", [(1, (0, 0)), (2, (0, 0)), (2, (1, 1)), (2, (1, 0))],
+                         ids=["one_task", "diagonal", "last", "last_row"])
+def test_summarize_rejects_nan_accuracies(T, where):
+    # NaN fails every comparison with 0 and 1; it is out of range too
+    R = np.full((T, T), 0.5)
+    R[where] = np.nan
+    with pytest.raises(ValueError, match=r"^accuracies must lie in \[0, 1\]$"):
+        summarize(R)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 2**31 - 1))
 def test_identity_exact_for_random_matrices(T, seed):

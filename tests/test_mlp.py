@@ -209,6 +209,18 @@ def test_accuracy_counts_fraction_correct():
     assert accuracy(params, spec, data) == 0.75
 
 
+def test_accuracy_rejects_labels_the_model_has_no_output_for():
+    # as training does (check_data): labels 5 and 7 of a 3-class model
+    spec = MlpSpec((2, 4, 3))
+    data = Dataset(np.ones((4, 2)), np.array([0, 1, 5, 7]))
+    params = init_params(spec, seed=0)
+    for p in (params, np.stack([params, params])):
+        with pytest.raises(ValueError, match="^label out of range for 3 classes$"):
+            accuracy(p, spec, data)
+    with pytest.raises(ValueError, match="^label out of range for 3 classes$"):
+        _backprop(params, spec, data, [4])
+
+
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
 def test_stacked_accuracy_equals_each_row_alone(activation):
     # a (J, P) stack gives a (J,) array whose entries are, bit for bit, the

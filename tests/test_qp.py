@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -485,10 +486,11 @@ def test_an_instance_rejects_shapes_that_disagree(rows, target, strength, messag
         qp.QpInstance(rows, target, strength)
 
 
-def test_batched_solve_raises_the_first_bad_entry_error():
-    # the entries fall in different (m, solver) cores, which validate
-    # together; the error is still the one checking entry by entry, in
-    # order, meets first
+def test_batched_solve_checks_names_and_shapes_then_each_cores_values():
+    # every entry's solver name and shapes are checked, in order, before
+    # the values; the entries fall in different (m, solver) cores, whose
+    # values are checked core by core, in the order of each core's first
+    # entry (NaN or Inf before a negative strength within a core)
     good = qp._stack(qp.QpInstance([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], [0.0, 0.5]))
     negative = qp._stack(qp.QpInstance([[1.0, 2.0]], [1.0, 1.0], [-0.5]))
     nan = qp._stack(qp.QpInstance(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), [np.nan, 1.0],
@@ -499,12 +501,52 @@ def test_batched_solve_raises_the_first_bad_entry_error():
         ([good, nan, negative], [qp.EXACT, qp.EXACT, qp.APPROX], "NaN or Inf"),
         ([good, nan_stack, negative], [qp.APPROX, qp.EXACT, qp.EXACT], "NaN or Inf"),
         ([negative, good, nan], [qp.EXACT, qp.EXACT, qp.EXACT], "strength must be"),
-        ([good, nan, good], [qp.EXACT, qp.EXACT, "newton"], "NaN or Inf"),
+        ([good, nan, good], [qp.EXACT, qp.EXACT, "newton"], "unknown solver 'newton'"),
         ([good, good, nan], [qp.EXACT, "newton", qp.EXACT], "unknown solver 'newton'"),
+        ([nan, negative, (np.ones((2, 1, 2)), np.ones((2, 2)), np.zeros((1, 1)))],
+         [qp.EXACT, qp.EXACT, qp.EXACT], "strength must stack 2 instances"),
     ]
     for stacks, solvers, error in cases:
         with pytest.raises(ValueError, match=error):
             qp.solve_batch(stacks, solvers)
+
+
+# triples of B = 3 instances of m = 2 rows in n = 4 dimensions, each with
+# one bad shape, and the message that names it
+_B, _M, _N = 3, 2, 4
+_ROWS, _TARGET, _STRENGTH = np.ones((_B, _M, _N)), np.ones((_B, _N)), np.zeros((_B, _M))
+_STACKS = "must stack 3 instances, as the constraint rows do"
+
+
+@pytest.mark.parametrize("triple, message", [
+    pytest.param((_ROWS, _TARGET, np.zeros((1, _M))), f"strength {_STACKS}", id="one_strength"),
+    pytest.param((_ROWS, _TARGET, np.zeros((_B, _M + 1))),
+                 "strength length must equal the number of rows", id="long_strength"),
+    pytest.param((_ROWS, _TARGET, np.zeros(_B)),
+                 "strength length must equal the number of rows", id="flat_strength"),
+    pytest.param((_ROWS, np.ones((2, _N)), _STRENGTH), f"target {_STACKS}", id="two_targets"),
+    pytest.param((_ROWS, np.ones((1, _N)), _STRENGTH), f"target {_STACKS}", id="one_target"),
+    pytest.param((_ROWS, np.ones((_B, _N - 1)), _STRENGTH),
+                 "constraint rows and target disagree on dimension", id="short_target"),
+    pytest.param((_ROWS, np.ones(_N), _STRENGTH), "target must be a vector", id="flat_target"),
+    pytest.param((np.ones((_M, _N)), _TARGET, _STRENGTH), "constraint rows must be a matrix",
+                 id="flat_rows"),
+])
+def test_batched_solve_names_a_malformed_triple_before_any_arithmetic(monkeypatch, triple,
+                                                                       message):
+    # each malformed triple raises the message of the array at fault, in
+    # either route, before its core is built (no numpy broadcast or einsum
+    # error), also behind a well-formed entry
+    def no_arithmetic(stacks):
+        raise AssertionError("a core was built from a malformed triple")
+
+    monkeypatch.setattr(qp, "_rows", no_arithmetic)
+    monkeypatch.setattr(qp, "_gram", no_arithmetic)
+    good = (np.ones((2, 1, 4)), np.ones((2, 4)), np.zeros((2, 1)))
+    for solver in (qp.EXACT, qp.APPROX):
+        for stacks in ([triple], [good, triple]):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                qp.solve_batch(stacks, [solver] * len(stacks))
 
 
 def test_lawson_hanson_residual_is_the_kkt_residual_at_the_returned_point():
